@@ -14,7 +14,7 @@ import numpy as np
 from nestlab import nest
 from nestlab.losses import unbiased_ce
 from nestlab.numerics import SplitMix64
-from nestlab.synthdata import build_world, s61_sequence, s61_world_spec, step_view
+from nestlab.synthdata import build_world, s61_sequence, s61_world_spec, step_table, step_view
 from nestlab.trainer import ExperimentConfig, train_base_step
 
 
@@ -49,7 +49,8 @@ def main():
     print(f"step 1 introduces class {data.class_set}, "
           f"{len(data.train_images)} training images\n")
 
-    tset = nest.similarity_init_transforms(data, old)
+    table = step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+    tset = nest.similarity_init_transforms(table, old)
     m = tset.importance[7]
     p = tset.projection[7]
     print("similarity init for class 7:")
@@ -68,7 +69,7 @@ def main():
     loss0, acc0 = new_class_stats(head0, old, data, n_old)
     print(f"before pre-tuning: unbiased CE {loss0:.3f}, new-pixel accuracy {acc0:.3f}")
 
-    nest.pretune(data, old, tset, nest.PretuneConfig(), SplitMix64(2))
+    nest.pretune(table, old, tset, nest.PretuneConfig(), SplitMix64(2))
     head1 = nest.assemble_pretune_head(old.head, tset)
     loss1, acc1 = new_class_stats(head1, old, data, n_old)
     print(f"after  pre-tuning: unbiased CE {loss1:.3f}, new-pixel accuracy {acc1:.3f}")

@@ -91,6 +91,8 @@ def load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(raw) - set(_TOP_KEYS)
@@ -107,6 +109,12 @@ def load_config(path):
     }
     if resolved["sequence"]["class_order"] is None:
         resolved["sequence"]["class_order"] = list(range(1, resolved["world"]["num_classes"] + 1))
+    train = resolved["train"]
+    if train["batch_size"] < 1:
+        raise ConfigError("train.batch_size must be >= 1")
+    if not train["seeds"]:
+        raise ConfigError("train.seeds must list at least one seed")
+    PretuneConfig(**resolved["pretune"]).validate()
     return resolved
 
 
@@ -169,6 +177,16 @@ def _run_one(resolved, strat, seed):
     return result_rows, curve_rows
 
 
+def _worker_count(n_jobs):
+    """NEST_LAB_THREADS, clamped to the job count and the CPU count."""
+    text = os.environ.get("NEST_LAB_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"NEST_LAB_THREADS must be an integer, got {text!r}")
+    return max(1, min(workers, n_jobs, os.cpu_count() or 1))
+
+
 def execute_runs(resolved, out_dir):
     """Run (strategy x seed) experiments; returns result and curve rows.
 
@@ -181,8 +199,8 @@ def execute_runs(resolved, out_dir):
     seeds = resolved["train"]["seeds"]
     jobs = [(strat, seed) for strat in strategies for seed in seeds]
 
-    workers = int(os.environ.get("NEST_LAB_THREADS", "1"))
-    if workers > 1 and len(jobs) > 1:
+    workers = _worker_count(len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

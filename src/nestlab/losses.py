@@ -6,24 +6,12 @@ current step's classes.  The unbiased variants fold probability mass
 across that split to model background shift.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, ShapeError
 from .numerics import softmax
 
 _LOG_FLOOR = 1e-300
-
-
-@dataclass
-class LossConfig:
-    lambda_kd: float = 10.0
-    n_old: int = 1
-
-    def validate(self):
-        if self.lambda_kd < 0:
-            raise ValueError("lambda_kd must be non-negative")
 
 
 def _safe_log(x):

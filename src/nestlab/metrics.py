@@ -21,13 +21,6 @@ class ConfusionMatrix:
         binc = np.bincount(idx, minlength=self.num_classes**2)
         self.counts += binc.reshape(self.num_classes, self.num_classes)
 
-    def merge(self, other):
-        self.counts += other.counts
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
 
 def iou_per_class(cm):
     """IoU per class; absent classes (zero denominator) come back as NaN."""

@@ -2,7 +2,7 @@
 
 The head stores one weight column per class (column 0 is background).
 Backprop is hand-written; `snapshot` deep-copies a model into a frozen
-"old model" whose parameters must never change afterwards.
+"old model" whose parameter arrays are read-only.
 """
 
 import copy
@@ -115,14 +115,19 @@ def grow_head(head, new_columns, new_biases=None):
 
 
 class SegModel:
-    def __init__(self, backbone, head, frozen=False):
+    def __init__(self, backbone, head):
         self.backbone = backbone
         self.head = head
-        self.frozen = frozen
 
     def snapshot(self):
-        """Deep frozen copy; training the live model never touches it."""
-        return SegModel(copy.deepcopy(self.backbone), self.head.copy(), frozen=True)
+        """Deep frozen copy; training the live model never touches it, and
+        an in-place write to its arrays raises."""
+        snap = SegModel(copy.deepcopy(self.backbone), self.head.copy())
+        arrays = [a for layer in snap.backbone.layers for a in layer] + [snap.head.weights, snap.head.biases]
+        for a in arrays:
+            if a is not None:
+                a.setflags(write=False)
+        return snap
 
     def param_bytes(self):
         parts = [w.tobytes() + b.tobytes() for w, b in self.backbone.layers]
@@ -152,20 +157,6 @@ class SegModel:
         i += hw.size
         if self.head.biases is not None:
             self.head.biases = flat[i : i + self.head.biases.size].copy()
-
-
-def features(model, image):
-    """Backbone output per pixel, shaped (H, W, d)."""
-    h, w, d_in = image.features.shape
-    out = model.backbone.forward(image.features.reshape(-1, d_in))
-    return out.reshape(h, w, -1)
-
-
-def logits(model, image):
-    """Head output per pixel, shaped (H, W, C)."""
-    h, w, d_in = image.features.shape
-    feats = model.backbone.forward(image.features.reshape(-1, d_in))
-    return model.head.logits(feats).reshape(h, w, -1)
 
 
 def save_checkpoint(model, path):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import unbiased_ce
 from .numerics import softmax
 
@@ -26,9 +26,11 @@ class PretuneConfig:
 
     def validate(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("pretune.epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("pretune.batch_size must be >= 1")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ConfigError("pretune.lr must be positive")
 
 
 @dataclass
@@ -143,28 +145,16 @@ def assemble_pretune_head(old_head, tset):
     return Head(weights, biases)
 
 
-def _collect_class_pixels(step_data, old_model):
-    """Frozen-backbone embeddings grouped by step label, plus flat arrays."""
-    feats = []
-    labels = []
-    for img in step_data.train_images:
-        h, w, d_in = img.features.shape
-        feats.append(old_model.backbone.forward(img.features.reshape(-1, d_in)))
-        labels.append(img.full_labels.ravel())
-    return feats, labels
-
-
-def similarity_init_transforms(step_data, old_model, use_bias=False):
+def similarity_init_transforms(table, old_model, use_bias=False):
     """Initialize a TransformSet from cross-task similarity scores."""
     w_old = old_model.head.weights
-    d = w_old.shape[0]
-    feats, labels = _collect_class_pixels(step_data, old_model)
-    all_feats = np.concatenate(feats)
-    all_labels = np.concatenate(labels)
-    new_classes = tuple(step_data.class_set)
+    d, n_old = w_old.shape
+    all_feats = table.f.reshape(-1, d)
+    all_labels = table.y.ravel()
+    new_classes = table.classes
     importance, projection = {}, {}
-    for c in new_classes:
-        pix = all_feats[all_labels == c]
+    for i, c in enumerate(new_classes):
+        pix = all_feats[all_labels == n_old + i]
         if pix.shape[0] == 0:
             raise DataError(f"no pixels of class {c} in the step's train split")
         m = init_importance(pix, w_old)
@@ -175,11 +165,11 @@ def similarity_init_transforms(step_data, old_model, use_bias=False):
     return TransformSet(new_classes, importance, projection, m0, p0, biases)
 
 
-def random_init_transforms(step_data, old_model, rng, use_bias=False):
+def random_init_transforms(table, old_model, rng, use_bias=False):
     """Ablation baseline: standard-normal matrices, projection re-normalized."""
     w_old = old_model.head.weights
     d, n_old = w_old.shape
-    new_classes = tuple(step_data.class_set)
+    new_classes = table.classes
     importance, projection = {}, {}
     for c in new_classes:
         importance[c] = rng.normal((d, n_old))
@@ -211,38 +201,26 @@ def apply_component_variant(tset, variant):
     return tset
 
 
-def pretune(step_data, old_model, tset, cfg, rng):
+def pretune(table, old_model, tset, cfg, rng):
     """Tune the transforms by SGD on unbiased cross entropy.
 
     The old model is never written to; only importance/projection matrices
-    (and optional new-class biases) move.  Backbone features are computed
-    once since the feature extractor is frozen.
+    (and optional new-class biases) move.  The backbone is frozen, so its
+    features come from the table.
     """
     cfg.validate()
     w_old = old_model.head.weights
     d, n_old = w_old.shape
     w0 = w_old[:, 0]
     new_classes = tset.new_classes
-    col_of = {0: 0}
-    for i, c in enumerate(new_classes):
-        col_of[c] = n_old + i
-
-    feats, labels = _collect_class_pixels(step_data, old_model)
-    col_labels = []
-    for lab in labels:
-        mapped = np.zeros_like(lab)
-        for c, col in col_of.items():
-            mapped[lab == c] = col
-        col_labels.append(mapped)
-
-    n_images = len(feats)
+    n_images = len(table.f)
     use_bias = old_model.head.biases is not None
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_images)
         for start in range(0, n_images, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = np.concatenate([feats[i] for i in batch])
-            y = np.concatenate([col_labels[i] for i in batch])
+            x = table.f[batch].reshape(-1, d)
+            y = table.y[batch].reshape(-1)
 
             head = assemble_pretune_head(old_model.head, tset)
             z = head.logits(x)

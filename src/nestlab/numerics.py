@@ -2,8 +2,8 @@
 
 Everything downstream runs on float64 numpy arrays.  This module owns the
 portable PRNG (SplitMix64, identical streams on every platform), the
-numerically stable softmax, the restricted Hadamard broadcast rules, plain
-SGD stepping and a central finite-difference gradient oracle.
+numerically stable softmax, the restricted matmul and Hadamard shape rules
+and a central finite-difference gradient oracle.
 """
 
 import numpy as np
@@ -82,10 +82,6 @@ class SplitMix64:
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-    def spawn(self):
-        """Independent child generator, seeded from this stream."""
-        return SplitMix64(self.next_u64())
-
 
 def matmul(a, b):
     a = np.asarray(a, dtype=np.float64)
@@ -123,16 +119,6 @@ def softmax(x, axis=-1):
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def sgd_step(param, grad, lr):
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if param.shape != grad.shape:
-        raise ShapeError(f"sgd shapes {param.shape} vs {grad.shape}")
-    if lr < 0:
-        raise ValueError("negative learning rate")
-    return param - lr * grad
 
 
 def finite_diff_grad(f, x, h=1e-4):

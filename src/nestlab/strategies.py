@@ -53,31 +53,17 @@ def _background_copy(old_model, n_new):
     return cols, biases
 
 
-def _two_stage_tune(step_data, old_model, cols, biases, cfg, rng):
+def _two_stage_tune(table, old_model, cols, biases, cfg, rng):
     """SGD on L_unce updating only the new columns; everything else frozen."""
     w_old = old_model.head.weights
-    n_old = w_old.shape[1]
-    col_of = {0: 0}
-    for i, c in enumerate(step_data.class_set):
-        col_of[c] = n_old + i
-
-    feats, labels = [], []
-    for img in step_data.train_images:
-        h, w, d_in = img.features.shape
-        feats.append(old_model.backbone.forward(img.features.reshape(-1, d_in)))
-        mapped = np.zeros(h * w, dtype=np.int64)
-        flat = img.full_labels.ravel()
-        for c, col in col_of.items():
-            mapped[flat == c] = col
-        labels.append(mapped)
-
-    n_images = len(feats)
+    d, n_old = w_old.shape
+    n_images = len(table.f)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_images)
         for start in range(0, n_images, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = np.concatenate([feats[i] for i in batch])
-            y = np.concatenate([labels[i] for i in batch])
+            x = table.f[batch].reshape(-1, d)
+            y = table.y[batch].reshape(-1)
             z = x @ np.concatenate([w_old, cols], axis=1)
             if biases is not None:
                 full_b = np.concatenate([old_model.head.biases, biases])
@@ -91,11 +77,12 @@ def _two_stage_tune(step_data, old_model, cols, biases, cfg, rng):
     return cols, biases
 
 
-def initialize_head(strategy, old_model, step_data, pretune_cfg, rng, use_bias=False):
+def initialize_head(strategy, old_model, table, pretune_cfg, rng, use_bias=False):
     """New-class columns (d, n_new), optional biases (n_new,), and an
     optional replacement background column (only when the pre-tuned
-    background transform is kept for formal training)."""
-    n_new = len(step_data.class_set)
+    background transform is kept for formal training).  `table` is the
+    step's pixel table."""
+    n_new = len(table.classes)
     d = old_model.head.dim
     if strategy.kind == "random":
         cols = 0.01 * rng.normal((d, n_new))
@@ -106,15 +93,15 @@ def initialize_head(strategy, old_model, step_data, pretune_cfg, rng, use_bias=F
         return cols, biases, None
     if strategy.kind == "two_stage":
         cols, biases = _background_copy(old_model, n_new)
-        cols, biases = _two_stage_tune(step_data, old_model, cols, biases, pretune_cfg, rng)
+        cols, biases = _two_stage_tune(table, old_model, cols, biases, pretune_cfg, rng)
         return cols, biases, None
     if strategy.kind == "nest":
         if strategy.matrix_init == "similarity":
-            tset = nest.similarity_init_transforms(step_data, old_model, use_bias=use_bias)
+            tset = nest.similarity_init_transforms(table, old_model, use_bias=use_bias)
         else:
-            tset = nest.random_init_transforms(step_data, old_model, rng, use_bias=use_bias)
+            tset = nest.random_init_transforms(table, old_model, rng, use_bias=use_bias)
         nest.apply_component_variant(tset, strategy.components)
-        tset = nest.pretune(step_data, old_model, tset, pretune_cfg, rng)
+        tset = nest.pretune(table, old_model, tset, pretune_cfg, rng)
         cols = nest.generate_columns(tset, old_model.head.weights)
         if pretune_cfg.weight_align and cols.size:
             cols = nest.weight_align(old_model.head.weights, cols)

@@ -4,6 +4,8 @@ Each image is a background canvas with rectangular class blobs painted on
 top; pixel features are drawn from per-class Gaussian prototypes.  Step
 views relabel pixels of classes outside the current step as background,
 reproducing background shift under the overlapped and disjoint protocols.
+A step table holds a step's train pixels once, flattened, with head-column
+labels and the frozen backbone's features, for every consumer to index.
 """
 
 import json
@@ -106,6 +108,21 @@ class StepData:
     test_images: list = field(default_factory=list)
 
 
+@dataclass
+class StepTable:
+    """A step's train pixels, built once per step and never written.
+
+    x: raw features (n_img, H*W, d_in); y: head-column labels (n_img, H*W);
+    f: features of the frozen backbone (n_img, H*W, d); classes: the step's
+    class ids in head-column order.
+    """
+
+    classes: tuple
+    x: np.ndarray
+    y: np.ndarray
+    f: np.ndarray
+
+
 def _unit(v):
     return v / np.linalg.norm(v)
 
@@ -189,7 +206,31 @@ def step_view(seq, world, t):
         LabeledImage(img.features, _relabel(img.full_labels, seen))
         for img in world.test_pool
     ]
-    return StepData(step=t, class_set=tuple(sorted(current)), train_images=train, test_images=test)
+    return StepData(step=t, class_set=seq.classes_at(t), train_images=train, test_images=test)
+
+
+def map_labels(labels, col_of):
+    """Class ids to head columns, flattened; ids missing from `col_of` map
+    to column 0 (background)."""
+    lut = np.zeros(max(col_of) + 1, dtype=np.int64)
+    for c, col in col_of.items():
+        lut[c] = col
+    return lut[np.asarray(labels).ravel()]
+
+
+def step_table(data, backbone, col_of):
+    """The pixel table of a step's train images, read-only.
+
+    `backbone` is the frozen one whose features go in `f`; `col_of` maps
+    class ids to head columns.
+    """
+    x = np.stack([img.features.reshape(-1, img.features.shape[-1]) for img in data.train_images])
+    n_img, n_pix, d_in = x.shape
+    y = map_labels(np.stack([img.full_labels for img in data.train_images]), col_of).reshape(n_img, n_pix)
+    f = backbone.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
+    for a in (x, y, f):
+        a.setflags(write=False)
+    return StepTable(data.class_set, x, y, f)
 
 
 def dump_images(images, path):

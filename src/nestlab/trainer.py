@@ -13,9 +13,9 @@ from .losses import ce, incremental_loss
 from .metrics import ConfusionMatrix, cosine_stats, iou_per_class, miou_range
 from .model import Backbone, Head, SegModel, grow_head
 from .nest import PretuneConfig
-from .numerics import SplitMix64
+from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
-from .synthdata import build_world, step_view
+from .synthdata import build_world, map_labels, step_table, step_view
 
 
 @dataclass
@@ -66,50 +66,29 @@ def _col_of_class(sequence):
     return {c: i + 1 for i, c in enumerate(sequence.class_order)}
 
 
-def _map_labels(labels, col_of):
-    mapped = np.zeros(labels.size, dtype=np.int64)
-    flat = labels.ravel()
-    for c, col in col_of.items():
-        mapped[flat == c] = col
-    return mapped
-
-
-def _flatten_images(images, col_of):
-    feats, labels = [], []
-    for img in images:
-        h, w, d_in = img.features.shape
-        feats.append(img.features.reshape(-1, d_in))
-        labels.append(_map_labels(img.full_labels, col_of))
-    return feats, labels
-
-
-def track_stability(live_model, snapshot, step_data):
+def track_stability(live_model, table):
     """Cosine similarity between live and frozen backbone features."""
-    sims_input = []
-    for img in step_data.train_images:
-        h, w, d_in = img.features.shape
-        x = img.features.reshape(-1, d_in)
-        sims_input.append((live_model.backbone.forward(x), snapshot.backbone.forward(x)))
-    a = np.concatenate([s[0] for s in sims_input])
-    b = np.concatenate([s[1] for s in sims_input])
-    return cosine_stats(a, b)
+    live = live_model.backbone.forward(table.x.reshape(-1, table.x.shape[-1]))
+    return cosine_stats(live, table.f.reshape(live.shape))
 
 
-def _sgd_epoch(model, feats, labels, order, batch_size, lr_fn, loss_fn, frozen_cols=()):
-    """One epoch of minibatch SGD; returns per-batch losses."""
+def _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch):
+    """One epoch of minibatch SGD over the table's images; returns the
+    per-batch losses.  `lr_fn` takes the iteration count of the whole run
+    of epochs, `loss_fn(z, y, batch)` returns (loss, dloss/dz)."""
     losses = []
-    it = 0
-    for start in range(0, len(order), batch_size):
+    n_batches = -(-len(order) // batch_size)
+    for it, start in enumerate(range(0, len(order), batch_size)):
         batch = order[start : start + batch_size]
-        x = np.concatenate([feats[i] for i in batch])
-        y = np.concatenate([labels[i] for i in batch])
+        x = table.x[batch].reshape(-1, table.x.shape[-1])
+        y = table.y[batch].reshape(-1)
         out, acts = model.backbone.forward_cache(x)
         z = model.head.logits(out)
-        loss, dz = loss_fn(z, y, out)
+        loss, dz = loss_fn(z, y, batch)
         if not np.isfinite(loss):
-            raise NumericError(f"non-finite training loss at batch {it}")
+            raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, batch {it}")
         losses.append(loss)
-        lr = lr_fn(it)
+        lr = lr_fn(epoch * n_batches + it)
         d_head = out.T @ dz
         if frozen_cols:
             d_head[:, list(frozen_cols)] = 0.0
@@ -124,8 +103,19 @@ def _sgd_epoch(model, feats, labels, order, batch_size, lr_fn, loss_fn, frozen_c
         for li, (gw, gb) in enumerate(layer_grads):
             w, b = model.backbone.layers[li]
             model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
-        it += 1
     return losses
+
+
+def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, frozen_cols=()):
+    """SGD epochs in a fresh image order each, with the loss and stability
+    stats of every epoch."""
+    stats = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(table.x))
+        losses = _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch)
+        sim_mean, sim_std = track_stability(model, table)
+        stats.append(EpochStats(float(np.mean(losses)), float(np.std(losses)), sim_mean, sim_std))
+    return stats
 
 
 def _evaluate(model, test_images, n_cols, col_of):
@@ -134,7 +124,7 @@ def _evaluate(model, test_images, n_cols, col_of):
         h, w, d_in = img.features.shape
         feats = model.backbone.forward(img.features.reshape(-1, d_in))
         pred = np.argmax(model.head.logits(feats), axis=1)
-        truth = _map_labels(img.full_labels, col_of)
+        truth = map_labels(img.full_labels, col_of)
         cm.add(truth, pred)
     return cm
 
@@ -162,20 +152,11 @@ def train_base_step(cfg, world, rng=None):
     model = SegModel(backbone, Head(head_w, head_b))
 
     data = step_view(cfg.sequence, world, 0)
-    col_of = _col_of_class(cfg.sequence)
-    feats, labels = _flatten_images(data.train_images, col_of)
-
-    def loss_fn(z, y, out):
-        loss, dz = ce(z, y)
-        return loss, dz
-
-    stats = []
-    snapshot = model.snapshot()
-    for epoch in range(cfg.base_epochs):
-        order = rng.permutation(len(feats))
-        losses = _sgd_epoch(model, feats, labels, order, cfg.batch_size, lambda it: cfg.base_lr, loss_fn)
-        sim_mean, sim_std = track_stability(model, snapshot, data)
-        stats.append(EpochStats(float(np.mean(losses)), float(np.std(losses)), sim_mean, sim_std))
+    # the freshly initialized backbone is the base step's frozen reference
+    table = step_table(data, model.backbone, _col_of_class(cfg.sequence))
+    stats = _train_epochs(
+        model, table, cfg.base_epochs, cfg.batch_size, rng, lambda it: cfg.base_lr, lambda z, y, batch: ce(z, y), 0
+    )
     return model, data, stats
 
 
@@ -185,71 +166,35 @@ def run_step(model, cfg, world, t, rng):
     snapshot = model.snapshot()
     snapshot_bytes = snapshot.param_bytes()
     data = step_view(cfg.sequence, world, t)
+    col_of = _col_of_class(cfg.sequence)
+    table = step_table(data, snapshot.backbone, col_of)
     strategy = parse_strategy(cfg.strategy)
 
-    new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, data, cfg.pretune, rng, use_bias=cfg.use_bias)
+    new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, table, cfg.pretune, rng, use_bias=cfg.use_bias)
     n_old = model.head.num_classes
     model.head = grow_head(model.head, new_cols, new_biases)
     if bg_col is not None:
         model.head.weights[:, 0] = bg_col
 
-    col_of = _col_of_class(cfg.sequence)
-    feats, labels = _flatten_images(data.train_images, col_of)
-    snap_feats = [snapshot.backbone.forward(x) for x in feats]
-    old_probs_per_image = None
+    old_probs = None
     if cfg.lambda_kd > 0:
-        from .numerics import softmax
+        frozen = table.f.reshape(-1, table.f.shape[-1])
+        old_probs = softmax(snapshot.head.logits(frozen), axis=1).reshape(len(table.f), -1, n_old)
 
-        old_probs_per_image = [softmax(snapshot.head.logits(f), axis=1) for f in snap_feats]
+    def loss_fn(z, y, batch):
+        op = None if old_probs is None else old_probs[batch].reshape(-1, n_old)
+        total, _, dz = incremental_loss(z, y, op, n_old, cfg.lambda_kd)
+        return total, dz
 
-    frozen_cols = tuple(range(1, n_old)) if cfg.fix_old_classifiers else ()
-    total_iters = cfg.inc_epochs * max(1, (len(feats) + cfg.batch_size - 1) // cfg.batch_size)
-    iters_done = [0]
+    total_iters = cfg.inc_epochs * -(-len(table.x) // cfg.batch_size)
 
     def lr_fn(it):
-        lr = cfg.inc_lr
         if cfg.poly_power > 0:
-            frac = min(iters_done[0] / total_iters, 1.0)
-            lr = cfg.inc_lr * (1.0 - frac) ** cfg.poly_power
-        iters_done[0] += 1
-        return lr
+            return cfg.inc_lr * (1.0 - min(it / total_iters, 1.0)) ** cfg.poly_power
+        return cfg.inc_lr
 
-    stats = []
-    for epoch in range(cfg.inc_epochs):
-        order = rng.permutation(len(feats))
-        batch_losses = []
-        it = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            x = np.concatenate([feats[i] for i in batch])
-            y = np.concatenate([labels[i] for i in batch])
-            out, acts = model.backbone.forward_cache(x)
-            z = model.head.logits(out)
-            op = None
-            if old_probs_per_image is not None:
-                op = np.concatenate([old_probs_per_image[i] for i in batch])
-            total, l_ce, dz = incremental_loss(z, y, op, n_old, cfg.lambda_kd)
-            if not np.isfinite(total):
-                raise NumericError(f"non-finite loss at step {t}, epoch {epoch}, batch {it}")
-            batch_losses.append(total)
-            lr = lr_fn(it)
-            d_head = out.T @ dz
-            if frozen_cols:
-                d_head[:, list(frozen_cols)] = 0.0
-            dfeats = dz @ model.head.weights.T
-            layer_grads, _ = model.backbone.backward(dfeats, acts)
-            model.head.weights = model.head.weights - lr * d_head
-            if model.head.biases is not None:
-                db = dz.sum(axis=0)
-                if frozen_cols:
-                    db[list(frozen_cols)] = 0.0
-                model.head.biases = model.head.biases - lr * db
-            for li, (gw, gb) in enumerate(layer_grads):
-                w, b = model.backbone.layers[li]
-                model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
-            it += 1
-        sim_mean, sim_std = track_stability(model, snapshot, data)
-        stats.append(EpochStats(float(np.mean(batch_losses)), float(np.std(batch_losses)), sim_mean, sim_std))
+    frozen_cols = tuple(range(1, n_old)) if cfg.fix_old_classifiers else ()
+    stats = _train_epochs(model, table, cfg.inc_epochs, cfg.batch_size, rng, lr_fn, loss_fn, t, frozen_cols)
 
     if snapshot.param_bytes() != snapshot_bytes:
         raise NumericError("old-model snapshot was mutated during the step")

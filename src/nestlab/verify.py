@@ -11,7 +11,7 @@ from . import nest
 from .losses import unbiased_ce, unbiased_kd
 from .model import Backbone, Head, SegModel
 from .numerics import SplitMix64, finite_diff_grad, softmax
-from .synthdata import LabeledImage, StepData
+from .synthdata import LabeledImage, StepData, step_table
 
 
 def _rel_err(analytic, numeric):
@@ -170,8 +170,9 @@ def check_frozen_contract(seed=17):
     old = _random_model(rng, d_in, d, n_old).snapshot()
     before = old.param_bytes()
     data = _toy_step(rng, d_in=d_in)
-    tset = nest.similarity_init_transforms(data, old)
-    nest.pretune(data, old, tset, nest.PretuneConfig(epochs=3, lr=0.05, batch_size=2), rng)
+    table = step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+    tset = nest.similarity_init_transforms(table, old)
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=3, lr=0.05, batch_size=2), rng)
     ok = old.param_bytes() == before
     return "frozen_parameter_contract", ok, "old model bytes unchanged" if ok else "old model mutated"
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nestlab import verify
-from nestlab.cli import load_config, main
+from nestlab.cli import _worker_count, load_config, main
 from nestlab.errors import ConfigError
 
 SMALL_CONFIG = {
@@ -193,3 +193,33 @@ def test_verify_mutation_detected():
 
     name, ok, detail = verify.check_decomposition_exactness(trials=5, scores_fn=broken_scores)
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "verb, extra, env",
+    [
+        ("run", None, {}),  # config file does not exist
+        ("run", {}, {"NEST_LAB_THREADS": "abc"}),
+        ("run", {"train": {"batch_size": 0}}, {}),
+        ("ablate", {"train": {"seeds": []}}, {}),
+        ("run", {"pretune": {"epochs": 0}}, {}),
+        ("run", {"pretune": {"batch_size": 0}}, {}),
+    ],
+    ids=["missing_file", "threads_not_int", "train_batch_size_0", "ablate_no_seeds", "pretune_epochs_0", "pretune_batch_size_0"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, extra, env):
+    path = str(tmp_path / "missing.json") if extra is None else write_config(tmp_path, extra)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([verb, path, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+def test_worker_count_clamped(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("NEST_LAB_THREADS", "64")
+    assert _worker_count(3) == min(3, cpus)
+    assert _worker_count(1000) == min(64, cpus)
+    monkeypatch.setenv("NEST_LAB_THREADS", "0")
+    assert _worker_count(3) == 1

@@ -43,16 +43,6 @@ def test_add_shape_mismatch():
         ConfusionMatrix(2).add(np.zeros(3), np.zeros(4))
 
 
-def test_merge_and_total():
-    a = ConfusionMatrix(2)
-    b = ConfusionMatrix(2)
-    a.add(np.array([0, 1]), np.array([0, 0]))
-    b.add(np.array([1, 1]), np.array([1, 1]))
-    a.merge(b)
-    assert a.total == 4
-    assert a.counts[1, 1] == 2
-
-
 def test_miou_range():
     ious = np.array([1.0, 0.5, np.nan, 0.25])
     assert miou_range(ious, [1]) == 0.5

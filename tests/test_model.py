@@ -8,14 +8,11 @@ from nestlab.model import (
     Backbone,
     Head,
     SegModel,
-    features,
     grow_head,
     load_checkpoint,
-    logits,
     save_checkpoint,
 )
 from nestlab.numerics import SplitMix64, finite_diff_grad
-from nestlab.synthdata import LabeledImage
 
 
 def test_identity_backbone_passes_through():
@@ -97,6 +94,17 @@ def test_snapshot_immune_to_training():
     assert snap.param_bytes() == before
 
 
+def test_snapshot_rejects_in_place_writes():
+    rng = SplitMix64(13)
+    model = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2)), biases=rng.normal(2)))
+    snap = model.snapshot()
+    w, b = snap.backbone.layers[0]
+    for a in (w, b, snap.head.weights, snap.head.biases):
+        with pytest.raises(ValueError):
+            a += 1.0
+    model.head.weights += 1.0  # the live model stays writable
+
+
 def test_backward_matches_finite_differences():
     rng = SplitMix64(9)
     model = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2))))
@@ -120,16 +128,6 @@ def test_backward_matches_finite_differences():
     )
     numeric = finite_diff_grad(f, model.flat_params())
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-6)
-
-
-def test_features_and_logits_grid_shapes():
-    rng = SplitMix64(10)
-    model = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2))))
-    img = LabeledImage(rng.normal((5, 6, 3)), np.zeros((5, 6), dtype=np.int64))
-    f = features(model, img)
-    z = logits(model, img)
-    assert f.shape == (5, 6, 4)
-    assert z.shape == (5, 6, 2)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -7,7 +7,7 @@ from nestlab import nest
 from nestlab.errors import DataError, NumericError, ShapeError
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64, softmax
-from nestlab.synthdata import LabeledImage, StepData
+from nestlab.synthdata import LabeledImage, StepData, step_table
 
 
 def test_similarity_scores_hand_computed():
@@ -128,11 +128,16 @@ def _toy_step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
     return StepData(step=1, class_set=tuple(new_classes), train_images=imgs, test_images=[])
 
 
+def _table(data, old):
+    n_old = old.head.num_classes
+    return step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+
+
 def test_assemble_pretune_head_layout():
     rng = SplitMix64(36)
     old = _toy_model(rng)
-    data = _toy_step(rng)
-    tset = nest.similarity_init_transforms(data, old)
+    table = _table(_toy_step(rng), old)
+    tset = nest.similarity_init_transforms(table, old)
     head = nest.assemble_pretune_head(old.head, tset)
     assert head.num_classes == 5  # bg + 2 frozen old + 2 new
     # identity bg transform and untouched old columns
@@ -163,17 +168,17 @@ def test_similarity_init_requires_class_pixels():
     for img in data.train_images:
         img.full_labels[img.full_labels == 4] = 0
     with pytest.raises(DataError):
-        nest.similarity_init_transforms(data, old)
+        nest.similarity_init_transforms(_table(data, old), old)
 
 
 def test_pretune_zero_lr_equivalent():
     # lr -> 0 must leave the transforms (and generated weights) unchanged
     rng = SplitMix64(39)
     old = _toy_model(rng)
-    data = _toy_step(rng)
-    tset = nest.similarity_init_transforms(data, old)
+    table = _table(_toy_step(rng), old)
+    tset = nest.similarity_init_transforms(table, old)
     before = {c: tset.importance[c].copy() for c in tset.new_classes}
-    nest.pretune(data, old, tset, nest.PretuneConfig(epochs=2, lr=1e-300, batch_size=2), SplitMix64(1))
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=2, lr=1e-300, batch_size=2), SplitMix64(1))
     for c in tset.new_classes:
         np.testing.assert_allclose(tset.importance[c], before[c], atol=1e-12)
 
@@ -181,9 +186,9 @@ def test_pretune_zero_lr_equivalent():
 def test_pretune_moves_bg_transform():
     rng = SplitMix64(40)
     old = _toy_model(rng)
-    data = _toy_step(rng)
-    tset = nest.similarity_init_transforms(data, old)
-    nest.pretune(data, old, tset, nest.PretuneConfig(epochs=1, lr=0.1, batch_size=2), SplitMix64(1))
+    table = _table(_toy_step(rng), old)
+    tset = nest.similarity_init_transforms(table, old)
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=1, lr=0.1, batch_size=2), SplitMix64(1))
     w0 = old.head.weights[:, 0]
     moved = nest.generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
     assert not np.array_equal(moved, w0)
@@ -194,21 +199,15 @@ def test_pretune_improves_unce():
 
     rng = SplitMix64(41)
     old = _toy_model(rng)
-    data = _toy_step(rng, images=8)
+    table = _table(_toy_step(rng, images=8), old)
 
     def loss_of(tset):
         head = nest.assemble_pretune_head(old.head, tset)
-        total, n = 0.0, 0
-        for img in data.train_images:
-            x = old.backbone.forward(img.features.reshape(-1, 4))
-            y = img.full_labels.ravel()
-            total += unbiased_ce(head.logits(x), y, 3)[0] * y.size
-            n += y.size
-        return total / n
+        return unbiased_ce(head.logits(table.f.reshape(-1, 4)), table.y.ravel(), 3)[0]
 
-    tset = nest.similarity_init_transforms(data, old)
+    tset = nest.similarity_init_transforms(table, old)
     before = loss_of(tset)
-    nest.pretune(data, old, tset, nest.PretuneConfig(epochs=10, lr=0.2, batch_size=4), SplitMix64(1))
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=10, lr=0.2, batch_size=4), SplitMix64(1))
     assert loss_of(tset) < before
 
 
@@ -216,22 +215,22 @@ def test_pretune_leaves_old_model_untouched():
     rng = SplitMix64(42)
     old = _toy_model(rng)
     before = old.param_bytes()
-    data = _toy_step(rng)
-    tset = nest.similarity_init_transforms(data, old)
-    nest.pretune(data, old, tset, nest.PretuneConfig(epochs=3, lr=0.1, batch_size=2), SplitMix64(1))
+    table = _table(_toy_step(rng), old)
+    tset = nest.similarity_init_transforms(table, old)
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=3, lr=0.1, batch_size=2), SplitMix64(1))
     assert old.param_bytes() == before
 
 
 def test_component_variants():
     rng = SplitMix64(43)
     old = _toy_model(rng)
-    data = _toy_step(rng)
-    t_imp = nest.apply_component_variant(nest.similarity_init_transforms(data, old), "importance_only")
+    table = _table(_toy_step(rng), old)
+    t_imp = nest.apply_component_variant(nest.similarity_init_transforms(table, old), "importance_only")
     for c in t_imp.new_classes:
         n_old = t_imp.projection[c].shape[0]
         np.testing.assert_array_equal(t_imp.projection[c], np.full((n_old, 1), 1.0 / n_old))
     assert not t_imp.train_projection
-    t_proj = nest.apply_component_variant(nest.similarity_init_transforms(data, old), "projection_only")
+    t_proj = nest.apply_component_variant(nest.similarity_init_transforms(table, old), "projection_only")
     for c in t_proj.new_classes:
         np.testing.assert_array_equal(t_proj.importance[c], np.ones_like(t_proj.importance[c]))
     assert not t_proj.train_importance

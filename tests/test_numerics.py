@@ -11,7 +11,6 @@ from nestlab.numerics import (
     finite_diff_grad,
     hadamard,
     matmul,
-    sgd_step,
     softmax,
 )
 
@@ -70,12 +69,6 @@ def test_integers_cover_range():
 def test_permutation_is_permutation():
     perm = SplitMix64(5).permutation(50)
     assert sorted(perm.tolist()) == list(range(50))
-
-
-def test_spawn_streams_differ():
-    parent = SplitMix64(1)
-    child = parent.spawn()
-    assert not np.array_equal(parent.uniform(100), child.uniform(100))
 
 
 def test_matmul_identity():
@@ -162,20 +155,6 @@ def test_softmax_permutation_equivariant(vals, pyrandom):
     x = np.array(vals)
     perm = np.array(pyrandom.sample(range(len(vals)), len(vals)))
     np.testing.assert_allclose(softmax(x)[perm], softmax(x[perm]), atol=1e-12)
-
-
-def test_sgd_step_basics():
-    p = np.array([1.0])
-    np.testing.assert_array_equal(sgd_step(p, np.array([2.0]), 0.0), p)
-    np.testing.assert_array_equal(sgd_step(p, np.array([2.0]), 0.5), [0.0])
-    np.testing.assert_allclose(
-        sgd_step(np.array([[1.0, 1.0]]), np.array([[0.1, -0.1]]), 1.0), [[0.9, 1.1]]
-    )
-
-
-def test_sgd_step_shape_error():
-    with pytest.raises(ShapeError):
-        sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 def test_finite_diff_sum_and_quadratic():

@@ -8,7 +8,7 @@ from nestlab.errors import ConfigError
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
 from nestlab.strategies import initialize_head, parse_strategy
-from nestlab.synthdata import LabeledImage, StepData
+from nestlab.synthdata import LabeledImage, StepData, step_table
 
 
 def test_parse_simple_strategies():
@@ -48,12 +48,17 @@ def _step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
     return StepData(step=1, class_set=tuple(new_classes), train_images=imgs, test_images=[])
 
 
+def _table(data, old):
+    n_old = old.head.num_classes
+    return step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+
+
 def test_background_copy_columns():
     rng = SplitMix64(61)
     old = _old_model(rng)
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cols, biases, bg = initialize_head(
-        parse_strategy("background"), old, data, nest.PretuneConfig(), SplitMix64(1)
+        parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1)
     )
     w0 = old.head.weights[:, 0]
     np.testing.assert_array_equal(cols[:, 0], w0)
@@ -64,9 +69,9 @@ def test_background_copy_columns():
 def test_background_copy_bias_split():
     rng = SplitMix64(62)
     old = _old_model(rng, use_bias=True)
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cols, biases, _ = initialize_head(
-        parse_strategy("background"), old, data, nest.PretuneConfig(), SplitMix64(1)
+        parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1)
     )
     expected = old.head.biases[0] - np.log(3.0)  # n_new + 1 = 3
     np.testing.assert_allclose(biases, expected, atol=1e-12)
@@ -75,9 +80,9 @@ def test_background_copy_bias_split():
 def test_random_strategy_shape_and_determinism():
     rng = SplitMix64(63)
     old = _old_model(rng)
-    data = _step(rng)
-    cols_a, _, _ = initialize_head(parse_strategy("random"), old, data, nest.PretuneConfig(), SplitMix64(5))
-    cols_b, _, _ = initialize_head(parse_strategy("random"), old, data, nest.PretuneConfig(), SplitMix64(5))
+    table = _table(_step(rng), old)
+    cols_a, _, _ = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
+    cols_b, _, _ = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
     assert cols_a.shape == (4, 2)
     np.testing.assert_array_equal(cols_a, cols_b)
 
@@ -85,10 +90,10 @@ def test_random_strategy_shape_and_determinism():
 def test_two_stage_changes_background_copy():
     rng = SplitMix64(64)
     old = _old_model(rng)
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=3, lr=0.1, batch_size=2)
-    ts_cols, _, _ = initialize_head(parse_strategy("two_stage"), old, data, cfg, SplitMix64(1))
-    bg_cols, _, _ = initialize_head(parse_strategy("background"), old, data, cfg, SplitMix64(1))
+    ts_cols, _, _ = initialize_head(parse_strategy("two_stage"), old, table, cfg, SplitMix64(1))
+    bg_cols, _, _ = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
     assert not np.array_equal(ts_cols, bg_cols)
 
 
@@ -96,9 +101,9 @@ def test_nest_strategy_column_count_and_frozen_old():
     rng = SplitMix64(65)
     old = _old_model(rng)
     before = old.param_bytes()
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.05, batch_size=2)
-    cols, biases, bg = initialize_head(parse_strategy("nest"), old, data, cfg, SplitMix64(1))
+    cols, biases, bg = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
     assert cols.shape == (4, 2)
     assert old.param_bytes() == before
     assert bg is None  # default keeps the original background column
@@ -107,9 +112,9 @@ def test_nest_strategy_column_count_and_frozen_old():
 def test_nest_weight_align_postcondition():
     rng = SplitMix64(66)
     old = _old_model(rng)
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.05, batch_size=2, weight_align=True)
-    cols, _, _ = initialize_head(parse_strategy("nest"), old, data, cfg, SplitMix64(1))
+    cols, _, _ = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
     assert abs(
         np.linalg.norm(cols, axis=0).mean() - np.linalg.norm(old.head.weights, axis=0).mean()
     ) < 1e-12
@@ -118,9 +123,9 @@ def test_nest_weight_align_postcondition():
 def test_nest_use_pretuned_bg_returns_column():
     rng = SplitMix64(67)
     old = _old_model(rng)
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.1, batch_size=2, use_pretuned_bg=True)
-    _, _, bg = initialize_head(parse_strategy("nest"), old, data, cfg, SplitMix64(1))
+    _, _, bg = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
     assert bg is not None and bg.shape == (4,)
     assert not np.array_equal(bg, old.head.weights[:, 0])
 
@@ -128,8 +133,8 @@ def test_nest_use_pretuned_bg_returns_column():
 def test_nest_random_matrix_init_differs():
     rng = SplitMix64(68)
     old = _old_model(rng)
-    data = _step(rng)
+    table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=1, lr=0.01, batch_size=2, weight_align=False)
-    sim, _, _ = initialize_head(parse_strategy("nest:similarity:both"), old, data, cfg, SplitMix64(1))
-    rnd, _, _ = initialize_head(parse_strategy("nest:random:both"), old, data, cfg, SplitMix64(1))
+    sim, _, _ = initialize_head(parse_strategy("nest:similarity:both"), old, table, cfg, SplitMix64(1))
+    rnd, _, _ = initialize_head(parse_strategy("nest:random:both"), old, table, cfg, SplitMix64(1))
     assert not np.array_equal(sim, rnd)

@@ -148,8 +148,8 @@ def test_permuted_class_orders_complete():
 def test_base_step_reaches_high_train_accuracy():
     # the S6-1 base problem is separable; accuracy > 90% within 30 epochs
     from nestlab.numerics import SplitMix64
-    from nestlab.synthdata import build_world, s61_sequence, s61_world_spec, step_view
-    from nestlab.trainer import _col_of_class, _map_labels, train_base_step
+    from nestlab.synthdata import build_world, map_labels, s61_sequence, s61_world_spec
+    from nestlab.trainer import _col_of_class, train_base_step
 
     cfg = ExperimentConfig(
         world=s61_world_spec(1), sequence=s61_sequence(), base_epochs=30, base_lr=0.2, seed=1
@@ -162,7 +162,33 @@ def test_base_step_reaches_high_train_accuracy():
         h, w, d_in = img.features.shape
         feats = model.backbone.forward(img.features.reshape(-1, d_in))
         pred = np.argmax(model.head.logits(feats), axis=1)
-        truth = _map_labels(img.full_labels, col_of)
+        truth = map_labels(img.full_labels, col_of)
         hits += int((pred == truth).sum())
         total += truth.size
     assert hits / total > 0.9
+
+
+def test_step_columns_follow_class_order():
+    # with increment 2 and an order that is not sorted, each step's classes
+    # keep class_order order, and the table labels every class with the
+    # head column formal training and evaluation use
+    from nestlab.model import Backbone
+    from nestlab.synthdata import build_world, step_table, step_view
+    from nestlab.trainer import _col_of_class
+
+    spec = WorldSpec(num_classes=10, feature_dim=4, height=8, width=8, images_per_class=3, test_images_per_class=1)
+    seq = TaskSequence(class_order=(1, 2, 3, 4, 5, 6, 8, 7, 10, 9), base_count=6, increment=2)
+    world = build_world(spec)
+    col_of = _col_of_class(seq)
+    for t in range(seq.num_steps):
+        data = step_view(seq, world, t)
+        assert data.class_set == seq.classes_at(t)
+        table = step_table(data, Backbone.identity(4), col_of)
+        labels = np.stack([img.full_labels for img in data.train_images]).reshape(table.y.shape)
+        for c in data.class_set:
+            assert (labels == c).any()
+            assert (table.y[labels == c] == col_of[c]).all()
+        assert (table.y[labels == 0] == 0).all()
+        for a in (table.x, table.y, table.f):
+            with pytest.raises(ValueError):
+                a[0] = 0
