@@ -10,17 +10,19 @@ Exit codes: 0 success, 1 failed verification, 2 invalid config,
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from itertools import repeat
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nest import PretuneConfig
+from .strategies import parse_strategy
 from .synthdata import TaskSequence, WorldSpec, build_world, dump_images
-from .trainer import ExperimentConfig, run_experiment
+from .trainer import ExperimentConfig, run_experiment, train_base
 
 _TOP_KEYS = ("world", "sequence", "strategy", "pretune", "train", "report")
 
@@ -71,6 +73,21 @@ RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new",
 CURVE_COLUMNS = ("run_id", "step", "epoch", "loss_mean", "loss_std", "featsim_mean", "featsim_std")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fits(default, value):
+    """Whether `value` may stand in for `default`: a bool for a bool, a
+    string for a string, an int that is not a bool for an int, such an int
+    or a float for a float, and a list of ints for a list or a None."""
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    if isinstance(default, (int, float)):
+        return _is_int(value) or (isinstance(default, float) and isinstance(value, float))
+    return (value is None and default is None) or (isinstance(value, list) and all(map(_is_int, value)))
+
+
 def _merge_section(name, defaults, given):
     if given is None:
         return dict(defaults)
@@ -79,9 +96,18 @@ def _merge_section(name, defaults, given):
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {name!r}")
+    for key, value in given.items():
+        if not _fits(defaults[key], value):
+            raise ConfigError(f"{name}.{key} has the wrong type: {value!r}")
     merged = dict(defaults)
     merged.update(given)
     return merged
+
+
+def _strategies(resolved):
+    """The configured strategy strings, as a list."""
+    strategies = resolved["strategy"]
+    return [strategies] if isinstance(strategies, str) else strategies
 
 
 def load_config(path):
@@ -115,6 +141,11 @@ def load_config(path):
     if not train["seeds"]:
         raise ConfigError("train.seeds must list at least one seed")
     PretuneConfig(**resolved["pretune"]).validate()
+    strategies = _strategies(resolved)
+    if not isinstance(strategies, list) or not strategies or not all(isinstance(x, str) for x in strategies):
+        raise ConfigError("strategy must be a string or a non-empty list of strings")
+    for text in strategies:
+        parse_strategy(text)
     return resolved
 
 
@@ -127,24 +158,8 @@ def _experiment_config(resolved, strategy, seed):
     sequence = TaskSequence(**s)
     sequence.validate(world.num_classes)
     pretune = PretuneConfig(**resolved["pretune"])
-    t = resolved["train"]
-    return ExperimentConfig(
-        world=world,
-        sequence=sequence,
-        strategy=strategy,
-        pretune=pretune,
-        backbone_dim=t["backbone_dim"],
-        base_epochs=t["base_epochs"],
-        base_lr=t["base_lr"],
-        inc_epochs=t["inc_epochs"],
-        inc_lr=t["inc_lr"],
-        batch_size=t["batch_size"],
-        lambda_kd=t["lambda_kd"],
-        fix_old_classifiers=t["fix_old_classifiers"],
-        poly_power=t["poly_power"],
-        use_bias=t["use_bias"],
-        seed=seed,
-    )
+    train = {k: v for k, v in resolved["train"].items() if k != "seeds"}
+    return ExperimentConfig(world=world, sequence=sequence, strategy=strategy, pretune=pretune, seed=seed, **train)
 
 
 def _fmt(x):
@@ -158,12 +173,13 @@ def _write_csv(path, columns, rows):
         writer.writerows(rows)
 
 
-def _run_one(resolved, strat, seed):
-    """One experiment; returns (result_rows, curve_rows) for that run."""
+def _run_one(resolved, strat, seed, world, base):
+    """One arm from its seed's shared base; returns (result_rows,
+    curve_rows) for that run."""
     timing = resolved["report"]["timing"]
     run_id = f"{resolved['report']['run_id']}-{strat.replace(':', '_')}-s{seed}"
     cfg = _experiment_config(resolved, strat, seed)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, world, base)
     result_rows, curve_rows = [], []
     for rep in result.reports:
         wall = rep.wall_seconds if timing else 0.0
@@ -190,23 +206,29 @@ def _worker_count(n_jobs):
 def execute_runs(resolved, out_dir):
     """Run (strategy x seed) experiments; returns result and curve rows.
 
-    NEST_LAB_THREADS > 1 runs independent experiments in worker processes;
-    rows are merged in job order so output stays deterministic.
+    Jobs differ only in strategy and seed, and neither the world nor the
+    base step depends on the strategy, so the world is built once and the
+    base step trained once per seed; every arm continues from its seed's
+    base.  NEST_LAB_THREADS > 1 maps the bases, then the arms, over worker
+    processes; rows are merged in job order so output stays deterministic.
     """
-    strategies = resolved["strategy"]
-    if isinstance(strategies, str):
-        strategies = [strategies]
+    strategies = _strategies(resolved)
     seeds = resolved["train"]["seeds"]
     jobs = [(strat, seed) for strat in strategies for seed in seeds]
-
     workers = _worker_count(len(jobs))
+    configs = [_experiment_config(resolved, strategies[0], seed) for seed in dict.fromkeys(seeds)]
+    world = build_world(configs[0].world)
+
+    pool = contextlib.nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_one, [resolved] * len(jobs), *zip(*jobs)))
-    else:
-        outputs = [_run_one(resolved, strat, seed) for strat, seed in jobs]
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool as executor:
+        map_fn = executor.map if executor else map
+        bases = {cfg.seed: base for cfg, base in zip(configs, map_fn(train_base, configs, repeat(world)))}
+        strats, job_seeds = zip(*jobs)
+        outputs = list(map_fn(_run_one, repeat(resolved), strats, job_seeds, repeat(world), [bases[s] for s in job_seeds]))
 
     result_rows, curve_rows = [], []
     for rr, cr in outputs:
@@ -215,50 +237,35 @@ def execute_runs(resolved, out_dir):
     return result_rows, curve_rows
 
 
-def cmd_run(config_path, out_dir):
-    resolved = load_config(config_path)
-    out_dir = out_dir or resolved["report"]["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    result_rows, curve_rows = execute_runs(resolved, out_dir)
-    _write_csv(os.path.join(out_dir, "results.csv"), RESULT_COLUMNS, result_rows)
-    _write_csv(os.path.join(out_dir, "curves.csv"), CURVE_COLUMNS, curve_rows)
-    with open(os.path.join(out_dir, "config.echo.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
-
-
-def cmd_ablate(config_path, out_dir):
+def cmd_run(config_path, out_dir, aggregate=False):
+    """`run`; with `aggregate`, `ablate`, which also writes ablation.csv."""
     import statistics
 
     resolved = load_config(config_path)
     out_dir = out_dir or resolved["report"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    strategies = resolved["strategy"]
-    if isinstance(strategies, str):
-        strategies = [strategies]
-
     result_rows, curve_rows = execute_runs(resolved, out_dir)
     _write_csv(os.path.join(out_dir, "results.csv"), RESULT_COLUMNS, result_rows)
     _write_csv(os.path.join(out_dir, "curves.csv"), CURVE_COLUMNS, curve_rows)
 
-    # aggregate the final step of every run, per strategy
-    agg_rows = []
-    last_step = max(int(r[3]) for r in result_rows)
-    for strat in strategies:
-        finals = [r for r in result_rows if r[1] == strat and int(r[3]) == last_step]
-        cols = []
-        for idx in (4, 5, 6):  # miou_base, miou_new, miou_all
-            vals = [float(r[idx]) for r in finals]
-            mean = statistics.fmean(vals)
-            std = statistics.pstdev(vals) if len(vals) > 1 else 0.0
-            cols.extend([_fmt(mean), _fmt(std)])
-        agg_rows.append((strat, *cols))
-    _write_csv(
-        os.path.join(out_dir, "ablation.csv"),
-        ("strategy", "miou_base_mean", "miou_base_std", "miou_new_mean", "miou_new_std", "miou_all_mean", "miou_all_std"),
-        agg_rows,
-    )
+    if aggregate:
+        # the final step of every run, per strategy
+        agg_rows = []
+        last_step = max(int(r[3]) for r in result_rows)
+        for strat in _strategies(resolved):
+            finals = [r for r in result_rows if r[1] == strat and int(r[3]) == last_step]
+            cols = []
+            for idx in (4, 5, 6):  # miou_base, miou_new, miou_all
+                vals = [float(r[idx]) for r in finals]
+                mean = statistics.fmean(vals)
+                std = statistics.pstdev(vals) if len(vals) > 1 else 0.0
+                cols.extend([_fmt(mean), _fmt(std)])
+            agg_rows.append((strat, *cols))
+        _write_csv(
+            os.path.join(out_dir, "ablation.csv"),
+            ("strategy", "miou_base_mean", "miou_base_std", "miou_new_mean", "miou_new_std", "miou_all_mean", "miou_all_std"),
+            agg_rows,
+        )
     with open(os.path.join(out_dir, "config.echo.json"), "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -303,17 +310,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="nestlab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="run the configured experiment(s)")
-    p_run.add_argument("config")
-    p_run.add_argument("-o", "--out-dir", default=None)
-
-    p_abl = sub.add_parser("ablate", help="run strategies x seeds and aggregate")
-    p_abl.add_argument("config")
-    p_abl.add_argument("-o", "--out-dir", default=None)
-
-    p_gen = sub.add_parser("gen-data", help="dump the synthetic image pools")
-    p_gen.add_argument("config")
-    p_gen.add_argument("-o", "--out-dir", default=None)
+    for verb, text in (
+        ("run", "run the configured experiment(s)"),
+        ("ablate", "run strategies x seeds and aggregate"),
+        ("gen-data", "dump the synthetic image pools"),
+    ):
+        p_cfg = sub.add_parser(verb, help=text)
+        p_cfg.add_argument("config")
+        p_cfg.add_argument("-o", "--out-dir", default=None)
 
     sub.add_parser("verify", help="run the verification suite")
 
@@ -326,7 +330,7 @@ def main(argv=None):
         if args.verb == "run":
             return cmd_run(args.config, args.out_dir)
         if args.verb == "ablate":
-            return cmd_ablate(args.config, args.out_dir)
+            return cmd_run(args.config, args.out_dir, aggregate=True)
         if args.verb == "gen-data":
             return cmd_gen_data(args.config, args.out_dir)
         if args.verb == "verify":

@@ -6,7 +6,6 @@ Backprop is hand-written; `snapshot` deep-copies a model into a frozen
 """
 
 import copy
-import json
 
 import numpy as np
 
@@ -119,10 +118,14 @@ class SegModel:
         self.backbone = backbone
         self.head = head
 
+    def copy(self):
+        """Deep copy with writable arrays, also of a snapshot."""
+        return SegModel(copy.deepcopy(self.backbone), self.head.copy())
+
     def snapshot(self):
         """Deep frozen copy; training the live model never touches it, and
         an in-place write to its arrays raises."""
-        snap = SegModel(copy.deepcopy(self.backbone), self.head.copy())
+        snap = self.copy()
         arrays = [a for layer in snap.backbone.layers for a in layer] + [snap.head.weights, snap.head.biases]
         for a in arrays:
             if a is not None:
@@ -158,37 +161,3 @@ class SegModel:
         if self.head.biases is not None:
             self.head.biases = flat[i : i + self.head.biases.size].copy()
 
-
-def save_checkpoint(model, path):
-    """JSON header line followed by raw float64 parameters in fixed order."""
-    header = {
-        "input_dim": model.backbone.input_dim,
-        "layer_dims": [list(w.shape) for w, _ in model.backbone.layers],
-        "head_cols": model.head.num_classes,
-        "head_dim": model.head.dim,
-        "has_bias": model.head.biases is not None,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
-        fh.write(model.param_bytes())
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    flat = np.frombuffer(raw, dtype=np.float64).copy()
-    i = 0
-    layers = []
-    for out_d, in_d in header["layer_dims"]:
-        w = flat[i : i + out_d * in_d].reshape(out_d, in_d)
-        i += out_d * in_d
-        b = flat[i : i + out_d]
-        i += out_d
-        layers.append((w, b))
-    backbone = Backbone(layers, header["input_dim"])
-    d, c = header["head_dim"], header["head_cols"]
-    weights = flat[i : i + d * c].reshape(d, c)
-    i += d * c
-    biases = flat[i : i + c] if header["has_bias"] else None
-    return SegModel(backbone, Head(weights, biases))

@@ -160,7 +160,8 @@ def _render_image(spec, protos, primary_class, rng):
 
 
 def build_world(spec):
-    """Deterministically generate prototypes plus train/test image pools."""
+    """Deterministically generate prototypes plus train/test image pools;
+    every array of the world is read-only."""
     spec.validate()
     rng = SplitMix64(spec.seed)
     protos = _make_prototypes(spec, rng)
@@ -172,6 +173,9 @@ def build_world(spec):
     for c in range(1, spec.num_classes + 1):
         for _ in range(spec.test_images_per_class):
             test_pool.append(_render_image(spec, protos, c, rng))
+    # every run that shares this world reads it; none may write it
+    for a in [protos] + [a for img in train_pool + test_pool for a in (img.features, img.full_labels)]:
+        a.setflags(write=False)
     return World(spec=spec, prototypes=protos, train_pool=train_pool, test_pool=test_pool)
 
 

@@ -3,6 +3,7 @@ initialization, formal training with the unbiased losses, and
 stability instrumentation (per-epoch loss and feature-similarity stats).
 """
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +54,14 @@ class StepReport:
     miou_all: float
     epochs: list = field(default_factory=list)
     wall_seconds: float = 0.0
+
+
+@dataclass
+class BaseStep:
+    model: SegModel  # frozen snapshot
+    rng: SplitMix64  # the generator after base training
+    report: StepReport
+    ious: np.ndarray
 
 
 @dataclass
@@ -205,17 +214,29 @@ def run_step(model, cfg, world, t, rng):
     return model, report, ious
 
 
-def run_experiment(cfg):
-    """Run all steps of the sequence; returns a RunResult."""
-    cfg.sequence.validate(cfg.world.num_classes)
-    world = build_world(cfg.world)
+def train_base(cfg, world):
+    """Train and evaluate step 0 once, for every arm of this seed."""
     rng = SplitMix64(cfg.seed)
-
     t0 = time.perf_counter()
     model, base_data, base_stats = train_base_step(cfg, world, rng)
     cm = _evaluate(model, base_data.test_images, model.head.num_classes, _col_of_class(cfg.sequence))
     ious, miou_base, miou_new, miou_all = _report_from_cm(cm, 0, cfg.sequence)
-    reports = [StepReport(0, miou_base, miou_new, miou_all, base_stats, time.perf_counter() - t0)]
+    report = StepReport(0, miou_base, miou_new, miou_all, base_stats, time.perf_counter() - t0)
+    return BaseStep(model.snapshot(), rng, report, ious)
+
+
+def run_experiment(cfg, world=None, base=None):
+    """Run all steps of the sequence; returns a RunResult.  Steps after
+    the base continue from copies of the base's model and generator."""
+    cfg.sequence.validate(cfg.world.num_classes)
+    if world is None:
+        world = build_world(cfg.world)
+    if base is None:
+        base = train_base(cfg, world)
+    model = base.model.copy()
+    rng = copy.copy(base.rng)
+    reports = [base.report]
+    ious = base.ious
 
     for t in range(1, cfg.sequence.num_steps):
         model, report, ious = run_step(model, cfg, world, t, rng)

@@ -15,8 +15,8 @@ import pytest
 
 from nestlab import verify
 from nestlab.nest import PretuneConfig
-from nestlab.synthdata import s61_sequence, s61_world_spec
-from nestlab.trainer import ExperimentConfig, run_experiment
+from nestlab.synthdata import build_world, s61_sequence, s61_world_spec
+from nestlab.trainer import ExperimentConfig, run_experiment, train_base
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -72,15 +72,14 @@ def test_criterion_6_cost_formula():
 # --- criteria 7-9: S6-1 benchmark orderings --------------------------------
 
 
-def _run_arm(strategy, seed):
-    cfg = ExperimentConfig(
+def _arm_config(strategy, seed):
+    return ExperimentConfig(
         world=s61_world_spec(1),
         sequence=s61_sequence(),
         strategy=strategy,
         pretune=PretuneConfig(),
         seed=seed,
     )
-    return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +95,11 @@ def benchmark_arms():
     )
     arms = {}
     start = time.perf_counter()
+    # the base step does not depend on the strategy: train it once per seed
+    world = build_world(s61_world_spec(1))
+    bases = {seed: train_base(_arm_config(strategies[0], seed), world) for seed in SEEDS}
     for strat in strategies:
-        runs = [_run_arm(strat, seed) for seed in SEEDS]
+        runs = [run_experiment(_arm_config(strat, seed), world, bases[seed]) for seed in SEEDS]
         arms[strat] = {
             "miou_all": float(np.mean([r.reports[-1].miou_all for r in runs])),
             "miou_new": float(np.mean([r.reports[-1].miou_new for r in runs])),

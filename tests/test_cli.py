@@ -59,6 +59,33 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"strategy": "nonsense"},
+        {"strategy": ["background", "nest:fancy"]},
+        {"strategy": []},
+        {"strategy": 3},
+        {"train": {"base_epochs": "ten"}},
+        {"train": {"base_epochs": True}},
+        {"train": {"base_lr": "0.1"}},
+        {"train": {"use_bias": 1}},
+        {"train": {"seeds": [1, "2"]}},
+        {"world": {"prototype_rule": 0}},
+        {"sequence": {"class_order": "1234"}},
+    ],
+)
+def test_load_config_rejects_bad_values(tmp_path, extra):
+    # rejected while loading, before any world is built or step trained
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, extra))
+
+
+def test_load_config_takes_an_int_for_a_float(tmp_path):
+    resolved = load_config(write_config(tmp_path, {"train": {"base_lr": 1, "lambda_kd": 0}}))
+    assert resolved["train"]["base_lr"] == 1 and resolved["train"]["lambda_kd"] == 0
+
+
 def test_malformed_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"world": \n  [}')
@@ -159,16 +186,16 @@ def test_report_merges(tmp_path):
 
 
 def test_parallel_rows_identical(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, {"strategy": ["background", "random"]})
+    # two seeds, so the worker path maps two bases and then four arms
+    cfg = write_config(tmp_path, {"strategy": ["background", "random"], "train": {"seeds": [1, 2]}})
     out_s, out_p = str(tmp_path / "s"), str(tmp_path / "p")
     monkeypatch.setenv("NEST_LAB_THREADS", "1")
     assert main(["run", cfg, "-o", out_s]) == 0
     monkeypatch.setenv("NEST_LAB_THREADS", "2")
     assert main(["run", cfg, "-o", out_p]) == 0
-    with open(os.path.join(out_s, "results.csv"), "rb") as fa, open(
-        os.path.join(out_p, "results.csv"), "rb"
-    ) as fb:
-        assert fa.read() == fb.read()
+    for name in ("results.csv", "curves.csv"):
+        with open(os.path.join(out_s, name), "rb") as fa, open(os.path.join(out_p, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
 
 
 def test_verify_checks_all_pass():
@@ -204,8 +231,23 @@ def test_verify_mutation_detected():
         ("ablate", {"train": {"seeds": []}}, {}),
         ("run", {"pretune": {"epochs": 0}}, {}),
         ("run", {"pretune": {"batch_size": 0}}, {}),
+        ("run", {"strategy": "nonsense"}, {}),
+        ("ablate", {"strategy": ["background", "nest:fancy"]}, {}),
+        ("run", {"train": {"base_epochs": "ten"}}, {}),
+        ("run", {"train": {"batch_size": "8"}}, {}),
     ],
-    ids=["missing_file", "threads_not_int", "train_batch_size_0", "ablate_no_seeds", "pretune_epochs_0", "pretune_batch_size_0"],
+    ids=[
+        "missing_file",
+        "threads_not_int",
+        "train_batch_size_0",
+        "ablate_no_seeds",
+        "pretune_epochs_0",
+        "pretune_batch_size_0",
+        "strategy_unknown",
+        "strategy_bad_in_list",
+        "base_epochs_not_int",
+        "batch_size_string",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, extra, env):
     path = str(tmp_path / "missing.json") if extra is None else write_config(tmp_path, extra)

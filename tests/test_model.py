@@ -1,17 +1,10 @@
-"""Model: backbone forward/backward, head growth, snapshot, checkpoint."""
+"""Model: backbone forward/backward, head growth, snapshot."""
 
 import numpy as np
 import pytest
 
 from nestlab.errors import ShapeError
-from nestlab.model import (
-    Backbone,
-    Head,
-    SegModel,
-    grow_head,
-    load_checkpoint,
-    save_checkpoint,
-)
+from nestlab.model import Backbone, Head, SegModel, grow_head
 from nestlab.numerics import SplitMix64, finite_diff_grad
 
 
@@ -105,6 +98,19 @@ def test_snapshot_rejects_in_place_writes():
     model.head.weights += 1.0  # the live model stays writable
 
 
+def test_copy_of_snapshot_is_writable_and_independent():
+    rng = SplitMix64(14)
+    snap = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2)), biases=rng.normal(2))).snapshot()
+    before = snap.param_bytes()
+    live = snap.copy()
+    assert live.param_bytes() == before
+    w, b = live.backbone.layers[0]
+    for a in (w, b, live.head.weights, live.head.biases):
+        a += 1.0
+    live.backbone.layers[0] = (w * 2.0, b)
+    assert snap.param_bytes() == before
+
+
 def test_backward_matches_finite_differences():
     rng = SplitMix64(9)
     model = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2))))
@@ -128,17 +134,6 @@ def test_backward_matches_finite_differences():
     )
     numeric = finite_diff_grad(f, model.flat_params())
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-6)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = SplitMix64(11)
-    model = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2)), biases=rng.normal(2)))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert loaded.param_bytes() == model.param_bytes()
-    assert loaded.backbone.input_dim == 3
-    assert loaded.head.num_classes == 2
 
 
 def test_flat_params_round_trip():

@@ -53,6 +53,18 @@ def test_same_seed_byte_identical_pools():
         assert x.full_labels.tobytes() == y.full_labels.tobytes()
 
 
+def test_world_arrays_reject_in_place_writes():
+    # runs that share one world cannot change it under each other
+    world = build_world(tiny_spec())
+    with pytest.raises(ValueError):
+        world.prototypes[0] += 1.0
+    for img in (world.train_pool[0], world.test_pool[-1]):
+        with pytest.raises(ValueError):
+            img.features[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            img.full_labels[0, 0] = 1
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ConfigError):
         build_world(tiny_spec(num_classes=1))

@@ -192,3 +192,23 @@ def test_step_columns_follow_class_order():
         for a in (table.x, table.y, table.f):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def test_shared_base_matches_independent_runs():
+    # arms continued from one train_base equal arms that train their own
+    import dataclasses
+
+    from nestlab.synthdata import build_world
+    from nestlab.trainer import train_base
+
+    def pinned(result):
+        # wall_seconds is a timing; the rest must match byte for byte
+        return repr(([dataclasses.replace(r, wall_seconds=0.0) for r in result.reports], result.per_class_iou))
+
+    world = build_world(small_config().world)
+    base = train_base(small_config(), world)
+    base_bytes = base.model.param_bytes()
+    for strat in ("background", "nest:similarity:both"):
+        shared = run_experiment(small_config(strategy=strat), world, base)
+        assert pinned(shared) == pinned(run_experiment(small_config(strategy=strat))), strat
+        assert base.model.param_bytes() == base_bytes
