@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -99,6 +100,8 @@ def _merge_section(name, defaults, given):
     for key, value in given.items():
         if not _fits(defaults[key], value):
             raise ConfigError(f"{name}.{key} has the wrong type: {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
     merged = dict(defaults)
     merged.update(given)
     return merged
@@ -138,14 +141,20 @@ def load_config(path):
     train = resolved["train"]
     if train["batch_size"] < 1:
         raise ConfigError("train.batch_size must be >= 1")
+    for key in ("base_lr", "inc_lr"):
+        if not train[key] > 0:
+            raise ConfigError(f"train.{key} must be > 0")
     if not train["seeds"]:
         raise ConfigError("train.seeds must list at least one seed")
-    PretuneConfig(**resolved["pretune"]).validate()
     strategies = _strategies(resolved)
     if not isinstance(strategies, list) or not strategies or not all(isinstance(x, str) for x in strategies):
         raise ConfigError("strategy must be a string or a non-empty list of strings")
     for text in strategies:
         parse_strategy(text)
+    # building the sequence checks it against the world
+    cfg = _experiment_config(resolved, strategies[0], train["seeds"][0])
+    cfg.world.validate()
+    cfg.pretune.validate()
     return resolved
 
 

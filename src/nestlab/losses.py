@@ -9,7 +9,7 @@ across that split to model background shift.
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .numerics import softmax
+from .numerics import rowsum, softmax
 
 _LOG_FLOOR = 1e-300
 
@@ -51,22 +51,17 @@ def unbiased_ce(logits, labels, n_old):
         raise DataError(f"label {labels[bad][0]} belongs to a previous step")
 
     q = softmax(logits, axis=1)
-    fold = q[:, :n_old].sum(axis=1)
+    fold = rowsum(q[:, :n_old])
+    rows = np.arange(n)
     is_bg = labels == 0
-    modeled = np.where(is_bg, fold, q[np.arange(n), labels])
+    modeled = np.where(is_bg, fold, q[rows, labels])
     loss = -_safe_log(modeled).mean()
 
-    dz = np.empty_like(q)
-    # new-class pixels: standard CE gradient
-    new_rows = ~is_bg
-    dz[new_rows] = q[new_rows]
-    dz[new_rows, labels[new_rows]] -= 1.0
+    # new-class pixels: standard CE gradient, q - onehot(label)
+    dz = q.copy()
+    dz[rows, labels] -= ~is_bg
     # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold
-    if is_bg.any():
-        qb = q[is_bg]
-        g = qb.copy()
-        g[:, :n_old] -= qb[:, :n_old] / fold[is_bg, None]
-        dz[is_bg] = g
+    dz[:, :n_old] -= np.divide(q[:, :n_old], fold[:, None], out=np.zeros((n, n_old)), where=is_bg[:, None])
     return loss, dz / n
 
 
@@ -86,11 +81,11 @@ def unbiased_kd(logits, old_probs):
         raise ShapeError(f"old model has {n_old} classes, current has {c}")
 
     q = softmax(logits, axis=1)
-    s_new = q[:, 0] + q[:, n_old:].sum(axis=1)
+    s_new = q[:, 0] + rowsum(q[:, n_old:])
     t0 = old_probs[:, 0]
     per_pixel = t0 * _safe_log(s_new)
     if n_old > 1:
-        per_pixel = per_pixel + (old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old])).sum(axis=1)
+        per_pixel = per_pixel + rowsum(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]))
     loss = -per_pixel.mean()
 
     # folded-background term + per-old-class terms

@@ -43,10 +43,12 @@ def miou_range(ious, class_ids):
     return float(vals[present].mean())
 
 
-def cosine_stats(a, b):
+def cosine_stats(a, b, b_norms=None):
     """Per-pixel cosine similarity between two feature grids: (mean, std).
 
     Zero-norm pixels contribute similarity 0; std is the population std.
+    `b_norms`, if given, are the per-pixel norms of `b`, computed once by
+    a caller that compares many grids against the same `b`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -55,7 +57,7 @@ def cosine_stats(a, b):
     fa = a.reshape(-1, a.shape[-1])
     fb = b.reshape(-1, b.shape[-1])
     na = np.linalg.norm(fa, axis=1)
-    nb = np.linalg.norm(fb, axis=1)
+    nb = np.linalg.norm(fb, axis=1) if b_norms is None else b_norms
     denom = na * nb
     dots = np.einsum("ij,ij->i", fa, fb)
     sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)

@@ -1,9 +1,9 @@
 """Deterministic dense numerics.
 
 Everything downstream runs on float64 numpy arrays.  This module owns the
-portable PRNG (SplitMix64, identical streams on every platform), the
-numerically stable softmax, the restricted matmul and Hadamard shape rules
-and a central finite-difference gradient oracle.
+portable PRNG (SplitMix64, identical streams on every platform), exact
+per-row reductions over the class axis, the numerically stable softmax
+built on them and a central finite-difference gradient oracle.
 """
 
 import numpy as np
@@ -83,32 +83,56 @@ class SplitMix64:
         return perm
 
 
-def matmul(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-    return a @ b
+# Below this many rows numpy's own row reductions are the faster call.
+_FEW_ROWS = 64
+# numpy's pairwise summation sums rows up to this length in one block.
+_PW_BLOCK = 128
 
 
-def hadamard(a, b):
-    """Element-wise product with the two sanctioned broadcast rules.
+def rowmax(a):
+    """Per-row maximum of a 2-D array: np.max(a, axis=1).
 
-    A (d, 1) column replicates across the other operand's columns; a
-    (1, n) row replicates down its rows.  Anything else is an error.
+    numpy reduces a short row with one inner-loop call per row, which on
+    a 2048 x 7 array costs ten times the arithmetic; sweeping the columns
+    with whole-column operations does not.  A row whose maximum is zero
+    may come back as either signed zero, as it may from numpy, whose own
+    choice depends on its SIMD dispatch; any NaN comes back as a NaN.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("hadamard expects 2-D operands")
-    if a.shape == b.shape:
-        return a * b
-    for x, y in ((a, b), (b, a)):
-        if x.shape[1] == 1 and x.shape[0] == y.shape[0]:
-            return x * y
-        if x.shape[0] == 1 and x.shape[1] == y.shape[1]:
-            return x * y
-    raise ShapeError(f"hadamard shapes {a.shape} vs {b.shape}")
+    n, c = a.shape
+    if n < _FEW_ROWS:
+        return np.maximum.reduce(a, axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, c):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def rowsum(a):
+    """Per-row sum of a 2-D array, bit for bit np.sum(a, axis=1).
+
+    The columns are added in numpy's pairwise-summation order: fewer than
+    8 in sequence, up to 128 as eight running partial sums combined in a
+    fixed tree, then the leftover columns, all added to +0.0 (so a row of
+    -0.0 sums to +0.0, as in numpy).  NaN signs and payloads, which numpy
+    leaves to the compiler, are not part of the contract.
+    """
+    n, c = a.shape
+    if n < _FEW_ROWS or not 0 < c <= _PW_BLOCK:
+        return np.add.reduce(a, axis=1)
+    if c < 8:
+        out = a[:, 0] + 0.0
+        for j in range(1, c):
+            out += a[:, j]
+        return out
+    k = c - c % 8
+    r = [a[:, j] for j in range(8)]
+    for i in range(8, k, 8):
+        r = [r[j] + a[:, i + j] for j in range(8)]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(k, c):
+        out += a[:, j]
+    out += 0.0
+    return out
 
 
 def softmax(x, axis=-1):
@@ -116,9 +140,10 @@ def softmax(x, axis=-1):
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of empty input")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    rows = x.swapaxes(axis, -1)
+    flat = rows.reshape(-1, rows.shape[-1])
+    e = np.exp(flat - rowmax(flat)[:, None])
+    return (e / rowsum(e)[:, None]).reshape(rows.shape).swapaxes(axis, -1)
 
 
 def finite_diff_grad(f, x, h=1e-4):

@@ -34,6 +34,8 @@ def parse_strategy(text):
             raise ConfigError(f"strategy {kind!r} takes no options")
         return InitStrategy(kind)
     if kind == "nest":
+        if len(parts) > 3:
+            raise ConfigError(f"strategy {text!r} has more than three parts")
         matrix_init = parts[1] if len(parts) > 1 else "similarity"
         components = parts[2] if len(parts) > 2 else "both"
         if matrix_init not in ("similarity", "random"):

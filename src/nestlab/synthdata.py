@@ -10,6 +10,7 @@ labels and the frozen backbone's features, for every consumer to index.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,13 @@ class StepTable:
     x: np.ndarray
     y: np.ndarray
     f: np.ndarray
+
+    @cached_property
+    def f_norms(self):
+        """Per-pixel norms of `f`, flattened; computed on first use."""
+        norms = np.linalg.norm(self.f.reshape(-1, self.f.shape[-1]), axis=1)
+        norms.setflags(write=False)
+        return norms
 
 
 def _unit(v):

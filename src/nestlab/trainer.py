@@ -78,7 +78,7 @@ def _col_of_class(sequence):
 def track_stability(live_model, table):
     """Cosine similarity between live and frozen backbone features."""
     live = live_model.backbone.forward(table.x.reshape(-1, table.x.shape[-1]))
-    return cosine_stats(live, table.f.reshape(live.shape))
+    return cosine_stats(live, table.f.reshape(live.shape), table.f_norms)
 
 
 def _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch):

@@ -2,12 +2,15 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestlab import verify
-from nestlab.cli import _worker_count, load_config, main
+from nestlab.cli import _experiment_config, _strategies, _worker_count, load_config, main
 from nestlab.errors import ConfigError
 
 SMALL_CONFIG = {
@@ -73,6 +76,9 @@ def test_unknown_keys_rejected(tmp_path):
         {"train": {"seeds": [1, "2"]}},
         {"world": {"prototype_rule": 0}},
         {"sequence": {"class_order": "1234"}},
+        {"world": {"noise_sigma": float("nan")}},
+        {"pretune": {"lr": float("inf")}},
+        {"sequence": {"base_count": 11}},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, extra):
@@ -84,6 +90,65 @@ def test_load_config_rejects_bad_values(tmp_path, extra):
 def test_load_config_takes_an_int_for_a_float(tmp_path):
     resolved = load_config(write_config(tmp_path, {"train": {"base_lr": 1, "lambda_kd": 0}}))
     assert resolved["train"]["base_lr"] == 1 and resolved["train"]["lambda_kd"] == 0
+
+
+def _default_keys():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            fh.write("{}")
+        resolved = load_config(path)
+    return {name: sorted(section) for name, section in resolved.items() if isinstance(section, dict)}
+
+
+_KEYS = _default_keys()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# mostly well-typed values, so that checks past the type check run too
+_VALUE = st.integers(-3, 40) | st.floats() | st.booleans() | st.lists(st.integers(-1, 12), max_size=12) | _JSON
+_STRATEGY = st.sampled_from(["random", "two_stage", "nest", "nest:random:projection_only", "nest:x", "nest:similarity:both:x"])
+
+
+def _section(keys):
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=4), _VALUE, max_size=4) | _JSON
+
+
+_CONFIG = (
+    st.fixed_dictionaries(
+        {},
+        optional={
+            **{name: _section(keys) for name, keys in _KEYS.items()},
+            "strategy": _STRATEGY | st.lists(_STRATEGY, max_size=3) | _JSON,
+            "extra": _JSON,
+        },
+    )
+    | _JSON
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG)
+def test_load_config_gives_a_valid_config_or_a_config_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        try:
+            resolved = load_config(path)
+        except ConfigError:
+            return
+        # valid: every experiment it describes can be set up, and the echo
+        # of the resolved config loads back to itself
+        for strategy in _strategies(resolved):
+            for seed in resolved["train"]["seeds"]:
+                cfg = _experiment_config(resolved, strategy, seed)
+                cfg.world.validate()
+        with open(path, "w") as fh:
+            json.dump(resolved, fh)
+        assert load_config(path) == resolved
 
 
 def test_malformed_json_reports_location(tmp_path):
@@ -235,6 +300,9 @@ def test_verify_mutation_detected():
         ("ablate", {"strategy": ["background", "nest:fancy"]}, {}),
         ("run", {"train": {"base_epochs": "ten"}}, {}),
         ("run", {"train": {"batch_size": "8"}}, {}),
+        ("run", {"strategy": "nest:similarity:both:junk"}, {}),
+        ("run", {"train": {"base_lr": 0}}, {}),
+        ("run", {"train": {"inc_lr": -0.5}}, {}),
     ],
     ids=[
         "missing_file",
@@ -247,6 +315,9 @@ def test_verify_mutation_detected():
         "strategy_bad_in_list",
         "base_epochs_not_int",
         "batch_size_string",
+        "strategy_extra_part",
+        "base_lr_0",
+        "inc_lr_negative",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, extra, env):

@@ -176,3 +176,89 @@ def test_losses_nonnegative():
         z, y, old = _random_instance(rng)
         assert unbiased_ce(z, y, 3)[0] >= 0.0
         assert unbiased_kd(z, old)[0] >= 0.0
+
+
+# The row-wise formulas the kernels had before their class-axis reductions
+# went through numerics.rowsum/rowmax, kept as oracles: the kernels must
+# reproduce them bit for bit.
+
+
+def _oracle_softmax(x):
+    e = np.exp(x - np.max(x, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def _oracle_ce(logits, labels):
+    n = len(labels)
+    q = _oracle_softmax(logits)
+    loss = -np.log(np.maximum(q[np.arange(n), labels], 1e-300)).mean()
+    dz = q.copy()
+    dz[np.arange(n), labels] -= 1.0
+    return loss, dz / n
+
+
+def _oracle_unbiased_ce(logits, labels, n_old):
+    n = len(labels)
+    q = _oracle_softmax(logits)
+    fold = q[:, :n_old].sum(axis=1)
+    is_bg = labels == 0
+    modeled = np.where(is_bg, fold, q[np.arange(n), labels])
+    loss = -np.log(np.maximum(modeled, 1e-300)).mean()
+    dz = np.empty_like(q)
+    new_rows = ~is_bg
+    dz[new_rows] = q[new_rows]
+    dz[new_rows, labels[new_rows]] -= 1.0
+    if is_bg.any():
+        qb = q[is_bg]
+        g = qb.copy()
+        g[:, :n_old] -= qb[:, :n_old] / fold[is_bg, None]
+        dz[is_bg] = g
+    return loss, dz / n
+
+
+def _oracle_unbiased_kd(logits, old_probs):
+    n, c = logits.shape
+    n_old = old_probs.shape[1]
+    q = _oracle_softmax(logits)
+    s_new = q[:, 0] + q[:, n_old:].sum(axis=1)
+    t0 = old_probs[:, 0]
+    per_pixel = t0 * np.log(np.maximum(s_new, 1e-300))
+    if n_old > 1:
+        per_pixel = per_pixel + (old_probs[:, 1:n_old] * np.log(np.maximum(q[:, 1:n_old], 1e-300))).sum(axis=1)
+    loss = -per_pixel.mean()
+    in_fold = np.zeros(c)
+    in_fold[0] = 1.0
+    in_fold[n_old:] = 1.0
+    dz = t0[:, None] * q * (1.0 - in_fold[None, :] / s_new[:, None])
+    dz += (1.0 - t0)[:, None] * q
+    if n_old > 1:
+        dz[:, 1:n_old] -= old_probs[:, 1:n_old]
+    return loss, dz / n
+
+
+@pytest.mark.parametrize("n", [16, 2048])
+@pytest.mark.parametrize("labels", ["all_background", "no_background", "mixed"])
+@pytest.mark.parametrize("n_old,c", [(1, 3), (3, 5), (7, 8), (10, 11), (9, 20)])
+def test_kernels_match_row_wise_oracles_bit_for_bit(n, labels, n_old, c):
+    rng = SplitMix64(1000 * n + 10 * n_old + c)
+    z = 4.0 * rng.normal((n, c))
+    new = n_old + rng.integers(c - n_old, size=n) if c > n_old else np.zeros(n, dtype=np.int64)
+    y = {"all_background": np.zeros(n, dtype=np.int64), "no_background": new, "mixed": np.where(rng.uniform(n) < 0.7, 0, new)}[
+        labels
+    ]
+    old = _oracle_softmax(rng.normal((n, n_old)))
+
+    np.testing.assert_array_equal(softmax(z, axis=1), _oracle_softmax(z))
+    for ours, ref in (
+        (ce(z, y), _oracle_ce(z, y)),
+        (unbiased_ce(z, y, n_old), _oracle_unbiased_ce(z, y, n_old)),
+        (unbiased_kd(z, old), _oracle_unbiased_kd(z, old)),
+    ):
+        assert ours[0] == ref[0]
+        np.testing.assert_array_equal(ours[1], ref[1])
+
+
+def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
+    for c in (1, 5, 9, 40):
+        x = SplitMix64(c).normal(c)
+        assert softmax(x).tobytes() == _oracle_softmax(x[None, :])[0].tobytes()

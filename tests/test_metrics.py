@@ -80,6 +80,14 @@ def test_cosine_stats_scale_invariant():
     assert mean == pytest.approx(1.0)
 
 
+def test_cosine_stats_with_given_norms_is_identical():
+    rng = SplitMix64(53)
+    a, b = rng.normal((3, 7, 4)), rng.normal((3, 7, 4))
+    b[0, 0] = 0.0
+    norms = np.linalg.norm(b.reshape(-1, 4), axis=1)
+    assert cosine_stats(a, b, norms) == cosine_stats(a, b)
+
+
 def test_cosine_stats_zero_norm_contributes_zero():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[1.0, 0.0], [1.0, 0.0]])

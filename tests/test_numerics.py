@@ -1,4 +1,4 @@
-"""Numerics: PRNG stream stability, softmax, restricted broadcasts, oracle."""
+"""Numerics: PRNG stream stability, exact row reductions, softmax, oracle."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestlab.errors import NumericError, ShapeError
-from nestlab.numerics import (
-    SplitMix64,
-    finite_diff_grad,
-    hadamard,
-    matmul,
-    softmax,
-)
+from nestlab.numerics import SplitMix64, finite_diff_grad, rowmax, rowsum, softmax
 
 # First five raw draws for seed 0, frozen from the reference SplitMix64
 # implementation (Steele et al. mixing constants).
@@ -71,59 +65,6 @@ def test_permutation_is_permutation():
     assert sorted(perm.tolist()) == list(range(50))
 
 
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_column_selection():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(a, np.array([[1.0], [0.0]])), [[1.0], [3.0]])
-
-
-def test_matmul_hand_computed():
-    a = np.array([[0.5, 2.0], [3.0, 2.0]])
-    p = np.array([[0.2], [0.8]])
-    np.testing.assert_allclose(matmul(a, p), [[1.7], [2.2]], atol=1e-15)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associative_on_random_triples():
-    rng = SplitMix64(17)
-    for _ in range(20):
-        a = rng.normal((3, 4))
-        b = rng.normal((4, 5))
-        c = rng.normal((5, 2))
-        np.testing.assert_allclose(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-10)
-
-
-def test_hadamard_identity_and_zero():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(hadamard(a, np.ones((2, 2))), a)
-    np.testing.assert_array_equal(hadamard(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-
-def test_hadamard_column_broadcast():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    col = np.array([[2.0], [1.0]])
-    np.testing.assert_array_equal(hadamard(col, a), [[2.0, 4.0], [3.0, 4.0]])
-
-
-def test_hadamard_row_broadcast():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    row = np.array([[10.0, 0.5]])
-    np.testing.assert_array_equal(hadamard(row, a), [[10.0, 1.0], [30.0, 2.0]])
-
-
-def test_hadamard_rejects_general_broadcast():
-    with pytest.raises(ShapeError):
-        hadamard(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
 def test_softmax_uniform_cases():
     np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
     np.testing.assert_allclose(softmax(np.array([1000.0, 1000.0])), [0.5, 0.5])
@@ -172,3 +113,78 @@ def test_finite_diff_nonfinite_errors():
 
     with pytest.raises(NumericError):
         finite_diff_grad(f, np.array([0.0]))
+
+
+_ROWS = (1, 16, 63, 64, 2048, 51_200)
+_WIDTHS = tuple(range(1, 41)) + (130,)
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _row_arrays(draw):
+    """2-D float arrays, often a column slice of a wider array, with
+    magnitudes from 1e-8 to 1e8 and optionally signed zeros, inf and NaN."""
+    n = draw(st.sampled_from(_ROWS))
+    c = draw(st.sampled_from(_WIDTHS))
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n * (lo + c + hi) > 2_500_000:  # 51 200 rows x 130 columns: keep memory small
+        c = 40
+    shape = (n, lo + c + hi)
+    kind = draw(st.sampled_from(("finite", "sprinkled", "specials", "zeros")))
+    if kind == "zeros":
+        wide = rng.choice(_SPECIALS[:2], shape)
+    elif kind == "specials":
+        wide = rng.choice(_SPECIALS, shape)
+    else:
+        wide = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        if kind == "sprinkled":
+            hit = rng.uniform(size=shape) < 0.02
+            wide[hit] = rng.choice(_SPECIALS, int(hit.sum()))
+    return wide[:, lo : lo + c]
+
+
+def _same_bits(ours, ref, zero_sign=True):
+    """Equal bit for bit, except that any NaN matches any NaN and, with
+    `zero_sign` off, a zero matches a zero of either sign."""
+    assert ours.shape == ref.shape
+    nan = np.isnan(ref)
+    np.testing.assert_array_equal(np.isnan(ours), nan)
+    np.testing.assert_array_equal(ours[~nan], ref[~nan])
+    if zero_sign:
+        assert ours[~nan].tobytes() == ref[~nan].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_arrays())
+def test_rowsum_is_numpy_sum_bit_for_bit(a):
+    with np.errstate(invalid="ignore", over="ignore"):
+        _same_bits(rowsum(a), np.sum(a, axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_arrays())
+def test_rowmax_is_numpy_max(a):
+    # numpy's own sign for a zero maximum depends on its SIMD dispatch
+    with np.errstate(invalid="ignore"):
+        _same_bits(rowmax(a), np.max(a, axis=1), zero_sign=False)
+
+
+def test_rowsum_of_negative_zeros_is_positive_zero():
+    for c in (3, 8, 11, 20):
+        a = np.full((100, c), -0.0)
+        assert not np.signbit(rowsum(a)).any()
+        assert not np.signbit(np.sum(a, axis=1)).any()
+
+
+def test_rowsum_takes_empty_rows():
+    np.testing.assert_array_equal(rowsum(np.zeros((100, 0))), np.zeros(100))
+
+
+def test_rowsum_and_rowmax_leave_input_untouched():
+    a = SplitMix64(4).normal((100, 21))
+    a.setflags(write=False)
+    rowsum(a)
+    rowmax(a)
+    rowsum(a[:, 3:6])

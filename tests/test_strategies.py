@@ -32,6 +32,12 @@ def test_parse_rejects_bad_strings():
             parse_strategy(bad)
 
 
+def test_parse_rejects_a_fourth_part():
+    for bad in ("nest:similarity:both:junk", "nest:random:importance_only:", "nest:::"):
+        with pytest.raises(ConfigError):
+            parse_strategy(bad)
+
+
 def _old_model(rng, d_in=4, d=4, n_old=3, use_bias=False):
     head_b = rng.normal(n_old) if use_bias else None
     return SegModel(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nestlab.errors import ConfigError
+from nestlab.model import Backbone
 from nestlab.numerics import SplitMix64
 from nestlab.synthdata import (
     TaskSequence,
@@ -14,6 +15,7 @@ from nestlab.synthdata import (
     load_images,
     s61_sequence,
     s61_world_spec,
+    step_table,
     step_view,
 )
 
@@ -163,3 +165,16 @@ def test_s61_shape():
     assert spec.mixture_classes == (7, 8, 9, 10)
     world = build_world(tiny_spec())
     assert world.prototypes.shape == (5, 6)
+
+
+def test_table_feature_norms_computed_once_on_first_use():
+    world = build_world(tiny_spec())
+    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
+    data = step_view(seq, world, 1)
+    table = step_table(data, Backbone.single_relu(6, 5, SplitMix64(1)), {c: c for c in range(1, 5)})
+    assert "f_norms" not in vars(table)
+    norms = table.f_norms
+    assert table.f_norms is norms
+    assert norms.tobytes() == np.linalg.norm(table.f.reshape(-1, 5), axis=1).tobytes()
+    with pytest.raises(ValueError):
+        norms[0] = 1.0
