@@ -7,19 +7,16 @@ per-step mIoU trajectories plus the first-epoch stability signals.
 Run:  python demos/mini_ablation.py
 """
 
-from nestlab.synthdata import build_world, s61_sequence, s61_world_spec
+from nestlab.synthdata import build_world
 from nestlab.trainer import ExperimentConfig, run_experiment, train_base
 
 STRATEGIES = ("background", "random", "nest:similarity:both")
 
 
 def main():
-    configs = {
-        strat: ExperimentConfig(world=s61_world_spec(1), sequence=s61_sequence(), strategy=strat, seed=1)
-        for strat in STRATEGIES
-    }
+    configs = {strat: ExperimentConfig(strategy=strat, seed=1) for strat in STRATEGIES}
     # the base step does not depend on the strategy: train it once
-    world = build_world(s61_world_spec(1))
+    world = build_world(configs[STRATEGIES[0]].world)
     print("training the shared base step ...")
     base = train_base(configs[STRATEGIES[0]], world)
     results = {}

@@ -14,7 +14,7 @@ import numpy as np
 from nestlab import nest
 from nestlab.losses import unbiased_ce
 from nestlab.numerics import SplitMix64
-from nestlab.synthdata import build_world, s61_sequence, s61_world_spec, step_table, step_view
+from nestlab.synthdata import build_world, step_table, step_view
 from nestlab.trainer import ExperimentConfig, train_base_step
 
 
@@ -38,7 +38,7 @@ def new_class_stats(head, old_model, data, n_old):
 
 def main():
     rng = SplitMix64(1)
-    cfg = ExperimentConfig(world=s61_world_spec(1), sequence=s61_sequence(), seed=1)
+    cfg = ExperimentConfig(seed=1)
     world = build_world(cfg.world)
     print("training the base model on classes 1-6 ...")
     model, _, _ = train_base_step(cfg, world, rng)

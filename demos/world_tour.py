@@ -10,7 +10,7 @@ Run:  python demos/world_tour.py
 
 import numpy as np
 
-from nestlab.synthdata import build_world, s61_sequence, s61_world_spec, step_view
+from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_view
 
 
 def label_histogram(images):
@@ -22,8 +22,8 @@ def label_histogram(images):
 
 
 def main():
-    world = build_world(s61_world_spec(seed=1))
-    seq = s61_sequence()
+    world = build_world(WorldSpec(seed=1))
+    seq = TaskSequence()
 
     print(f"world: {world.spec.num_classes} classes, "
           f"{len(world.train_pool)} train / {len(world.test_pool)} test images, "
@@ -55,7 +55,7 @@ def main():
     print(f"\nbackground shift on class 7: {c7_full} px total, "
           f"{c7_step0} labeled at step 0 (hidden in bg), {c7_step1} at step 1")
 
-    disjoint = s61_sequence(setting="disjoint")
+    disjoint = TaskSequence(setting="disjoint")
     print("\ndisjoint protocol, retained training images per step:")
     for t in range(disjoint.num_steps):
         view = step_view(disjoint, world, t)

@@ -5,13 +5,14 @@ top-level keys {world, sequence, strategy, pretune, train, report} drives
 everything; unknown keys are hard errors.  Outputs are plain CSV plus a
 fully resolved config echo that reproduces the run when fed back in.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid config,
-3 numeric failure.
+Exit codes: 0 success, 1 failed verification, 2 invalid config, bad
+data or a file that cannot be read or written, 3 numeric failure.
 """
 
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -21,53 +22,13 @@ from itertools import repeat
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nest import PretuneConfig
-from .strategies import parse_strategy
 from .synthdata import TaskSequence, WorldSpec, build_world, dump_images
-from .trainer import ExperimentConfig, run_experiment, train_base
+from .trainer import ExperimentConfig, TrainConfig, run_experiment, train_base
 
 _TOP_KEYS = ("world", "sequence", "strategy", "pretune", "train", "report")
 
-_WORLD_DEFAULTS = {
-    "num_classes": 10,
-    "feature_dim": 16,
-    "prototype_rule": "mixture",
-    "mixture_beta": 0.3,
-    "mixture_classes": [7, 8, 9, 10],
-    "noise_sigma": 0.3,
-    "height": 16,
-    "width": 16,
-    "blobs_min": 2,
-    "blobs_max": 5,
-    "images_per_class": 20,
-    "test_images_per_class": 5,
-    "seed": 1,
-}
-_SEQUENCE_DEFAULTS = {
-    "class_order": None,  # defaults to 1..K
-    "base_count": 6,
-    "increment": 1,
-    "setting": "overlapped",
-}
-_PRETUNE_DEFAULTS = {
-    "epochs": 30,
-    "lr": 0.3,
-    "batch_size": 8,
-    "weight_align": True,
-    "use_pretuned_bg": False,
-}
-_TRAIN_DEFAULTS = {
-    "backbone_dim": 16,
-    "base_epochs": 60,
-    "base_lr": 0.2,
-    "inc_epochs": 10,
-    "inc_lr": 0.005,
-    "batch_size": 8,
-    "lambda_kd": 1.0,
-    "fix_old_classifiers": False,
-    "poly_power": 0.0,
-    "use_bias": False,
-    "seeds": [1],
-}
+# the sections that configure an experiment, each with its dataclass
+_SECTIONS = {"world": WorldSpec, "sequence": TaskSequence, "pretune": PretuneConfig, "train": TrainConfig}
 _REPORT_DEFAULTS = {"out_dir": "out", "run_id": "run", "timing": False}
 
 RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new", "miou_all", "wall_seconds")
@@ -87,6 +48,11 @@ def _fits(default, value):
     if isinstance(default, (int, float)):
         return _is_int(value) or (isinstance(default, float) and isinstance(value, float))
     return (value is None and default is None) or (isinstance(value, list) and all(map(_is_int, value)))
+
+
+def _defaults(cls):
+    """A section's defaults from its dataclass fields, tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in dataclasses.fields(cls)}
 
 
 def _merge_section(name, defaults, given):
@@ -128,47 +94,27 @@ def load_config(path):
     if unknown:
         raise ConfigError(f"{path}: unknown top-level key {sorted(unknown)[0]!r}")
 
-    resolved = {
-        "world": _merge_section("world", _WORLD_DEFAULTS, raw.get("world")),
-        "sequence": _merge_section("sequence", _SEQUENCE_DEFAULTS, raw.get("sequence")),
-        "strategy": raw.get("strategy", "nest:similarity:both"),
-        "pretune": _merge_section("pretune", _PRETUNE_DEFAULTS, raw.get("pretune")),
-        "train": _merge_section("train", _TRAIN_DEFAULTS, raw.get("train")),
-        "report": _merge_section("report", _REPORT_DEFAULTS, raw.get("report")),
-    }
+    defaults = {name: _defaults(cls) for name, cls in _SECTIONS.items()}
+    defaults["sequence"]["class_order"] = None  # missing or null: 1..num_classes
+    resolved = {name: _merge_section(name, defaults[name], raw.get(name)) for name in _SECTIONS}
+    resolved["strategy"] = raw.get("strategy", ExperimentConfig.strategy)
+    resolved["report"] = _merge_section("report", _REPORT_DEFAULTS, raw.get("report"))
     if resolved["sequence"]["class_order"] is None:
         resolved["sequence"]["class_order"] = list(range(1, resolved["world"]["num_classes"] + 1))
-    train = resolved["train"]
-    if train["batch_size"] < 1:
-        raise ConfigError("train.batch_size must be >= 1")
-    for key in ("base_lr", "inc_lr"):
-        if not train[key] > 0:
-            raise ConfigError(f"train.{key} must be > 0")
-    if not train["seeds"]:
-        raise ConfigError("train.seeds must list at least one seed")
     strategies = _strategies(resolved)
     if not isinstance(strategies, list) or not strategies or not all(isinstance(x, str) for x in strategies):
         raise ConfigError("strategy must be a string or a non-empty list of strings")
     for text in strategies:
-        parse_strategy(text)
-    # building the sequence checks it against the world
-    cfg = _experiment_config(resolved, strategies[0], train["seeds"][0])
-    cfg.world.validate()
-    cfg.pretune.validate()
+        _experiment_config(resolved, text).validate()
     return resolved
 
 
-def _experiment_config(resolved, strategy, seed):
-    w = dict(resolved["world"])
-    w["mixture_classes"] = tuple(w["mixture_classes"])
-    world = WorldSpec(**w)
-    s = dict(resolved["sequence"])
-    s["class_order"] = tuple(s["class_order"])
-    sequence = TaskSequence(**s)
-    sequence.validate(world.num_classes)
-    pretune = PretuneConfig(**resolved["pretune"])
-    train = {k: v for k, v in resolved["train"].items() if k != "seeds"}
-    return ExperimentConfig(world=world, sequence=sequence, strategy=strategy, pretune=pretune, seed=seed, **train)
+def _experiment_config(resolved, strategy, seed=ExperimentConfig.seed):
+    sections = {
+        name: cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in resolved[name].items()})
+        for name, cls in _SECTIONS.items()
+    }
+    return ExperimentConfig(strategy=strategy, seed=seed, **sections)
 
 
 def _fmt(x):
@@ -285,8 +231,7 @@ def cmd_gen_data(config_path, out_dir):
     resolved = load_config(config_path)
     out_dir = out_dir or resolved["report"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    cfg = _experiment_config(resolved, "background", resolved["train"]["seeds"][0])
-    world = build_world(cfg.world)
+    world = build_world(_experiment_config(resolved, "background").world)
     dump_images(world.train_pool, os.path.join(out_dir, "train.jsonl"))
     dump_images(world.test_pool, os.path.join(out_dir, "test.jsonl"))
     return 0
@@ -307,7 +252,7 @@ def cmd_report(inputs, out_path):
         candidate = path if path.endswith(".csv") else os.path.join(path, "results.csv")
         with open(candidate, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header) != RESULT_COLUMNS:
                 raise ConfigError(f"{candidate}: unexpected columns {header}")
             rows.extend(tuple(r) for r in reader)
@@ -346,7 +291,7 @@ def main(argv=None):
             return cmd_verify()
         if args.verb == "report":
             return cmd_report(args.inputs, args.out)
-    except (ConfigError, DataError, ShapeError) as e:
+    except (ConfigError, DataError, ShapeError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -20,11 +20,13 @@ from .numerics import SplitMix64
 
 @dataclass
 class WorldSpec:
+    """A synthetic world; the defaults are the S6-1 benchmark's."""
+
     num_classes: int = 10
     feature_dim: int = 16
-    prototype_rule: str = "independent"  # "independent" | "mixture"
+    prototype_rule: str = "mixture"  # "independent" | "mixture"
     mixture_beta: float = 0.3
-    mixture_classes: tuple = ()  # class ids built as mixtures of earlier prototypes
+    mixture_classes: tuple = (7, 8, 9, 10)  # class ids built as mixtures of earlier prototypes
     noise_sigma: float = 0.3
     height: int = 16
     width: int = 16
@@ -72,9 +74,11 @@ class World:
 
 @dataclass
 class TaskSequence:
-    class_order: tuple
-    base_count: int
-    increment: int
+    """The order classes arrive in; the defaults are S6-1: 6 base, 1 per step."""
+
+    class_order: tuple = tuple(range(1, 11))
+    base_count: int = 6
+    increment: int = 1
     setting: str = "overlapped"
 
     def validate(self, num_classes):
@@ -82,6 +86,8 @@ class TaskSequence:
             raise ConfigError("class_order must be a permutation of 1..K")
         if self.setting not in ("overlapped", "disjoint"):
             raise ConfigError(f"unknown setting {self.setting!r}")
+        if self.base_count < 1:
+            raise ConfigError("base_count must be >= 1")
         rest = num_classes - self.base_count
         if rest < 0 or (rest > 0 and (self.increment < 1 or rest % self.increment)):
             raise ConfigError("base_count + k*increment must reach num_classes")
@@ -270,21 +276,3 @@ def load_images(path):
             images.append(LabeledImage(feats, labels))
     return images
 
-
-def s61_world_spec(seed=1):
-    """Default benchmark: 10 classes, 6 base + 1 per step, mixture tail."""
-    return WorldSpec(
-        num_classes=10,
-        feature_dim=16,
-        prototype_rule="mixture",
-        mixture_beta=0.3,
-        mixture_classes=(7, 8, 9, 10),
-        noise_sigma=0.3,
-        height=16,
-        width=16,
-        seed=seed,
-    )
-
-
-def s61_sequence(setting="overlapped"):
-    return TaskSequence(class_order=tuple(range(1, 11)), base_count=6, increment=1, setting=setting)

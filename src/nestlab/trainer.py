@@ -9,22 +9,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .losses import ce, incremental_loss
 from .metrics import ConfusionMatrix, cosine_stats, iou_per_class, miou_range
 from .model import Backbone, Head, SegModel, grow_head
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
-from .synthdata import build_world, map_labels, step_table, step_view
+from .synthdata import TaskSequence, WorldSpec, build_world, map_labels, step_table, step_view
 
 
 @dataclass
-class ExperimentConfig:
-    world: object  # WorldSpec
-    sequence: object  # TaskSequence
-    strategy: str = "nest:similarity:both"
-    pretune: PretuneConfig = field(default_factory=PretuneConfig)
+class TrainConfig:
+    """Base and incremental training; `seeds` lists the runs a config asks for."""
+
     backbone_dim: int = 16
     base_epochs: int = 60
     base_lr: float = 0.2
@@ -35,7 +33,37 @@ class ExperimentConfig:
     fix_old_classifiers: bool = False
     poly_power: float = 0.0
     use_bias: bool = False
+    seeds: tuple = (1,)
+
+    def validate(self):
+        if self.batch_size < 1:
+            raise ConfigError("train.batch_size must be >= 1")
+        for key in ("base_lr", "inc_lr"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"train.{key} must be > 0")
+        if not self.seeds:
+            raise ConfigError("train.seeds must list at least one seed")
+
+
+@dataclass
+class ExperimentConfig:
+    """One run; `ExperimentConfig()` is the S6-1 benchmark run."""
+
+    world: WorldSpec = field(default_factory=WorldSpec)
+    sequence: TaskSequence = field(default_factory=TaskSequence)
+    strategy: str = "nest:similarity:both"
+    pretune: PretuneConfig = field(default_factory=PretuneConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 1
+
+    def validate(self):
+        """Check every section: the world, the sequence against the world,
+        pre-tuning, training, then the strategy string."""
+        self.world.validate()
+        self.sequence.validate(self.world.num_classes)
+        self.pretune.validate()
+        self.train.validate()
+        parse_strategy(self.strategy)
 
 
 @dataclass
@@ -153,18 +181,19 @@ def train_base_step(cfg, world, rng=None):
     """Plain cross-entropy training on step 0 classes."""
     if rng is None:
         rng = SplitMix64(cfg.seed)
+    train = cfg.train
     d_in = world.spec.feature_dim
-    backbone = Backbone.single_relu(d_in, cfg.backbone_dim, rng)
+    backbone = Backbone.single_relu(d_in, train.backbone_dim, rng)
     n_cols = cfg.sequence.base_count + 1
-    head_w = 0.01 * rng.normal((cfg.backbone_dim, n_cols))
-    head_b = np.zeros(n_cols) if cfg.use_bias else None
+    head_w = 0.01 * rng.normal((train.backbone_dim, n_cols))
+    head_b = np.zeros(n_cols) if train.use_bias else None
     model = SegModel(backbone, Head(head_w, head_b))
 
     data = step_view(cfg.sequence, world, 0)
     # the freshly initialized backbone is the base step's frozen reference
     table = step_table(data, model.backbone, _col_of_class(cfg.sequence))
     stats = _train_epochs(
-        model, table, cfg.base_epochs, cfg.batch_size, rng, lambda it: cfg.base_lr, lambda z, y, batch: ce(z, y), 0
+        model, table, train.base_epochs, train.batch_size, rng, lambda it: train.base_lr, lambda z, y, batch: ce(z, y), 0
     )
     return model, data, stats
 
@@ -172,6 +201,7 @@ def train_base_step(cfg, world, rng=None):
 def run_step(model, cfg, world, t, rng):
     """One incremental step: init strategy, grow head, formal training."""
     t0 = time.perf_counter()
+    train = cfg.train
     snapshot = model.snapshot()
     snapshot_bytes = snapshot.param_bytes()
     data = step_view(cfg.sequence, world, t)
@@ -179,31 +209,31 @@ def run_step(model, cfg, world, t, rng):
     table = step_table(data, snapshot.backbone, col_of)
     strategy = parse_strategy(cfg.strategy)
 
-    new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, table, cfg.pretune, rng, use_bias=cfg.use_bias)
+    new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, table, cfg.pretune, rng, use_bias=train.use_bias)
     n_old = model.head.num_classes
     model.head = grow_head(model.head, new_cols, new_biases)
     if bg_col is not None:
         model.head.weights[:, 0] = bg_col
 
     old_probs = None
-    if cfg.lambda_kd > 0:
+    if train.lambda_kd > 0:
         frozen = table.f.reshape(-1, table.f.shape[-1])
         old_probs = softmax(snapshot.head.logits(frozen), axis=1).reshape(len(table.f), -1, n_old)
 
     def loss_fn(z, y, batch):
         op = None if old_probs is None else old_probs[batch].reshape(-1, n_old)
-        total, _, dz = incremental_loss(z, y, op, n_old, cfg.lambda_kd)
+        total, _, dz = incremental_loss(z, y, op, n_old, train.lambda_kd)
         return total, dz
 
-    total_iters = cfg.inc_epochs * -(-len(table.x) // cfg.batch_size)
+    total_iters = train.inc_epochs * -(-len(table.x) // train.batch_size)
 
     def lr_fn(it):
-        if cfg.poly_power > 0:
-            return cfg.inc_lr * (1.0 - min(it / total_iters, 1.0)) ** cfg.poly_power
-        return cfg.inc_lr
+        if train.poly_power > 0:
+            return train.inc_lr * (1.0 - min(it / total_iters, 1.0)) ** train.poly_power
+        return train.inc_lr
 
-    frozen_cols = tuple(range(1, n_old)) if cfg.fix_old_classifiers else ()
-    stats = _train_epochs(model, table, cfg.inc_epochs, cfg.batch_size, rng, lr_fn, loss_fn, t, frozen_cols)
+    frozen_cols = tuple(range(1, n_old)) if train.fix_old_classifiers else ()
+    stats = _train_epochs(model, table, train.inc_epochs, train.batch_size, rng, lr_fn, loss_fn, t, frozen_cols)
 
     if snapshot.param_bytes() != snapshot_bytes:
         raise NumericError("old-model snapshot was mutated during the step")
@@ -228,7 +258,7 @@ def train_base(cfg, world):
 def run_experiment(cfg, world=None, base=None):
     """Run all steps of the sequence; returns a RunResult.  Steps after
     the base continue from copies of the base's model and generator."""
-    cfg.sequence.validate(cfg.world.num_classes)
+    cfg.validate()
     if world is None:
         world = build_world(cfg.world)
     if base is None:

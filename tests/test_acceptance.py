@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from nestlab import verify
-from nestlab.nest import PretuneConfig
-from nestlab.synthdata import build_world, s61_sequence, s61_world_spec
+from nestlab.synthdata import build_world
 from nestlab.trainer import ExperimentConfig, run_experiment, train_base
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -73,13 +72,7 @@ def test_criterion_6_cost_formula():
 
 
 def _arm_config(strategy, seed):
-    return ExperimentConfig(
-        world=s61_world_spec(1),
-        sequence=s61_sequence(),
-        strategy=strategy,
-        pretune=PretuneConfig(),
-        seed=seed,
-    )
+    return ExperimentConfig(strategy=strategy, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +89,7 @@ def benchmark_arms():
     arms = {}
     start = time.perf_counter()
     # the base step does not depend on the strategy: train it once per seed
-    world = build_world(s61_world_spec(1))
+    world = build_world(ExperimentConfig().world)
     bases = {seed: train_base(_arm_config(strategies[0], seed), world) for seed in SEEDS}
     for strat in strategies:
         runs = [run_experiment(_arm_config(strat, seed), world, bases[seed]) for seed in SEEDS]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nestlab import verify
 from nestlab.cli import _experiment_config, _strategies, _worker_count, load_config, main
 from nestlab.errors import ConfigError
+from nestlab.trainer import ExperimentConfig
 
 SMALL_CONFIG = {
     "world": {
@@ -79,12 +80,21 @@ def test_unknown_keys_rejected(tmp_path):
         {"world": {"noise_sigma": float("nan")}},
         {"pretune": {"lr": float("inf")}},
         {"sequence": {"base_count": 11}},
+        {"sequence": {"base_count": 0}},
+        {"sequence": {"base_count": -1}},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, extra):
     # rejected while loading, before any world is built or step trained
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, extra))
+
+
+def test_empty_config_is_the_default_experiment(tmp_path):
+    # the CLI and the library share one set of defaults: S6-1
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert _experiment_config(load_config(str(path)), "nest:similarity:both", 1) == ExperimentConfig()
 
 
 def test_load_config_takes_an_int_for_a_float(tmp_path):
@@ -325,6 +335,20 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, ex
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert main([verb, path, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+@pytest.mark.parametrize("case", ["report_missing_file", "report_empty_file", "gen_data_out_is_a_file"])
+def test_bad_files_exit_2_with_one_line(tmp_path, capsys, case):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    argv = {
+        "report_missing_file": ["report", str(tmp_path / "missing.csv"), "-o", str(tmp_path / "m.csv")],
+        "report_empty_file": ["report", str(empty), "-o", str(tmp_path / "m.csv")],
+        "gen_data_out_is_a_file": ["gen-data", write_config(tmp_path), "-o", str(empty)],
+    }[case]
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
 

@@ -13,8 +13,6 @@ from nestlab.synthdata import (
     build_world,
     dump_images,
     load_images,
-    s61_sequence,
-    s61_world_spec,
     step_table,
     step_view,
 )
@@ -24,6 +22,8 @@ def tiny_spec(**overrides):
     base = dict(
         num_classes=4,
         feature_dim=6,
+        prototype_rule="independent",
+        mixture_classes=(),
         height=8,
         width=8,
         images_per_class=5,
@@ -79,7 +79,7 @@ def test_invalid_specs_rejected():
 
 
 def test_sequence_arithmetic():
-    seq = s61_sequence()
+    seq = TaskSequence()
     assert seq.num_steps == 5
     assert seq.classes_at(0) == (1, 2, 3, 4, 5, 6)
     assert seq.classes_at(1) == (7,)
@@ -159,7 +159,7 @@ def test_dump_load_round_trip(tmp_path):
 
 
 def test_s61_shape():
-    spec = s61_world_spec()
+    spec = WorldSpec()
     assert spec.num_classes == 10
     assert spec.feature_dim == 16
     assert spec.mixture_classes == (7, 8, 9, 10)

@@ -5,36 +5,31 @@ import pytest
 
 from nestlab.nest import PretuneConfig
 from nestlab.synthdata import TaskSequence, WorldSpec
-from nestlab.trainer import ExperimentConfig, run_experiment
+from nestlab.trainer import ExperimentConfig, TrainConfig, run_experiment
 
 
-def small_config(**overrides):
+def small_config(strategy="nest:similarity:both", sequence=None, **train):
     world = WorldSpec(
         num_classes=4,
         feature_dim=8,
+        prototype_rule="independent",
+        mixture_classes=(),
         height=8,
         width=8,
         images_per_class=6,
         test_images_per_class=2,
         seed=2,
     )
-    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
-    base = dict(
+    base = dict(backbone_dim=8, base_epochs=10, base_lr=0.1, inc_epochs=3, inc_lr=0.01, batch_size=4, lambda_kd=1.0)
+    base.update(train)
+    return ExperimentConfig(
         world=world,
-        sequence=seq,
-        strategy="nest:similarity:both",
+        sequence=sequence or TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1),
+        strategy=strategy,
         pretune=PretuneConfig(epochs=3, lr=0.05, batch_size=4),
-        backbone_dim=8,
-        base_epochs=10,
-        base_lr=0.1,
-        inc_epochs=3,
-        inc_lr=0.01,
-        batch_size=4,
-        lambda_kd=1.0,
+        train=TrainConfig(**base),
         seed=1,
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 def test_step_and_report_structure():
@@ -100,7 +95,7 @@ def test_backbone_moves_without_fixing():
     model, report, _ = run_step(model, cfg, world, 1, rng)
     assert not np.array_equal(model.backbone.layers[0][0], w_before)
     # stability stats live in [−1, 1] and are populated per epoch
-    assert len(report.epochs) == cfg.inc_epochs
+    assert len(report.epochs) == cfg.train.inc_epochs
     for st in report.epochs:
         assert -1.0 <= st.featsim_mean <= 1.0 + 1e-12
 
@@ -148,12 +143,10 @@ def test_permuted_class_orders_complete():
 def test_base_step_reaches_high_train_accuracy():
     # the S6-1 base problem is separable; accuracy > 90% within 30 epochs
     from nestlab.numerics import SplitMix64
-    from nestlab.synthdata import build_world, map_labels, s61_sequence, s61_world_spec
+    from nestlab.synthdata import build_world, map_labels
     from nestlab.trainer import _col_of_class, train_base_step
 
-    cfg = ExperimentConfig(
-        world=s61_world_spec(1), sequence=s61_sequence(), base_epochs=30, base_lr=0.2, seed=1
-    )
+    cfg = ExperimentConfig(train=TrainConfig(base_epochs=30, base_lr=0.2), seed=1)
     world = build_world(cfg.world)
     model, data, _ = train_base_step(cfg, world, SplitMix64(1))
     col_of = _col_of_class(cfg.sequence)
@@ -176,7 +169,16 @@ def test_step_columns_follow_class_order():
     from nestlab.synthdata import build_world, step_table, step_view
     from nestlab.trainer import _col_of_class
 
-    spec = WorldSpec(num_classes=10, feature_dim=4, height=8, width=8, images_per_class=3, test_images_per_class=1)
+    spec = WorldSpec(
+        num_classes=10,
+        feature_dim=4,
+        prototype_rule="independent",
+        mixture_classes=(),
+        height=8,
+        width=8,
+        images_per_class=3,
+        test_images_per_class=1,
+    )
     seq = TaskSequence(class_order=(1, 2, 3, 4, 5, 6, 8, 7, 10, 9), base_count=6, increment=2)
     world = build_world(spec)
     col_of = _col_of_class(seq)
