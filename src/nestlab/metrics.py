@@ -4,6 +4,11 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
+# Rows per block of a pass over a pixel table: 512 KiB of float64 at
+# width 16, so a block's temporaries stay in L2 and no table-sized
+# temporary is allocated, and faulted in, on every call.
+_ROW_BLOCK = 4096
+
 
 class ConfusionMatrix:
     """Square count matrix, rows = ground truth, columns = prediction."""
@@ -48,7 +53,10 @@ def cosine_stats(a, b, b_norms=None):
 
     Zero-norm pixels contribute similarity 0; std is the population std.
     `b_norms`, if given, are the per-pixel norms of `b`, computed once by
-    a caller that compares many grids against the same `b`.
+    a caller that compares many grids against the same `b`.  Norms and
+    dots are per-row results, filled `_ROW_BLOCK` rows at a time; the mean
+    and std then run over the whole vector, so neither depends on the
+    block size.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -56,9 +64,16 @@ def cosine_stats(a, b, b_norms=None):
         raise ShapeError(f"feature grids {a.shape} vs {b.shape}")
     fa = a.reshape(-1, a.shape[-1])
     fb = b.reshape(-1, b.shape[-1])
-    na = np.linalg.norm(fa, axis=1)
-    nb = np.linalg.norm(fb, axis=1) if b_norms is None else b_norms
+    n = fa.shape[0]
+    na = np.empty(n)
+    dots = np.empty(n)
+    nb = np.empty(n) if b_norms is None else b_norms
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        na[rows] = np.linalg.norm(fa[rows], axis=1)
+        dots[rows] = np.einsum("ij,ij->i", fa[rows], fb[rows])
+        if b_norms is None:
+            nb[rows] = np.linalg.norm(fb[rows], axis=1)
     denom = na * nb
-    dots = np.einsum("ij,ij->i", fa, fb)
     sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
     return float(sims.mean()), float(sims.std())

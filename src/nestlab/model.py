@@ -12,8 +12,13 @@ import numpy as np
 from .errors import ShapeError
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def _affine_relu(x, w, b):
+    """relu(x @ w.T + b) with the bias add and ReLU in place in the one
+    fresh array of the matmul: the same operations in the same order,
+    without two table-sized temporaries; `x` is never written."""
+    z = x @ w.T
+    z += b
+    return np.maximum(z, 0.0, out=z)
 
 
 class Backbone:
@@ -30,10 +35,6 @@ class Backbone:
         self.output_dim = dim
 
     @classmethod
-    def identity(cls, dim):
-        return cls([], dim)
-
-    @classmethod
     def single_relu(cls, input_dim, output_dim, rng, scale=None):
         if scale is None:
             scale = 1.0 / np.sqrt(input_dim)
@@ -46,7 +47,7 @@ class Backbone:
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"input dim {x.shape[1]} != {self.input_dim}")
         for w, b in self.layers:
-            x = relu(x @ w.T + b)
+            x = _affine_relu(x, w, b)
         return x
 
     def forward_cache(self, x):
@@ -54,20 +55,21 @@ class Backbone:
             raise ShapeError(f"input dim {x.shape[1]} != {self.input_dim}")
         acts = [x]
         for w, b in self.layers:
-            x = relu(x @ w.T + b)
+            x = _affine_relu(x, w, b)
             acts.append(x)
         return x, acts
 
     def backward(self, dout, acts):
-        """Returns per-layer (dW, db) and the gradient w.r.t. the input."""
+        """Per-layer (dW, db); the gradient w.r.t. the input is not formed."""
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             w, _ = self.layers[i]
             # ReLU subgradient: 0 at 0
             dpre = dout * (acts[i + 1] > 0)
             grads[i] = (dpre.T @ acts[i], dpre.sum(axis=0))
-            dout = dpre @ w
-        return grads, dout
+            if i:
+                dout = dpre @ w
+        return grads
 
 
 class Head:

@@ -247,6 +247,10 @@ def pretune(table, old_model, tset, cfg, rng):
                     tset.projection[c] = p - cfg.lr * d_p
                 if use_bias and tset.biases is not None:
                     tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
+    params = [tset.bg_importance, tset.bg_projection, *tset.importance.values(), *tset.projection.values()]
+    params += (tset.biases or {}).values()
+    if not all(np.isfinite(p).all() for p in params):
+        raise NumericError(f"non-finite transforms after pre-tuning epoch {cfg.epochs - 1}")
     return tset
 
 

@@ -76,11 +76,15 @@ class SplitMix64:
         return np.minimum((self.uniform(size) * high).astype(np.int64), high - 1)
 
     def permutation(self, n):
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integers(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Fisher-Yates shuffle of range(n): swap i with integers(i + 1)
+        for i = n-1 down to 1, its n - 1 draws taken as one block."""
+        perm = list(range(n))
+        if n > 1:
+            u = (self._raw(n - 1) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            js = (u * np.arange(n, 1, -1, dtype=np.float64)).astype(np.int64).tolist()
+            for i, j in zip(range(n - 1, 0, -1), js):
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.int64)
 
 
 # Below this many rows numpy's own row reductions are the faster call.

@@ -20,11 +20,6 @@ class InitStrategy:
     matrix_init: str = "similarity"
     components: str = "both"
 
-    def label(self):
-        if self.kind == "nest":
-            return f"nest:{self.matrix_init}:{self.components}"
-        return self.kind
-
 
 def parse_strategy(text):
     parts = text.split(":")
@@ -76,6 +71,8 @@ def _two_stage_tune(table, old_model, cols, biases, cfg, rng):
             cols = cols - cfg.lr * (x.T @ dz[:, n_old:])
             if biases is not None:
                 biases = biases - cfg.lr * dz[:, n_old:].sum(axis=0)
+    if not (np.isfinite(cols).all() and (biases is None or np.isfinite(biases).all())):
+        raise NumericError(f"non-finite new columns after two-stage epoch {cfg.epochs - 1}")
     return cols, biases
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .losses import ce, incremental_loss
-from .metrics import ConfusionMatrix, cosine_stats, iou_per_class, miou_range
+from .metrics import _ROW_BLOCK, ConfusionMatrix, cosine_stats, iou_per_class, miou_range
 from .model import Backbone, Head, SegModel, grow_head
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
@@ -104,9 +104,19 @@ def _col_of_class(sequence):
 
 
 def track_stability(live_model, table):
-    """Cosine similarity between live and frozen backbone features."""
-    live = live_model.backbone.forward(table.x.reshape(-1, table.x.shape[-1]))
-    return cosine_stats(live, table.f.reshape(live.shape), table.f_norms)
+    """Cosine similarity between live and frozen backbone features.
+
+    The table is forwarded `_ROW_BLOCK` rows at a time into one buffer, so
+    no per-layer temporary is table-sized; each row's features, and so the
+    result, are bit for bit those of one whole-table pass.
+    """
+    x = table.x.reshape(-1, table.x.shape[-1])
+    f = table.f.reshape(-1, table.f.shape[-1])
+    live = np.empty(f.shape)
+    for start in range(0, len(x), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        live[rows] = live_model.backbone.forward(x[rows])
+    return cosine_stats(live, f, table.f_norms)
 
 
 def _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch):
@@ -130,7 +140,7 @@ def _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, ste
         if frozen_cols:
             d_head[:, list(frozen_cols)] = 0.0
         dfeats = dz @ model.head.weights.T
-        layer_grads, _ = model.backbone.backward(dfeats, acts)
+        layer_grads = model.backbone.backward(dfeats, acts)
         model.head.weights = model.head.weights - lr * d_head
         if model.head.biases is not None:
             db = dz.sum(axis=0)
@@ -150,6 +160,10 @@ def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, f
     for epoch in range(epochs):
         order = rng.permutation(len(table.x))
         losses = _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch)
+        # the loss is floored by a safe log, so only the parameters show a
+        # gradient that went non-finite
+        if not np.isfinite(model.flat_params()).all():
+            raise NumericError(f"non-finite parameters at step {step}, epoch {epoch}")
         sim_mean, sim_std = track_stability(model, table)
         stats.append(EpochStats(float(np.mean(losses)), float(np.std(losses)), sim_mean, sim_std))
     return stats
@@ -209,7 +223,10 @@ def run_step(model, cfg, world, t, rng):
     table = step_table(data, snapshot.backbone, col_of)
     strategy = parse_strategy(cfg.strategy)
 
-    new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, table, cfg.pretune, rng, use_bias=train.use_bias)
+    try:
+        new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, table, cfg.pretune, rng, use_bias=train.use_bias)
+    except NumericError as e:
+        raise NumericError(f"step {t}: {e}") from e
     n_old = model.head.num_classes
     model.head = grow_head(model.head, new_cols, new_biases)
     if bg_col is not None:

@@ -120,7 +120,7 @@ def check_gradients(instances=100, seed=13, h=1e-4):
                 _, dz = unbiased_kd(z, old_probs)
             d_head = out.T @ dz
             dfeats = dz @ model.head.weights.T
-            layer_grads, _ = model.backbone.backward(dfeats, acts)
+            layer_grads = model.backbone.backward(dfeats, acts)
             analytic = np.concatenate(
                 [g.ravel() for gw, gb in layer_grads for g in (gw, gb)] + [d_head.ravel()]
             )

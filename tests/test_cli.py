@@ -360,3 +360,34 @@ def test_worker_count_clamped(monkeypatch):
     assert _worker_count(1000) == min(64, cpus)
     monkeypatch.setenv("NEST_LAB_THREADS", "0")
     assert _worker_count(3) == 1
+
+
+# lr 1000 drives the step-1 gradients non-finite while the safe-log floor
+# keeps every loss finite; a per-epoch parameter check catches it
+BLOWUP_CONFIG = {
+    "world": {
+        "num_classes": 2,
+        "feature_dim": 3,
+        "mixture_classes": [],
+        "height": 4,
+        "width": 4,
+        "images_per_class": 1,
+        "test_images_per_class": 1,
+        "noise_sigma": 0.01,
+        "blobs_min": 1,
+        "blobs_max": 3,
+        "seed": 5,
+    },
+    "sequence": {"base_count": 1, "setting": "disjoint"},
+    "strategy": "background",
+    "train": {"backbone_dim": 4, "base_epochs": 1, "inc_epochs": 1, "base_lr": 1000.0, "inc_lr": 1000.0, "use_bias": True},
+}
+
+
+def test_numeric_blowup_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_CONFIG))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(path), "-o", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric failure: non-finite parameters at step 1, epoch 0"], err

@@ -1,11 +1,15 @@
-"""Metrics: confusion matrix, IoU ranges, cosine similarity stats."""
+"""Metrics: confusion matrix, IoU ranges, cosine similarity stats and the
+per-epoch stability probe built on them."""
 
 import numpy as np
 import pytest
 
 from nestlab.errors import ConfigError, ShapeError
-from nestlab.metrics import ConfusionMatrix, cosine_stats, iou_per_class, miou_range
+from nestlab.metrics import _ROW_BLOCK, ConfusionMatrix, cosine_stats, iou_per_class, miou_range
+from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
+from nestlab.synthdata import StepTable, TaskSequence, WorldSpec, build_world, step_table, step_view
+from nestlab.trainer import track_stability
 
 
 def test_perfect_prediction():
@@ -98,3 +102,71 @@ def test_cosine_stats_zero_norm_contributes_zero():
 def test_cosine_stats_shape_error():
     with pytest.raises(ShapeError):
         cosine_stats(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def _whole_table_cosine_stats(a, b, b_norms=None):
+    """Reference: cosine_stats as one pass over every row at once."""
+    fa = a.reshape(-1, a.shape[-1])
+    fb = b.reshape(-1, b.shape[-1])
+    na = np.linalg.norm(fa, axis=1)
+    nb = np.linalg.norm(fb, axis=1) if b_norms is None else b_norms
+    denom = na * nb
+    dots = np.einsum("ij,ij->i", fa, fb)
+    sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
+    return float(sims.mean()), float(sims.std())
+
+
+# fewer rows than one block, one block, one row past it, and a row count
+# that is not a multiple of the block
+BLOCK_ROWS = [1, 100, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 700]
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS)
+def test_cosine_stats_blocked_equals_whole_table(n):
+    rng = SplitMix64(54 + n)
+    a, b = rng.normal((n, 6)), rng.normal((n, 6))
+    a[::5] = 0.0  # zero-norm pixels
+    b[::7] = 0.0
+    norms = np.linalg.norm(b, axis=1)
+    assert cosine_stats(a, b) == _whole_table_cosine_stats(a, b)
+    assert cosine_stats(a, b, norms) == _whole_table_cosine_stats(a, b, norms)
+
+
+def _table(x, frozen):
+    n_img, n_pix, d_in = x.shape
+    f = frozen.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
+    for arr in (x, f):
+        arr.setflags(write=False)
+    return StepTable((), x, np.zeros((n_img, n_pix), dtype=np.int64), f)
+
+
+def _probe_oracle(live, table):
+    x = table.x.reshape(-1, table.x.shape[-1])
+    return _whole_table_cosine_stats(live.backbone.forward(x), table.f, table.f_norms)
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("n_img, n_pix", [(1, 100), (1, _ROW_BLOCK), (3, 1500), (5, 2000)])
+def test_track_stability_equals_whole_table_probe(n_img, n_pix, n_layers):
+    rng = SplitMix64(60 + n_layers)
+    d = 6
+    x = rng.normal((n_img, n_pix, d))
+    x[:, ::9] = 0.0  # zero-norm pixels, in the frozen features too
+    table = _table(x, Backbone.single_relu(d, d, rng))
+    dims = [d, d] if n_layers == 1 else [d, 9, d]
+    layers = [(rng.normal((dims[i + 1], dims[i])), rng.normal(dims[i + 1], std=0.1)) for i in range(n_layers)]
+    live = SegModel(Backbone(layers, d), Head(np.zeros((d, 2))))
+    assert track_stability(live, table) == _probe_oracle(live, table)
+
+
+def test_track_stability_equals_whole_table_probe_on_s61_base_table():
+    rng = SplitMix64(1)
+    world = build_world(WorldSpec())
+    data = step_view(TaskSequence(), world, 0)
+    d_in = world.spec.feature_dim
+    frozen = Backbone.single_relu(d_in, 16, rng)
+    table = step_table(data, frozen, {c: c for c in data.class_set})
+    assert table.x.shape[0] * table.x.shape[1] % _ROW_BLOCK != 0
+    (w, b), = frozen.layers
+    live = SegModel(Backbone([(w + 0.05 * rng.normal(w.shape), b + 0.01)], d_in), Head(np.zeros((16, 2))))
+    assert track_stability(live, table) == _probe_oracle(live, table)

@@ -9,9 +9,31 @@ from nestlab.numerics import SplitMix64, finite_diff_grad
 
 
 def test_identity_backbone_passes_through():
-    bb = Backbone.identity(4)
+    bb = Backbone([], 4)
     x = SplitMix64(1).normal((5, 4))
-    np.testing.assert_array_equal(bb.forward(x), x)
+    assert bb.forward(x) is x
+    out, acts = bb.forward_cache(x)
+    assert out is x and acts == [x]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_forward_in_place_matches_relu_of_affine(n_layers):
+    # each layer bit for bit np.maximum(x @ w.T + b, 0.0), on a read-only
+    # input that stays unwritten
+    rng = SplitMix64(20 + n_layers)
+    dims = [5, 7, 4][: n_layers + 1]
+    layers = [(rng.normal((dims[i + 1], dims[i])), rng.normal(dims[i + 1])) for i in range(n_layers)]
+    bb = Backbone(layers, dims[0])
+    x = rng.normal((300, dims[0]))
+    before = x.copy()
+    x.setflags(write=False)
+    expected = [x]
+    for w, b in layers:
+        expected.append(np.maximum(expected[-1] @ w.T + b, 0.0))
+    out, acts = bb.forward_cache(x)
+    assert bb.forward(x).tobytes() == out.tobytes() == expected[-1].tobytes()
+    assert [a.tobytes() for a in acts] == [e.tobytes() for e in expected]
+    assert acts[0] is x and x.tobytes() == before.tobytes()
 
 
 def test_single_layer_identity_weights():
@@ -128,7 +150,7 @@ def test_backward_matches_finite_differences():
     z = model.head.logits(out)
     dz = 2.0 * z
     d_head = out.T @ dz
-    layer_grads, _ = model.backbone.backward(dz @ model.head.weights.T, acts)
+    layer_grads = model.backbone.backward(dz @ model.head.weights.T, acts)
     analytic = np.concatenate(
         [g.ravel() for gw, gb in layer_grads for g in (gw, gb)] + [d_head.ravel()]
     )

@@ -65,6 +65,25 @@ def test_permutation_is_permutation():
     assert sorted(perm.tolist()) == list(range(50))
 
 
+def _permutation_loop(rng, n):
+    """Reference: Fisher-Yates with one scalar draw per swap."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.integers(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def test_permutation_matches_scalar_draw_loop():
+    # same permutation, dtype and generator state as one draw per swap
+    for seed in range(20):
+        for n in [*range(40), 199, 200, 257]:
+            fast, ref = SplitMix64(seed), SplitMix64(seed)
+            perm, expected = fast.permutation(n), _permutation_loop(ref, n)
+            assert perm.dtype == expected.dtype and perm.tolist() == expected.tolist(), (seed, n)
+            assert fast.next_u64() == ref.next_u64(), (seed, n)
+
+
 def test_softmax_uniform_cases():
     np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
     np.testing.assert_allclose(softmax(np.array([1000.0, 1000.0])), [0.5, 0.5])
