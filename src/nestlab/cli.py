@@ -213,7 +213,12 @@ def cmd_run(config_path, out_dir, aggregate=False):
             for idx in (4, 5, 6):  # miou_base, miou_new, miou_all
                 vals = [float(r[idx]) for r in finals]
                 mean = statistics.fmean(vals)
-                std = statistics.pstdev(vals) if len(vals) > 1 else 0.0
+                if len(vals) < 2:
+                    std = 0.0
+                elif any(map(math.isnan, vals)):
+                    std = math.nan  # an mIoU over no present class; pstdev raises on NaN
+                else:
+                    std = statistics.pstdev(vals)
                 cols.extend([_fmt(mean), _fmt(std)])
             agg_rows.append((strat, *cols))
         _write_csv(

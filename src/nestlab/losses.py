@@ -9,7 +9,7 @@ across that split to model background shift.
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .numerics import rowsum, softmax
+from .numerics import class_major, rowsum, softmax
 
 _LOG_FLOOR = 1e-300
 
@@ -20,16 +20,17 @@ def _safe_log(x):
 
 def ce(logits, labels):
     """Mean cross entropy over pixels; returns (loss, dloss/dlogits)."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = class_major(logits)
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise DataError("label outside class range")
     q = softmax(logits, axis=1)
-    loss = -_safe_log(q[np.arange(n), labels]).mean()
-    dz = q.copy()
-    dz[np.arange(n), labels] -= 1.0
-    return loss, dz / n
+    rows = np.arange(n)
+    loss = -_safe_log(q[rows, labels]).mean()
+    # q - onehot(label), in place in softmax's fresh output
+    q[rows, labels] -= 1.0
+    return loss, np.divide(q, n, order="C")
 
 
 def unbiased_ce(logits, labels, n_old):
@@ -39,7 +40,7 @@ def unbiased_ce(logits, labels, n_old):
     new-class label it is the plain softmax probability.  Labels in
     1..n_old-1 are invalid: step labels must already be background-shifted.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = class_major(logits)
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
     if n_old < 1 or n_old > c:
@@ -57,12 +58,16 @@ def unbiased_ce(logits, labels, n_old):
     modeled = np.where(is_bg, fold, q[rows, labels])
     loss = -_safe_log(modeled).mean()
 
-    # new-class pixels: standard CE gradient, q - onehot(label)
-    dz = q.copy()
-    dz[rows, labels] -= ~is_bg
-    # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold
-    dz[:, :n_old] -= np.divide(q[:, :n_old], fold[:, None], out=np.zeros((n, n_old)), where=is_bg[:, None])
-    return loss, dz / n
+    # the gradient, in place in softmax's fresh output
+    # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold; a
+    # new-class pixel divides by inf, and q_k - q_k/inf == q_k for 0 <= q_k <= 1
+    old = q[:, :n_old]
+    old -= old / np.where(is_bg, fold, np.inf)[:, None]
+    # new-class pixels: q - onehot(label), one label column at a time (a
+    # background pixel's onehot would subtract 0.0 from q_0 >= +0)
+    for j in range(n_old, c):
+        q[:, j] -= labels == j
+    return loss, np.divide(q, n, order="C")
 
 
 def unbiased_kd(logits, old_probs):
@@ -71,7 +76,7 @@ def unbiased_kd(logits, old_probs):
     `old_probs` has n_old columns and rows summing to 1.  The current
     model's background probability is the sum over {bg} + new columns.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = class_major(logits)
     old_probs = np.asarray(old_probs, dtype=np.float64)
     n, c = logits.shape
     if old_probs.ndim != 2 or old_probs.shape[0] != n:
@@ -79,6 +84,7 @@ def unbiased_kd(logits, old_probs):
     n_old = old_probs.shape[1]
     if n_old < 1 or n_old > c:
         raise ShapeError(f"old model has {n_old} classes, current has {c}")
+    old_probs = class_major(old_probs)
 
     q = softmax(logits, axis=1)
     s_new = q[:, 0] + rowsum(q[:, n_old:])
@@ -88,15 +94,25 @@ def unbiased_kd(logits, old_probs):
         per_pixel = per_pixel + rowsum(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]))
     loss = -per_pixel.mean()
 
-    # folded-background term + per-old-class terms
-    in_fold = np.zeros(c)
-    in_fold[0] = 1.0
-    in_fold[n_old:] = 1.0
-    dz = t0[:, None] * q * (1.0 - in_fold[None, :] / s_new[:, None])
-    dz += (1.0 - t0)[:, None] * q
+    # folded-background term t0*q_k*(1 - [k in fold]/s_new), one column
+    # block at a time; a zero s_new gives NaN quietly, and the caller's
+    # finite checks report it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        in_fold = 1.0 - 1.0 / s_new
+        dz = t0[:, None] * q
+        bg, old, new = dz[:, 0], dz[:, 1:n_old], dz[:, n_old:]
+        bg *= in_fold
+        new *= in_fold[:, None]
+        # 1 - 0/s_new is 1.0 but where s_new is 0 (or NaN, which comes
+        # only from a row of q that is NaN already)
+        if not s_new.all():
+            old *= (1.0 - 0.0 / s_new)[:, None]
+    # + (1 - t0)*q_k, in place in softmax's fresh output, - per-old-class terms
+    q *= (1.0 - t0)[:, None]
+    dz += q
     if n_old > 1:
         dz[:, 1:n_old] -= old_probs[:, 1:n_old]
-    return loss, dz / n
+    return loss, np.divide(dz, n, order="C")
 
 
 def incremental_loss(logits, labels, old_probs, n_old, lambda_kd):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .numerics import rowsum
 
 # Rows per block of a pass over a pixel table: 512 KiB of float64 at
 # width 16, so a block's temporaries stay in L2 and no table-sized
@@ -48,32 +49,49 @@ def miou_range(ious, class_ids):
     return float(vals[present].mean())
 
 
+def _norms(rows, out):
+    """Per-row Euclidean norms into `out`, bit for bit
+    np.linalg.norm(rows, axis=1): the square root of numpy's row sum of
+    squares."""
+    return np.sqrt(rowsum(rows * rows), out=out)
+
+
 def cosine_stats(a, b, b_norms=None):
     """Per-pixel cosine similarity between two feature grids: (mean, std).
 
     Zero-norm pixels contribute similarity 0; std is the population std.
     `b_norms`, if given, are the per-pixel norms of `b`, computed once by
-    a caller that compares many grids against the same `b`.  Norms and
-    dots are per-row results, filled `_ROW_BLOCK` rows at a time; the mean
-    and std then run over the whole vector, so neither depends on the
-    block size.
+    a caller that compares many grids against the same `b`.  `a` may also
+    be a function that returns the pixels `rows` (a slice) of the first
+    grid as a (pixels, d) array, for a caller that computes that grid and
+    so need never hold all of it.  Norms and dots are per-row results,
+    filled `_ROW_BLOCK` rows at a time; the mean and std then run over the
+    whole vector, so neither depends on the block size.
     """
-    a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"feature grids {a.shape} vs {b.shape}")
-    fa = a.reshape(-1, a.shape[-1])
+    if callable(a):
+        a_rows = a
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != b.shape:
+            raise ShapeError(f"feature grids {a.shape} vs {b.shape}")
+        fa = a.reshape(-1, a.shape[-1])
+
+        def a_rows(rows):
+            return fa[rows]
+
     fb = b.reshape(-1, b.shape[-1])
-    n = fa.shape[0]
+    n = fb.shape[0]
     na = np.empty(n)
     dots = np.empty(n)
     nb = np.empty(n) if b_norms is None else b_norms
     for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        na[rows] = np.linalg.norm(fa[rows], axis=1)
-        dots[rows] = np.einsum("ij,ij->i", fa[rows], fb[rows])
+        blk = a_rows(rows)
+        _norms(blk, na[rows])
+        dots[rows] = np.einsum("ij,ij->i", blk, fb[rows])
         if b_norms is None:
-            nb[rows] = np.linalg.norm(fb[rows], axis=1)
+            _norms(fb[rows], nb[rows])
     denom = na * nb
     sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
     return float(sims.mean()), float(sims.std())

@@ -215,6 +215,8 @@ def pretune(table, old_model, tset, cfg, rng):
     new_classes = tset.new_classes
     n_images = len(table.f)
     use_bias = old_model.head.biases is not None
+    # built once; each batch rewrites only its generated columns and biases
+    head = assemble_pretune_head(old_model.head, tset)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_images)
         for start in range(0, n_images, cfg.batch_size):
@@ -222,7 +224,10 @@ def pretune(table, old_model, tset, cfg, rng):
             x = table.f[batch].reshape(-1, d)
             y = table.y[batch].reshape(-1)
 
-            head = assemble_pretune_head(old_model.head, tset)
+            head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
+            head.weights[:, n_old:] = generate_columns(tset, w_old)
+            if use_bias and tset.biases:
+                head.biases[n_old:] = [tset.biases[c] for c in new_classes]
             z = head.logits(x)
             loss, dz = unbiased_ce(z, y, n_old)
             if not np.isfinite(loss):

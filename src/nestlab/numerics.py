@@ -139,6 +139,21 @@ def rowsum(a):
     return out
 
 
+def class_major(x):
+    """2-D float64 logits in the layout the loss kernels work in.
+
+    From `_FEW_ROWS` rows on, Fortran order: each class is then one
+    contiguous n-vector, and `softmax`, `rowmax` and `rowsum` keep that
+    layout and sweep it column by column.  Below, C order: there `rowsum`
+    hands off to numpy's row reduction, which sums a Fortran array of 8 or
+    more columns in a different order.  Either way a kernel's result
+    depends only on the values, not on the caller's layout.
+    """
+    if len(x) >= _FEW_ROWS:
+        return np.asfortranarray(x, dtype=np.float64)
+    return np.ascontiguousarray(x, dtype=np.float64)
+
+
 def softmax(x, axis=-1):
     """Stable softmax along an axis; rows sum to 1."""
     x = np.asarray(x, dtype=np.float64)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .losses import ce, incremental_loss
-from .metrics import _ROW_BLOCK, ConfusionMatrix, cosine_stats, iou_per_class, miou_range
+from .metrics import ConfusionMatrix, cosine_stats, iou_per_class, miou_range
 from .model import Backbone, Head, SegModel, grow_head
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
@@ -106,17 +106,14 @@ def _col_of_class(sequence):
 def track_stability(live_model, table):
     """Cosine similarity between live and frozen backbone features.
 
-    The table is forwarded `_ROW_BLOCK` rows at a time into one buffer, so
-    no per-layer temporary is table-sized; each row's features, and so the
-    result, are bit for bit those of one whole-table pass.
+    `cosine_stats` forwards the table a row block at a time and compares
+    each block as it comes, so no table-sized array is allocated per
+    epoch; each row's features, and so the result, are bit for bit those
+    of one whole-table pass.
     """
     x = table.x.reshape(-1, table.x.shape[-1])
     f = table.f.reshape(-1, table.f.shape[-1])
-    live = np.empty(f.shape)
-    for start in range(0, len(x), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        live[rows] = live_model.backbone.forward(x[rows])
-    return cosine_stats(live, f, table.f_norms)
+    return cosine_stats(lambda rows: live_model.backbone.forward(x[rows]), f, table.f_norms)
 
 
 def _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch):

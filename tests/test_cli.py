@@ -1,15 +1,21 @@
 """CLI: config validation, determinism, exit codes, verbs."""
 
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestlab import verify
+from nestlab import cli, trainer, verify
 from nestlab.cli import _experiment_config, _strategies, _worker_count, load_config, main
 from nestlab.errors import ConfigError
 from nestlab.trainer import ExperimentConfig
@@ -391,3 +397,123 @@ def test_numeric_blowup_exits_3_with_one_line(tmp_path, capsys):
         assert main(["run", str(path), "-o", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["numeric failure: non-finite parameters at step 1, epoch 0"], err
+
+
+def test_numeric_blowup_prints_one_line_from_the_command_line(tmp_path):
+    # outside pytest nothing captures numpy's RuntimeWarnings, so the
+    # zero-probability fold of unbiased_kd must not raise any
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_CONFIG))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestlab.cli", "run", str(path), "-o", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["numeric failure: non-finite parameters at step 1, epoch 0"], proc.stderr
+
+
+_FUZZ_STRATEGIES = (
+    "random",
+    "background",
+    "two_stage",
+    "nest:similarity:both",
+    "nest:random:importance_only",
+    "nest:similarity:projection_only",
+)
+# from too small to move anything to far past divergence
+_FUZZ_LRS = (1e-3, 0.05, 0.5, 5.0, 100.0, 1e4)
+
+
+@st.composite
+def _tiny_configs(draw):
+    """Whole configs over tiny worlds: sequences, strategies, lrs, batch
+    sizes and switches drawn at random, a fraction of a second per run."""
+    k = draw(st.integers(2, 4))
+    base = draw(st.integers(1, k))
+    rest = k - base
+    inc = draw(st.sampled_from([i for i in range(1, rest + 1) if rest % i == 0])) if rest else 1
+    return {
+        "world": {
+            "num_classes": k,
+            "feature_dim": draw(st.integers(2, 5)),
+            "prototype_rule": draw(st.sampled_from(["independent", "mixture"])),
+            "mixture_classes": [],
+            "height": 4,
+            "width": draw(st.sampled_from([4, 6])),
+            "images_per_class": draw(st.integers(1, 2)),
+            "test_images_per_class": 1,
+            "noise_sigma": draw(st.sampled_from([0.01, 0.3, 2.0])),
+            "blobs_min": 1,
+            "blobs_max": 2,
+            "seed": draw(st.integers(1, 50)),
+        },
+        "sequence": {
+            "class_order": draw(st.permutations(range(1, k + 1))),
+            "base_count": base,
+            "increment": inc,
+            "setting": draw(st.sampled_from(["overlapped", "disjoint"])),
+        },
+        "strategy": draw(st.lists(st.sampled_from(_FUZZ_STRATEGIES), min_size=1, max_size=3, unique=True)),
+        "pretune": {
+            "epochs": draw(st.integers(1, 2)),
+            "lr": draw(st.sampled_from(_FUZZ_LRS)),
+            "batch_size": draw(st.integers(1, 3)),
+            "weight_align": draw(st.booleans()),
+            "use_pretuned_bg": draw(st.booleans()),
+        },
+        "train": {
+            "backbone_dim": draw(st.integers(2, 5)),
+            "base_epochs": draw(st.integers(1, 2)),
+            "base_lr": draw(st.sampled_from(_FUZZ_LRS)),
+            "inc_epochs": draw(st.integers(1, 2)),
+            "inc_lr": draw(st.sampled_from(_FUZZ_LRS)),
+            "batch_size": draw(st.integers(1, 3)),
+            "lambda_kd": draw(st.sampled_from([0.0, 1.0, 10.0])),
+            "fix_old_classifiers": draw(st.booleans()),
+            "poly_power": draw(st.sampled_from([0.0, 0.9])),
+            "use_bias": draw(st.booleans()),
+            "seeds": draw(st.lists(st.integers(1, 9), min_size=1, max_size=2, unique=True)),
+        },
+        "report": {"run_id": "fuzz"},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_configs())
+def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config):
+    models = []
+
+    def keep(fn, model_of):
+        def wrapper(*args):
+            out = fn(*args)
+            models.append(model_of(out))
+            return out
+
+        return wrapper
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        # in-process runs, so that every trained model can be recorded
+        stack.enter_context(mock.patch.dict(os.environ, {"NEST_LAB_THREADS": "1"}))
+        stack.enter_context(mock.patch.object(cli, "train_base", keep(cli.train_base, lambda base: base.model)))
+        stack.enter_context(mock.patch.object(trainer, "run_step", keep(trainer.run_step, lambda out: out[0])))
+        stderr = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = main(["ablate", path, "-o", os.path.join(tmp, "out")])
+
+    assert rc in (0, 2, 3), rc
+    lines = stderr.getvalue().splitlines()
+    if rc:
+        assert len(lines) == 1 and lines[0].startswith(("config error: ", "numeric failure: ")), lines
+        return
+    assert not lines, lines
+    assert models and all(np.isfinite(m.flat_params()).all() for m in models)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, runtime

@@ -1,5 +1,7 @@
 """Losses: frozen reference values, fold-then-CE oracles, gradient checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,9 @@ def test_unbiased_kd_shape_errors():
         unbiased_kd(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         unbiased_kd(np.zeros((2, 3)), np.zeros((2, 4)))
+    for old in (0.5, np.zeros(100)):
+        with pytest.raises(ShapeError):
+            unbiased_kd(np.zeros((100, 3)), old)
 
 
 def _random_instance(rng, n=4, c=5, n_old=3):
@@ -236,7 +241,17 @@ def _oracle_unbiased_kd(logits, old_probs):
     return loss, dz / n
 
 
-@pytest.mark.parametrize("n", [16, 2048])
+def _layouts(z):
+    """The same logits C-ordered, Fortran-ordered and as a column slice
+    of a wider array."""
+    wide = np.zeros((z.shape[0], z.shape[1] + 3))
+    wide[:, 2 : 2 + z.shape[1]] = z
+    return {"C": z, "F": np.asfortranarray(z), "sliced": wide[:, 2 : 2 + z.shape[1]]}
+
+
+# 63/64/65 rows straddle numerics._FEW_ROWS, where the kernels switch from
+# C order to class-major (Fortran) order
+@pytest.mark.parametrize("n", [16, 63, 64, 65, 2048])
 @pytest.mark.parametrize("labels", ["all_background", "no_background", "mixed"])
 @pytest.mark.parametrize("n_old,c", [(1, 3), (3, 5), (7, 8), (10, 11), (9, 20)])
 def test_kernels_match_row_wise_oracles_bit_for_bit(n, labels, n_old, c):
@@ -249,13 +264,35 @@ def test_kernels_match_row_wise_oracles_bit_for_bit(n, labels, n_old, c):
     old = _oracle_softmax(rng.normal((n, n_old)))
 
     np.testing.assert_array_equal(softmax(z, axis=1), _oracle_softmax(z))
-    for ours, ref in (
-        (ce(z, y), _oracle_ce(z, y)),
-        (unbiased_ce(z, y, n_old), _oracle_unbiased_ce(z, y, n_old)),
-        (unbiased_kd(z, old), _oracle_unbiased_kd(z, old)),
-    ):
-        assert ours[0] == ref[0]
-        np.testing.assert_array_equal(ours[1], ref[1])
+    refs = (_oracle_ce(z, y), _oracle_unbiased_ce(z, y, n_old), _oracle_unbiased_kd(z, old))
+    olds = _layouts(old)
+    for layout, zl in _layouts(z).items():
+        ours = (ce(zl, y), unbiased_ce(zl, y, n_old), unbiased_kd(zl, olds[layout]))
+        for (loss, dz), (ref_loss, ref_dz) in zip(ours, refs):
+            assert loss == ref_loss, layout
+            np.testing.assert_array_equal(dz, ref_dz, err_msg=layout)
+            assert dz.flags.c_contiguous, layout
+        # the logits are read, never written
+        np.testing.assert_array_equal(zl, z)
+
+
+@pytest.mark.parametrize("n", [16, 2048])
+def test_unbiased_kd_with_an_empty_fold_is_the_oracle_and_quiet(n):
+    # an old-class logit 1000 above the rest underflows the folded mass
+    # s_new to 0 in every third row; the gradient there is NaN, as in the
+    # oracle, and no RuntimeWarning escapes the kernel
+    rng = SplitMix64(n)
+    z = rng.normal((n, 6))
+    z[::3, 2] = 1000.0
+    old = _oracle_softmax(rng.normal((n, 3)))
+    with np.errstate(all="ignore"):
+        ref = _oracle_unbiased_kd(z, old)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, dz = unbiased_kd(z, old)
+    assert loss == ref[0]
+    assert np.isnan(dz[::3]).all() and np.isfinite(dz[1::3]).all()
+    np.testing.assert_array_equal(dz, ref[1])
 
 
 def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nestlab.errors import ConfigError, ShapeError
-from nestlab.metrics import _ROW_BLOCK, ConfusionMatrix, cosine_stats, iou_per_class, miou_range
+from nestlab.metrics import _ROW_BLOCK, ConfusionMatrix, _norms, cosine_stats, iou_per_class, miou_range
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
 from nestlab.synthdata import StepTable, TaskSequence, WorldSpec, build_world, step_table, step_view
@@ -104,6 +104,23 @@ def test_cosine_stats_shape_error():
         cosine_stats(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 16, 130])
+@pytest.mark.parametrize("n", [1, 63, 64, 100, _ROW_BLOCK])
+def test_row_norms_are_linalg_norm_bit_for_bit(n, d):
+    rng = SplitMix64(10 * n + d)
+    # per-row magnitudes from 1e-150 to 1e150, zero rows, rows whose
+    # squares overflow to inf and rows whose squares underflow to zero
+    a = rng.normal((n, d)) * 10.0 ** (300.0 * rng.uniform((n, 1)) - 150.0)
+    a[::4] = 0.0
+    a[1::9, 0] = 1e200
+    a[2::9] = 1e-170
+    with np.errstate(over="ignore", under="ignore"):
+        ours = _norms(a, np.empty(n))
+        assert ours.tobytes() == np.linalg.norm(a, axis=1).tobytes()
+    if n > 1:
+        assert np.isinf(ours[1]) and ours[2] == 0.0
+
+
 def _whole_table_cosine_stats(a, b, b_norms=None):
     """Reference: cosine_stats as one pass over every row at once."""
     fa = a.reshape(-1, a.shape[-1])
@@ -130,6 +147,10 @@ def test_cosine_stats_blocked_equals_whole_table(n):
     norms = np.linalg.norm(b, axis=1)
     assert cosine_stats(a, b) == _whole_table_cosine_stats(a, b)
     assert cosine_stats(a, b, norms) == _whole_table_cosine_stats(a, b, norms)
+    # the first grid given block by block
+    blocks = []
+    assert cosine_stats(lambda rows: blocks.append(rows) or a[rows], b, norms) == _whole_table_cosine_stats(a, b, norms)
+    assert len(blocks) == -(-n // _ROW_BLOCK)
 
 
 def _table(x, frozen):

@@ -221,6 +221,78 @@ def test_pretune_leaves_old_model_untouched():
     assert old.param_bytes() == before
 
 
+def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng):
+    """Reference: the pre-tuning loop that assembled a fresh head for
+    every batch."""
+    from nestlab.losses import unbiased_ce
+
+    w_old = old_model.head.weights
+    d, n_old = w_old.shape
+    w0 = w_old[:, 0]
+    use_bias = old_model.head.biases is not None
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(table.f))
+        for start in range(0, len(table.f), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x = table.f[batch].reshape(-1, d)
+            y = table.y[batch].reshape(-1)
+            _, dz = unbiased_ce(nest.assemble_pretune_head(old_model.head, tset).logits(x), y, n_old)
+            g = x.T @ dz
+            g0 = g[:, 0]
+            d_m0 = (g0 * w0 * tset.bg_projection)[:, None]
+            d_p0 = float(g0 @ (tset.bg_importance.ravel() * w0))
+            if tset.train_importance:
+                tset.bg_importance = tset.bg_importance - cfg.lr * d_m0
+            if tset.train_projection:
+                tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
+            for i, c in enumerate(tset.new_classes):
+                gc = g[:, n_old + i]
+                m, p = tset.importance[c], tset.projection[c]
+                d_m = gc[:, None] * w_old * p.ravel()[None, :]
+                d_p = ((m * w_old).T @ gc)[:, None]
+                if tset.train_importance:
+                    tset.importance[c] = m - cfg.lr * d_m
+                if tset.train_projection:
+                    tset.projection[c] = p - cfg.lr * d_p
+                if use_bias and tset.biases is not None:
+                    tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
+    return tset
+
+
+def _tset_bytes(tset):
+    parts = [tset.bg_importance.tobytes(), np.float64(tset.bg_projection).tobytes()]
+    for c in tset.new_classes:
+        parts += [tset.importance[c].tobytes(), tset.projection[c].tobytes()]
+        if tset.biases is not None:
+            parts.append(np.float64(tset.biases[c]).tobytes())
+    return b"".join(parts)
+
+
+# 4x4 images in batches of 2 give 32-row batches (C-ordered loss kernels),
+# 8x8 images in batches of 3 give 192-row batches (class-major kernels)
+@pytest.mark.parametrize("hw, batch_size", [(4, 2), (8, 3)])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("variant", ["both", "importance_only", "projection_only"])
+def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw, batch_size):
+    rng = SplitMix64(48)
+    d, n_old = 4, 3
+    head = Head(rng.normal((d, n_old)), rng.normal(n_old) if use_bias else None)
+    old = SegModel(Backbone.single_relu(4, d, rng), head).snapshot()
+    table = _table(_toy_step(rng, hw=hw, images=6), old)
+    cfg = nest.PretuneConfig(epochs=3, lr=0.5, batch_size=batch_size)
+
+    def fresh():
+        tset = nest.similarity_init_transforms(table, old, use_bias=use_bias)
+        return nest.apply_component_variant(tset, variant)
+
+    ours_rng, ref_rng = SplitMix64(7), SplitMix64(7)
+    ours = nest.pretune(table, old, fresh(), cfg, ours_rng)
+    ref = _pretune_reassembling_every_batch(table, old, fresh(), cfg, ref_rng)
+    assert _tset_bytes(ours) != _tset_bytes(fresh())  # the transforms moved
+    assert _tset_bytes(ours) == _tset_bytes(ref)
+    assert ours_rng.next_u64() == ref_rng.next_u64()
+
+
 def test_component_variants():
     rng = SplitMix64(43)
     old = _toy_model(rng)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestlab.errors import NumericError, ShapeError
-from nestlab.numerics import SplitMix64, finite_diff_grad, rowmax, rowsum, softmax
+from nestlab.numerics import _FEW_ROWS, _PW_BLOCK, SplitMix64, class_major, finite_diff_grad, rowmax, rowsum, softmax
 
 # First five raw draws for seed 0, frozen from the reference SplitMix64
 # implementation (Steele et al. mixing constants).
@@ -140,11 +140,11 @@ _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
 @st.composite
-def _row_arrays(draw):
+def _row_arrays(draw, rows=_ROWS, widths=_WIDTHS):
     """2-D float arrays, often a column slice of a wider array, with
     magnitudes from 1e-8 to 1e8 and optionally signed zeros, inf and NaN."""
-    n = draw(st.sampled_from(_ROWS))
-    c = draw(st.sampled_from(_WIDTHS))
+    n = draw(st.sampled_from(rows))
+    c = draw(st.sampled_from(widths))
     lo = draw(st.integers(0, 3))
     hi = draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -188,6 +188,33 @@ def test_rowmax_is_numpy_max(a):
     # numpy's own sign for a zero maximum depends on its SIMD dispatch
     with np.errstate(invalid="ignore"):
         _same_bits(rowmax(a), np.max(a, axis=1), zero_sign=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_arrays(rows=tuple(r for r in _ROWS if r >= _FEW_ROWS), widths=_WIDTHS[:-1] + (_PW_BLOCK,)))
+def test_rowsum_of_class_major_input_is_numpy_sum_of_a_c_copy(a):
+    # the column sweep reads each class as one contiguous vector and adds
+    # in the same order as for C input; numpy's own row sum of a Fortran
+    # array, used below _FEW_ROWS rows or past _PW_BLOCK columns, does not
+    with np.errstate(invalid="ignore", over="ignore"):
+        _same_bits(rowsum(np.asfortranarray(a)), np.sum(np.ascontiguousarray(a), axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_arrays())
+def test_rowmax_of_class_major_input_is_numpy_max_of_a_c_copy(a):
+    with np.errstate(invalid="ignore"):
+        _same_bits(rowmax(np.asfortranarray(a)), np.max(np.ascontiguousarray(a), axis=1), zero_sign=False)
+
+
+@pytest.mark.parametrize("n", [1, _FEW_ROWS - 1, _FEW_ROWS, 300])
+def test_class_major_layout_switches_at_few_rows(n):
+    wide = SplitMix64(n).normal((n, 12))
+    for a in (wide, wide[:, 2:9], np.asfortranarray(wide[:, 2:9]), wide[:, 2:9].tolist()):
+        out = class_major(a)
+        assert out.dtype == np.float64
+        assert out.flags.f_contiguous if n >= _FEW_ROWS else out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np.asarray(a))
 
 
 def test_rowsum_of_negative_zeros_is_positive_zero():
