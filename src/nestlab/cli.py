@@ -82,10 +82,12 @@ def _strategies(resolved):
 def load_config(path):
     """Parse and validate a config file; returns the resolved dict."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except (UnicodeDecodeError, RecursionError) as e:
+        raise ConfigError(f"{path}: {e}")
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror}")
     if not isinstance(raw, dict):
@@ -96,11 +98,14 @@ def load_config(path):
 
     defaults = {name: _defaults(cls) for name, cls in _SECTIONS.items()}
     defaults["sequence"]["class_order"] = None  # missing or null: 1..num_classes
+    defaults["train"]["seeds"] = [ExperimentConfig.seed]  # the run plan's, not a TrainConfig field
     resolved = {name: _merge_section(name, defaults[name], raw.get(name)) for name in _SECTIONS}
     resolved["strategy"] = raw.get("strategy", ExperimentConfig.strategy)
     resolved["report"] = _merge_section("report", _REPORT_DEFAULTS, raw.get("report"))
     if resolved["sequence"]["class_order"] is None:
         resolved["sequence"]["class_order"] = list(range(1, resolved["world"]["num_classes"] + 1))
+    if not resolved["train"]["seeds"]:
+        raise ConfigError("train.seeds must list at least one seed")
     strategies = _strategies(resolved)
     if not isinstance(strategies, list) or not strategies or not all(isinstance(x, str) for x in strategies):
         raise ConfigError("strategy must be a string or a non-empty list of strings")
@@ -110,10 +115,10 @@ def load_config(path):
 
 
 def _experiment_config(resolved, strategy, seed=ExperimentConfig.seed):
-    sections = {
-        name: cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in resolved[name].items()})
-        for name, cls in _SECTIONS.items()
-    }
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        values = {f.name: resolved[name][f.name] for f in dataclasses.fields(cls)}
+        sections[name] = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
     return ExperimentConfig(strategy=strategy, seed=seed, **sections)
 
 
@@ -255,12 +260,15 @@ def cmd_report(inputs, out_path):
     rows = []
     for path in inputs:
         candidate = path if path.endswith(".csv") else os.path.join(path, "results.csv")
-        with open(candidate, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if tuple(header) != RESULT_COLUMNS:
-                raise ConfigError(f"{candidate}: unexpected columns {header}")
-            rows.extend(tuple(r) for r in reader)
+        try:
+            with open(candidate, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                if tuple(header) != RESULT_COLUMNS:
+                    raise ConfigError(f"{candidate}: unexpected columns {header}")
+                rows.extend(tuple(r) for r in reader)
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{candidate}: {e}")
     _write_csv(out_path, RESULT_COLUMNS, rows)
     return 0
 

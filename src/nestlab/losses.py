@@ -59,10 +59,12 @@ def unbiased_ce(logits, labels, n_old):
     loss = -_safe_log(modeled).mean()
 
     # the gradient, in place in softmax's fresh output
-    # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold; a
+    # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold, NaN
+    # (quietly, for the callers' finite checks) where fold underflowed to 0; a
     # new-class pixel divides by inf, and q_k - q_k/inf == q_k for 0 <= q_k <= 1
     old = q[:, :n_old]
-    old -= old / np.where(is_bg, fold, np.inf)[:, None]
+    with np.errstate(invalid="ignore"):
+        old -= old / np.where(is_bg, fold, np.inf)[:, None]
     # new-class pixels: q - onehot(label), one label column at a time (a
     # background pixel's onehot would subtract 0.0 from q_0 >= +0)
     for j in range(n_old, c):

@@ -56,42 +56,26 @@ def _norms(rows, out):
     return np.sqrt(rowsum(rows * rows), out=out)
 
 
-def cosine_stats(a, b, b_norms=None):
-    """Per-pixel cosine similarity between two feature grids: (mean, std).
+def cosine_stats(a_rows, b, b_norms):
+    """Per-pixel cosine similarity between two feature tables: (mean, std).
 
-    Zero-norm pixels contribute similarity 0; std is the population std.
-    `b_norms`, if given, are the per-pixel norms of `b`, computed once by
-    a caller that compares many grids against the same `b`.  `a` may also
-    be a function that returns the pixels `rows` (a slice) of the first
-    grid as a (pixels, d) array, for a caller that computes that grid and
-    so need never hold all of it.  Norms and dots are per-row results,
-    filled `_ROW_BLOCK` rows at a time; the mean and std then run over the
-    whole vector, so neither depends on the block size.
+    `a_rows(rows)` returns the pixels `rows` (a slice) of the first table
+    as a (pixels, d) array, so a caller that computes that table need
+    never hold all of it.  `b` is the second table, (pixels, d), and
+    `b_norms` its per-pixel norms, computed once by a caller that compares
+    many tables against the same `b`.  Zero-norm pixels contribute
+    similarity 0; std is the population std.  Norms and dots are per-row
+    results, filled `_ROW_BLOCK` rows at a time; the mean and std then run
+    over the whole vector, so neither depends on the block size.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if callable(a):
-        a_rows = a
-    else:
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != b.shape:
-            raise ShapeError(f"feature grids {a.shape} vs {b.shape}")
-        fa = a.reshape(-1, a.shape[-1])
-
-        def a_rows(rows):
-            return fa[rows]
-
-    fb = b.reshape(-1, b.shape[-1])
-    n = fb.shape[0]
+    n = b.shape[0]
     na = np.empty(n)
     dots = np.empty(n)
-    nb = np.empty(n) if b_norms is None else b_norms
     for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         blk = a_rows(rows)
         _norms(blk, na[rows])
-        dots[rows] = np.einsum("ij,ij->i", blk, fb[rows])
-        if b_norms is None:
-            _norms(fb[rows], nb[rows])
-    denom = na * nb
+        dots[rows] = np.einsum("ij,ij->i", blk, b[rows])
+    denom = na * b_norms
     sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
     return float(sims.mean()), float(sims.std())

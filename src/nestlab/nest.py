@@ -3,8 +3,9 @@
 New-class weight columns are generated from the old head as
 ``w_c = (M_c * W_old) @ P_c`` with a per-class importance matrix M_c and
 projection column P_c.  Both are initialized from cross-task similarity
-scores computed by the frozen old model, then tuned by SGD on the
-unbiased cross entropy while everything else stays frozen.
+scores computed by the frozen old model, then tuned on the unbiased cross
+entropy while everything else stays frozen, by `tune_new_columns`: the one
+frozen-feature SGD loop, which the `two_stage` baseline shares.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import unbiased_ce
 from .numerics import softmax
+from .synthdata import minibatches
 
 
 @dataclass
@@ -201,6 +203,26 @@ def apply_component_variant(tset, variant):
     return tset
 
 
+def tune_new_columns(table, head, n_old, cfg, rng, update):
+    """The frozen-feature loop of pre-tuning and two-stage: SGD on the
+    unbiased cross entropy of `head`, whose first `n_old` columns are the
+    old classes', over the table's frozen features.  After each batch's
+    loss, `update(x, dz)` steps its parameters from dloss/dlogits and
+    writes the head's tuned columns (and biases)."""
+    cfg.validate()
+    for epoch, batches in enumerate(minibatches(len(table.f), cfg.epochs, cfg.batch_size, rng)):
+        for b, batch in enumerate(batches):
+            x = table.f[batch].reshape(-1, head.dim)
+            loss, dz = unbiased_ce(head.logits(x), table.y[batch].reshape(-1), n_old)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite tuning loss at epoch {epoch}, batch {b}")
+            update(x, dz)
+    # the loss is floored by a safe log, so only the head shows a gradient
+    # that went non-finite
+    if not (np.isfinite(head.weights).all() and (head.biases is None or np.isfinite(head.biases).all())):
+        raise NumericError(f"non-finite new columns after tuning epoch {cfg.epochs - 1}")
+
+
 def pretune(table, old_model, tset, cfg, rng):
     """Tune the transforms by SGD on unbiased cross entropy.
 
@@ -208,54 +230,40 @@ def pretune(table, old_model, tset, cfg, rng):
     (and optional new-class biases) move.  The backbone is frozen, so its
     features come from the table.
     """
-    cfg.validate()
     w_old = old_model.head.weights
-    d, n_old = w_old.shape
+    n_old = w_old.shape[1]
     w0 = w_old[:, 0]
     new_classes = tset.new_classes
-    n_images = len(table.f)
     use_bias = old_model.head.biases is not None
-    # built once; each batch rewrites only its generated columns and biases
+    # built once; each update rewrites only its generated columns and biases
     head = assemble_pretune_head(old_model.head, tset)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_images)
-        for start in range(0, n_images, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            x = table.f[batch].reshape(-1, d)
-            y = table.y[batch].reshape(-1)
 
-            head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
-            head.weights[:, n_old:] = generate_columns(tset, w_old)
-            if use_bias and tset.biases:
-                head.biases[n_old:] = [tset.biases[c] for c in new_classes]
-            z = head.logits(x)
-            loss, dz = unbiased_ce(z, y, n_old)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite pre-tuning loss at epoch {epoch}, batch {start // cfg.batch_size}")
-
-            g = x.T @ dz  # (d, n_old + n_new): grad w.r.t. head columns
-            g0 = g[:, 0]
-            d_m0 = (g0 * w0 * tset.bg_projection)[:, None]
-            d_p0 = float(g0 @ (tset.bg_importance.ravel() * w0))
+    def update(x, dz):
+        g = x.T @ dz  # (d, n_old + n_new): grad w.r.t. head columns
+        g0 = g[:, 0]
+        d_m0 = (g0 * w0 * tset.bg_projection)[:, None]
+        d_p0 = float(g0 @ (tset.bg_importance.ravel() * w0))
+        if tset.train_importance:
+            tset.bg_importance = tset.bg_importance - cfg.lr * d_m0
+        if tset.train_projection:
+            tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
+        for i, c in enumerate(new_classes):
+            gc = g[:, n_old + i]
+            m, p = tset.importance[c], tset.projection[c]
+            d_m = gc[:, None] * w_old * p.ravel()[None, :]
+            d_p = ((m * w_old).T @ gc)[:, None]
             if tset.train_importance:
-                tset.bg_importance = tset.bg_importance - cfg.lr * d_m0
+                tset.importance[c] = m - cfg.lr * d_m
             if tset.train_projection:
-                tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
-            for i, c in enumerate(new_classes):
-                gc = g[:, n_old + i]
-                m, p = tset.importance[c], tset.projection[c]
-                d_m = gc[:, None] * w_old * p.ravel()[None, :]
-                d_p = ((m * w_old).T @ gc)[:, None]
-                if tset.train_importance:
-                    tset.importance[c] = m - cfg.lr * d_m
-                if tset.train_projection:
-                    tset.projection[c] = p - cfg.lr * d_p
-                if use_bias and tset.biases is not None:
-                    tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
-    params = [tset.bg_importance, tset.bg_projection, *tset.importance.values(), *tset.projection.values()]
-    params += (tset.biases or {}).values()
-    if not all(np.isfinite(p).all() for p in params):
-        raise NumericError(f"non-finite transforms after pre-tuning epoch {cfg.epochs - 1}")
+                tset.projection[c] = p - cfg.lr * d_p
+            if use_bias and tset.biases is not None:
+                tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
+        head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
+        head.weights[:, n_old:] = generate_columns(tset, w_old)
+        if use_bias and tset.biases:
+            head.biases[n_old:] = [tset.biases[c] for c in new_classes]
+
+    tune_new_columns(table, head, n_old, cfg, rng, update)
     return tset
 
 

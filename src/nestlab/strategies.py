@@ -3,14 +3,16 @@
 Selected by config string: "random", "background", "two_stage", or
 "nest[:matrix_init:components]" with matrix_init in {similarity, random}
 and components in {both, importance_only, projection_only}.
+`two_stage` only supplies its update to `nest.tune_new_columns`, the
+frozen-feature loop of pre-tuning.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .losses import unbiased_ce
+from .errors import ConfigError
+from .model import grow_head
 from . import nest
 
 
@@ -51,29 +53,18 @@ def _background_copy(old_model, n_new):
 
 
 def _two_stage_tune(table, old_model, cols, biases, cfg, rng):
-    """SGD on L_unce updating only the new columns; everything else frozen."""
-    w_old = old_model.head.weights
-    d, n_old = w_old.shape
-    n_images = len(table.f)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_images)
-        for start in range(0, n_images, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            x = table.f[batch].reshape(-1, d)
-            y = table.y[batch].reshape(-1)
-            z = x @ np.concatenate([w_old, cols], axis=1)
-            if biases is not None:
-                full_b = np.concatenate([old_model.head.biases, biases])
-                z = z + full_b
-            loss, dz = unbiased_ce(z, y, n_old)
-            if not np.isfinite(loss):
-                raise NumericError(f"two-stage tuning diverged at epoch {epoch}")
-            cols = cols - cfg.lr * (x.T @ dz[:, n_old:])
-            if biases is not None:
-                biases = biases - cfg.lr * dz[:, n_old:].sum(axis=0)
-    if not (np.isfinite(cols).all() and (biases is None or np.isfinite(biases).all())):
-        raise NumericError(f"non-finite new columns after two-stage epoch {cfg.epochs - 1}")
-    return cols, biases
+    """Tune only the new columns (and biases) on the frozen features, in
+    the loop that pre-tuning uses; everything else stays frozen."""
+    n_old = old_model.head.num_classes
+    head = grow_head(old_model.head, cols, biases)
+
+    def update(x, dz):
+        head.weights[:, n_old:] -= cfg.lr * (x.T @ dz[:, n_old:])
+        if head.biases is not None:
+            head.biases[n_old:] -= cfg.lr * dz[:, n_old:].sum(axis=0)
+
+    nest.tune_new_columns(table, head, n_old, cfg, rng, update)
+    return head.weights[:, n_old:], None if head.biases is None else head.biases[n_old:]
 
 
 def initialize_head(strategy, old_model, table, pretune_cfg, rng, use_bias=False):

@@ -5,7 +5,8 @@ top; pixel features are drawn from per-class Gaussian prototypes.  Step
 views relabel pixels of classes outside the current step as background,
 reproducing background shift under the overlapped and disjoint protocols.
 A step table holds a step's train pixels once, flattened, with head-column
-labels and the frozen backbone's features, for every consumer to index.
+labels and the frozen backbone's features, for every consumer to index;
+`minibatches` is the one schedule in which every SGD loop visits its images.
 """
 
 import json
@@ -249,6 +250,16 @@ def step_table(data, backbone, col_of):
     for a in (x, y, f):
         a.setflags(write=False)
     return StepTable(data.class_set, x, y, f)
+
+
+def minibatches(n, epochs, batch_size, rng):
+    """The minibatch schedule of every SGD loop over `n` images: for each
+    epoch, the list of its batches of image indices, the last one short
+    when `batch_size` does not divide `n`.  An epoch's order is drawn from
+    `rng` when that epoch starts."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        yield [order[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
 def dump_images(images, path):

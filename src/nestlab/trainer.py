@@ -1,6 +1,8 @@
 """End-to-end incremental training: base step, per-step classifier
 initialization, formal training with the unbiased losses, and
 stability instrumentation (per-epoch loss and feature-similarity stats).
+Base and formal training are one SGD loop, `_train_epochs`, over the
+`synthdata.minibatches` schedule; a config file's seed list is the CLI's.
 """
 
 import copy
@@ -16,12 +18,12 @@ from .model import Backbone, Head, SegModel, grow_head
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
-from .synthdata import TaskSequence, WorldSpec, build_world, map_labels, step_table, step_view
+from .synthdata import TaskSequence, WorldSpec, build_world, map_labels, minibatches, step_table, step_view
 
 
 @dataclass
 class TrainConfig:
-    """Base and incremental training; `seeds` lists the runs a config asks for."""
+    """Base and incremental training of one run."""
 
     backbone_dim: int = 16
     base_epochs: int = 60
@@ -33,7 +35,6 @@ class TrainConfig:
     fix_old_classifiers: bool = False
     poly_power: float = 0.0
     use_bias: bool = False
-    seeds: tuple = (1,)
 
     def validate(self):
         if self.batch_size < 1:
@@ -41,8 +42,6 @@ class TrainConfig:
         for key in ("base_lr", "inc_lr"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"train.{key} must be > 0")
-        if not self.seeds:
-            raise ConfigError("train.seeds must list at least one seed")
 
 
 @dataclass
@@ -116,47 +115,38 @@ def track_stability(live_model, table):
     return cosine_stats(lambda rows: live_model.backbone.forward(x[rows]), f, table.f_norms)
 
 
-def _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch):
-    """One epoch of minibatch SGD over the table's images; returns the
-    per-batch losses.  `lr_fn` takes the iteration count of the whole run
-    of epochs, `loss_fn(z, y, batch)` returns (loss, dloss/dz)."""
-    losses = []
-    n_batches = -(-len(order) // batch_size)
-    for it, start in enumerate(range(0, len(order), batch_size)):
-        batch = order[start : start + batch_size]
-        x = table.x[batch].reshape(-1, table.x.shape[-1])
-        y = table.y[batch].reshape(-1)
-        out, acts = model.backbone.forward_cache(x)
-        z = model.head.logits(out)
-        loss, dz = loss_fn(z, y, batch)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, batch {it}")
-        losses.append(loss)
-        lr = lr_fn(epoch * n_batches + it)
-        d_head = out.T @ dz
-        if frozen_cols:
-            d_head[:, list(frozen_cols)] = 0.0
-        dfeats = dz @ model.head.weights.T
-        layer_grads = model.backbone.backward(dfeats, acts)
-        model.head.weights = model.head.weights - lr * d_head
-        if model.head.biases is not None:
-            db = dz.sum(axis=0)
-            if frozen_cols:
-                db[list(frozen_cols)] = 0.0
-            model.head.biases = model.head.biases - lr * db
-        for li, (gw, gb) in enumerate(layer_grads):
-            w, b = model.backbone.layers[li]
-            model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
-    return losses
-
-
 def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, frozen_cols=()):
-    """SGD epochs in a fresh image order each, with the loss and stability
-    stats of every epoch."""
+    """Minibatch SGD over the table's images in the `minibatches` schedule,
+    with the loss and stability stats of every epoch.  `lr_fn` takes the
+    iteration count of the whole run of epochs, `loss_fn(z, y, batch)`
+    returns (loss, dloss/dz)."""
     stats = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(table.x))
-        losses = _sgd_epoch(model, table, order, batch_size, lr_fn, loss_fn, frozen_cols, step, epoch)
+    for epoch, batches in enumerate(minibatches(len(table.x), epochs, batch_size, rng)):
+        losses = []
+        for it, batch in enumerate(batches):
+            x = table.x[batch].reshape(-1, table.x.shape[-1])
+            y = table.y[batch].reshape(-1)
+            out, acts = model.backbone.forward_cache(x)
+            z = model.head.logits(out)
+            loss, dz = loss_fn(z, y, batch)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, batch {it}")
+            losses.append(loss)
+            lr = lr_fn(epoch * len(batches) + it)
+            d_head = out.T @ dz
+            if frozen_cols:
+                d_head[:, list(frozen_cols)] = 0.0
+            dfeats = dz @ model.head.weights.T
+            layer_grads = model.backbone.backward(dfeats, acts)
+            model.head.weights = model.head.weights - lr * d_head
+            if model.head.biases is not None:
+                db = dz.sum(axis=0)
+                if frozen_cols:
+                    db[list(frozen_cols)] = 0.0
+                model.head.biases = model.head.biases - lr * db
+            for li, (gw, gb) in enumerate(layer_grads):
+                w, b = model.backbone.layers[li]
+                model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
         # the loss is floored by a safe log, so only the parameters show a
         # gradient that went non-finite
         if not np.isfinite(model.flat_params()).all():

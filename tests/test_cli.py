@@ -359,6 +359,23 @@ def test_bad_files_exit_2_with_one_line(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("config error: "), err
 
 
+@pytest.mark.parametrize(
+    "verb, name, content",
+    [
+        ("run", "cfg.json", b"\xff\xfe{}"),
+        ("run", "cfg.json", b"[" * 100000),
+        ("report", "results.csv", ",".join(cli.RESULT_COLUMNS).encode() + b"\nrun-\xff,background,1,0,1,1,1,0\n"),
+    ],
+    ids=["config_not_utf8", "config_nested_too_deep", "report_not_utf8"],
+)
+def test_undecodable_files_exit_2_with_one_line(tmp_path, capsys, verb, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main([verb, str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
 def test_worker_count_clamped(monkeypatch):
     cpus = os.cpu_count() or 1
     monkeypatch.setenv("NEST_LAB_THREADS", "64")

@@ -295,6 +295,27 @@ def test_unbiased_kd_with_an_empty_fold_is_the_oracle_and_quiet(n):
     np.testing.assert_array_equal(dz, ref[1])
 
 
+@pytest.mark.parametrize("n", [16, 2048])
+def test_unbiased_ce_with_an_underflowed_fold_is_the_oracle_and_quiet(n):
+    # a new-class logit 1000 above the rest underflows the background fold
+    # to 0 in every third row, all background; the old-class gradient there
+    # is NaN, as in the oracle, the new-class columns stay finite and no
+    # RuntimeWarning escapes the kernel
+    rng = SplitMix64(n + 1)
+    z = rng.normal((n, 5))
+    z[::3, 4] = 1000.0
+    labels = rng.integers(2, size=n) * 4  # background or class 4
+    labels[::3] = 0
+    with np.errstate(all="ignore"):
+        ref = _oracle_unbiased_ce(z, labels, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, dz = unbiased_ce(z, labels, 3)
+    assert loss == ref[0]
+    assert np.isnan(dz[::3, :3]).all() and np.isfinite(dz[:, 3:]).all()
+    np.testing.assert_array_equal(dz, ref[1])
+
+
 def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
     for c in (1, 5, 9, 40):
         x = SplitMix64(c).normal(c)

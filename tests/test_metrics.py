@@ -62,9 +62,14 @@ def test_miou_all_equal():
     assert miou_range(np.full(4, 0.7), range(4)) == pytest.approx(0.7)
 
 
+def _stats(a, b):
+    """cosine_stats of two (pixels, d) tables, `a` given by rows."""
+    return cosine_stats(a.__getitem__, b, np.linalg.norm(b, axis=1))
+
+
 def test_cosine_stats_identical():
     a = SplitMix64(51).normal((10, 4))
-    mean, std = cosine_stats(a, a.copy())
+    mean, std = _stats(a, a.copy())
     assert mean == pytest.approx(1.0)
     assert std == pytest.approx(0.0, abs=1e-12)
 
@@ -74,34 +79,31 @@ def test_cosine_stats_orthogonal():
     b = np.zeros((5, 2))
     a[:, 0] = 1.0
     b[:, 1] = 1.0
-    mean, _ = cosine_stats(a, b)
+    mean, _ = _stats(a, b)
     assert mean == pytest.approx(0.0)
 
 
 def test_cosine_stats_scale_invariant():
     a = SplitMix64(52).normal((10, 4))
-    mean, _ = cosine_stats(a, 2.0 * a)
+    mean, _ = _stats(a, 2.0 * a)
     assert mean == pytest.approx(1.0)
 
 
 def test_cosine_stats_with_given_norms_is_identical():
+    # the norms a step table caches for its frozen features
     rng = SplitMix64(53)
     a, b = rng.normal((3, 7, 4)), rng.normal((3, 7, 4))
     b[0, 0] = 0.0
-    norms = np.linalg.norm(b.reshape(-1, 4), axis=1)
-    assert cosine_stats(a, b, norms) == cosine_stats(a, b)
+    table = StepTable((), a, np.zeros((3, 7), dtype=np.int64), b)
+    fa, fb = a.reshape(-1, 4), b.reshape(-1, 4)
+    assert cosine_stats(fa.__getitem__, fb, table.f_norms) == _whole_table_cosine_stats(fa, fb)
 
 
 def test_cosine_stats_zero_norm_contributes_zero():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[1.0, 0.0], [1.0, 0.0]])
-    mean, _ = cosine_stats(a, b)
+    mean, _ = _stats(a, b)
     assert mean == pytest.approx(0.5)
-
-
-def test_cosine_stats_shape_error():
-    with pytest.raises(ShapeError):
-        cosine_stats(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("d", [1, 3, 8, 16, 130])
@@ -145,9 +147,8 @@ def test_cosine_stats_blocked_equals_whole_table(n):
     a[::5] = 0.0  # zero-norm pixels
     b[::7] = 0.0
     norms = np.linalg.norm(b, axis=1)
-    assert cosine_stats(a, b) == _whole_table_cosine_stats(a, b)
-    assert cosine_stats(a, b, norms) == _whole_table_cosine_stats(a, b, norms)
-    # the first grid given block by block
+    assert _stats(a, b) == _whole_table_cosine_stats(a, b)
+    # the first table computed block by block
     blocks = []
     assert cosine_stats(lambda rows: blocks.append(rows) or a[rows], b, norms) == _whole_table_cosine_stats(a, b, norms)
     assert len(blocks) == -(-n // _ROW_BLOCK)

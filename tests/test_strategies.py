@@ -157,3 +157,52 @@ def test_nest_random_matrix_init_differs():
     sim, _, _ = initialize_head(parse_strategy("nest:similarity:both"), old, table, cfg, SplitMix64(1))
     rnd, _, _ = initialize_head(parse_strategy("nest:random:both"), old, table, cfg, SplitMix64(1))
     assert not np.array_equal(sim, rnd)
+
+
+def _two_stage_concatenating_every_batch(table, old_model, cols, biases, cfg, rng):
+    """Reference: the two-stage loop that concatenated the head, and the
+    biases, for every batch."""
+    from nestlab.losses import unbiased_ce
+
+    w_old = old_model.head.weights
+    d, n_old = w_old.shape
+    n_images = len(table.f)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_images)
+        for start in range(0, n_images, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x = table.f[batch].reshape(-1, d)
+            y = table.y[batch].reshape(-1)
+            z = x @ np.concatenate([w_old, cols], axis=1)
+            if biases is not None:
+                z = z + np.concatenate([old_model.head.biases, biases])
+            _, dz = unbiased_ce(z, y, n_old)
+            cols = cols - cfg.lr * (x.T @ dz[:, n_old:])
+            if biases is not None:
+                biases = biases - cfg.lr * dz[:, n_old:].sum(axis=0)
+    return cols, biases
+
+
+# 4x4 images in batches of 2 give 32-row batches (C-ordered loss kernels),
+# 8x8 images in batches of 3 give 192-row batches (class-major kernels)
+@pytest.mark.parametrize("hw, batch_size", [(4, 2), (8, 3)])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_two_stage_equals_concatenating_the_head_every_batch(use_bias, hw, batch_size):
+    rng = SplitMix64(49)
+    old = _old_model(rng, use_bias=use_bias)
+    table = _table(_step(rng, hw=hw, images=6), old)
+    cfg = nest.PretuneConfig(epochs=3, lr=0.3, batch_size=batch_size)
+    start_cols, start_biases, _ = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
+
+    ours_rng, ref_rng = SplitMix64(7), SplitMix64(7)
+    cols, biases, bg = initialize_head(parse_strategy("two_stage"), old, table, cfg, ours_rng)
+    ref_cols, ref_biases = _two_stage_concatenating_every_batch(table, old, start_cols, start_biases, cfg, ref_rng)
+    assert bg is None
+    assert cols.tobytes() != start_cols.tobytes()  # the columns moved
+    assert cols.tobytes() == ref_cols.tobytes()
+    if use_bias:
+        assert biases.tobytes() != start_biases.tobytes()
+        assert biases.tobytes() == ref_biases.tobytes()
+    else:
+        assert biases is None and ref_biases is None
+    assert ours_rng.next_u64() == ref_rng.next_u64()

@@ -13,6 +13,7 @@ from nestlab.synthdata import (
     build_world,
     dump_images,
     load_images,
+    minibatches,
     step_table,
     step_view,
 )
@@ -178,3 +179,26 @@ def test_table_feature_norms_computed_once_on_first_use():
     assert norms.tobytes() == np.linalg.norm(table.f.reshape(-1, 5), axis=1).tobytes()
     with pytest.raises(ValueError):
         norms[0] = 1.0
+
+
+@pytest.mark.parametrize("n, batch_size", [(1, 1), (7, 3), (8, 4), (5, 8)])
+def test_minibatches_cover_every_image_once_per_epoch(n, batch_size):
+    rng, ref = SplitMix64(70), SplitMix64(70)
+    epochs = list(minibatches(n, 3, batch_size, rng))
+    assert len(epochs) == 3
+    for batches in epochs:
+        assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+        assert all(len(b) == batch_size for b in batches[:-1])
+        assert 1 <= len(batches[-1]) <= batch_size  # only the last may be short
+        assert np.concatenate(batches).tobytes() == ref.permutation(n).tobytes()
+    # the generator consumed what three permutations consume, no more
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_minibatches_draw_each_epoch_when_it_starts():
+    rng, ref = SplitMix64(71), SplitMix64(71)
+    schedule = minibatches(6, 2, 4, rng)
+    assert rng.next_u64() == ref.next_u64()  # nothing drawn before the first epoch
+    next(schedule)
+    ref.permutation(6)
+    assert rng.next_u64() == ref.next_u64()

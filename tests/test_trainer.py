@@ -214,3 +214,10 @@ def test_shared_base_matches_independent_runs():
         shared = run_experiment(small_config(strategy=strat), world, base)
         assert pinned(shared) == pinned(run_experiment(small_config(strategy=strat))), strat
         assert base.model.param_bytes() == base_bytes
+
+
+def test_train_config_has_no_seed_list():
+    # the seeds of a config file are the command line's run plan; a
+    # TrainConfig is one run, and ExperimentConfig.seed is its seed
+    with pytest.raises(TypeError):
+        TrainConfig(seeds=(2,))
