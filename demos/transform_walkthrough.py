@@ -14,6 +14,7 @@ import numpy as np
 from nestlab import nest
 from nestlab.losses import unbiased_ce
 from nestlab.numerics import SplitMix64
+from nestlab.strategies import initialize_head, parse_strategy
 from nestlab.synthdata import build_world, step_table, step_view
 from nestlab.trainer import ExperimentConfig, train_base_step
 
@@ -80,9 +81,7 @@ def main():
           f"after weight aligning (old mean {np.linalg.norm(w_old, axis=0).mean():.3f})")
 
     # the baseline everything is measured against: copy the bg classifier
-    from nestlab.model import Head
-
-    bg_head = Head(np.concatenate([w_old, w_old[:, :1]], axis=1))
+    bg_head = initialize_head(parse_strategy("background"), old, table, nest.PretuneConfig(), rng)
     loss_bg, acc_bg = new_class_stats(bg_head, old, data, n_old)
     print(f"\nbackground-copy baseline: unbiased CE {loss_bg:.3f}, "
           f"new-pixel accuracy {acc_bg:.3f}")

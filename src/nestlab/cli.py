@@ -32,6 +32,7 @@ _SECTIONS = {"world": WorldSpec, "sequence": TaskSequence, "pretune": PretuneCon
 _REPORT_DEFAULTS = {"out_dir": "out", "run_id": "run", "timing": False}
 
 RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new", "miou_all", "wall_seconds")
+RESULT_TYPES = (str, str, int, int, float, float, float, float)
 CURVE_COLUMNS = ("run_id", "step", "epoch", "loss_mean", "loss_std", "featsim_mean", "featsim_std")
 
 
@@ -266,8 +267,16 @@ def cmd_report(inputs, out_path):
                 header = next(reader, [])
                 if tuple(header) != RESULT_COLUMNS:
                     raise ConfigError(f"{candidate}: unexpected columns {header}")
-                rows.extend(tuple(r) for r in reader)
-        except UnicodeDecodeError as e:
+                for row in reader:
+                    try:  # every column; an integer seed and step, float (or nan) numbers
+                        if len(row) != len(RESULT_TYPES):
+                            raise ValueError(f"{len(row)} columns, expected {len(RESULT_TYPES)}")
+                        for parse, value in zip(RESULT_TYPES, row):
+                            parse(value)
+                    except ValueError as e:
+                        raise ConfigError(f"{candidate}:{reader.line_num}: {e}")
+                    rows.append(tuple(row))
+        except (UnicodeDecodeError, csv.Error) as e:
             raise ConfigError(f"{candidate}: {e}")
     _write_csv(out_path, RESULT_COLUMNS, rows)
     return 0

@@ -5,7 +5,8 @@ New-class weight columns are generated from the old head as
 projection column P_c.  Both are initialized from cross-task similarity
 scores computed by the frozen old model, then tuned on the unbiased cross
 entropy while everything else stays frozen, by `tune_new_columns`: the one
-frozen-feature SGD loop, which the `two_stage` baseline shares.
+frozen-feature SGD loop, which the `two_stage` baseline shares.  The bias
+mode follows the old head: new classes get biases exactly when it has them.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import unbiased_ce
+from .model import grow_head
 from .numerics import softmax
 from .synthdata import minibatches
 
@@ -134,20 +136,14 @@ def generate_columns(tset, w_old):
 
 def assemble_pretune_head(old_head, tset):
     """Head used during pre-tuning: generated bg, frozen old, generated new."""
-    from .model import Head
-
     w_old = old_head.weights
-    bg = generate_bg_weight(tset.bg_importance, tset.bg_projection, w_old[:, 0])
-    new_cols = generate_columns(tset, w_old)
-    weights = np.concatenate([bg[:, None], w_old[:, 1:], new_cols], axis=1)
-    biases = None
-    if old_head.biases is not None:
-        new_b = [tset.biases[c] if tset.biases else 0.0 for c in tset.new_classes]
-        biases = np.concatenate([old_head.biases, np.asarray(new_b)])
-    return Head(weights, biases)
+    new_b = [tset.biases[c] for c in tset.new_classes] if tset.biases else None
+    head = grow_head(old_head, generate_columns(tset, w_old), new_b)
+    head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w_old[:, 0])
+    return head
 
 
-def similarity_init_transforms(table, old_model, use_bias=False):
+def similarity_init_transforms(table, old_model):
     """Initialize a TransformSet from cross-task similarity scores."""
     w_old = old_model.head.weights
     d, n_old = w_old.shape
@@ -163,11 +159,11 @@ def similarity_init_transforms(table, old_model, use_bias=False):
         importance[c] = m
         projection[c] = init_projection(m)
     m0, p0 = init_background_transform(d)
-    biases = {c: 0.0 for c in new_classes} if use_bias else None
+    biases = {c: 0.0 for c in new_classes} if old_model.head.biases is not None else None
     return TransformSet(new_classes, importance, projection, m0, p0, biases)
 
 
-def random_init_transforms(table, old_model, rng, use_bias=False):
+def random_init_transforms(table, old_model, rng):
     """Ablation baseline: standard-normal matrices, projection re-normalized."""
     w_old = old_model.head.weights
     d, n_old = w_old.shape
@@ -177,7 +173,7 @@ def random_init_transforms(table, old_model, rng, use_bias=False):
         importance[c] = rng.normal((d, n_old))
         projection[c] = softmax(rng.normal(n_old))[:, None]
     m0, p0 = init_background_transform(d)
-    biases = {c: 0.0 for c in new_classes} if use_bias else None
+    biases = {c: 0.0 for c in new_classes} if old_model.head.biases is not None else None
     return TransformSet(new_classes, importance, projection, m0, p0, biases)
 
 
@@ -234,7 +230,7 @@ def pretune(table, old_model, tset, cfg, rng):
     n_old = w_old.shape[1]
     w0 = w_old[:, 0]
     new_classes = tset.new_classes
-    use_bias = old_model.head.biases is not None
+    tune_biases = old_model.head.biases is not None and tset.biases is not None
     # built once; each update rewrites only its generated columns and biases
     head = assemble_pretune_head(old_model.head, tset)
 
@@ -256,11 +252,11 @@ def pretune(table, old_model, tset, cfg, rng):
                 tset.importance[c] = m - cfg.lr * d_m
             if tset.train_projection:
                 tset.projection[c] = p - cfg.lr * d_p
-            if use_bias and tset.biases is not None:
+            if tune_biases:
                 tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
         head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
         head.weights[:, n_old:] = generate_columns(tset, w_old)
-        if use_bias and tset.biases:
+        if tune_biases:
             head.biases[n_old:] = [tset.biases[c] for c in new_classes]
 
     tune_new_columns(table, head, n_old, cfg, rng, update)

@@ -3,8 +3,11 @@
 Selected by config string: "random", "background", "two_stage", or
 "nest[:matrix_init:components]" with matrix_init in {similarity, random}
 and components in {both, importance_only, projection_only}.
-`two_stage` only supplies its update to `nest.tune_new_columns`, the
-frozen-feature loop of pre-tuning.
+Every strategy returns the step's head: the old columns, then one new
+column per class, grown by `model.grow_head`; only nest with
+`use_pretuned_bg` also replaces column 0.  New-class biases exist exactly
+when the old head has biases.  `two_stage` only supplies its update to
+`nest.tune_new_columns`, the frozen-feature loop of pre-tuning.
 """
 
 from dataclasses import dataclass
@@ -43,65 +46,48 @@ def parse_strategy(text):
     raise ConfigError(f"unknown strategy {text!r}")
 
 
-def _background_copy(old_model, n_new):
-    w0 = old_model.head.weights[:, 0]
-    cols = np.tile(w0[:, None], (1, n_new))
+def _background_head(old_head, n_new):
+    """The old head grown by `n_new` copies of its background column,
+    each with the background bias less log(n_new + 1) (MiB's split)."""
     biases = None
-    if old_model.head.biases is not None:
-        biases = np.full(n_new, old_model.head.biases[0] - np.log(n_new + 1))
-    return cols, biases
+    if old_head.biases is not None:
+        biases = np.full(n_new, old_head.biases[0] - np.log(n_new + 1))
+    return grow_head(old_head, np.tile(old_head.weights[:, :1], (1, n_new)), biases)
 
 
-def _two_stage_tune(table, old_model, cols, biases, cfg, rng):
-    """Tune only the new columns (and biases) on the frozen features, in
-    the loop that pre-tuning uses; everything else stays frozen."""
-    n_old = old_model.head.num_classes
-    head = grow_head(old_model.head, cols, biases)
-
-    def update(x, dz):
-        head.weights[:, n_old:] -= cfg.lr * (x.T @ dz[:, n_old:])
-        if head.biases is not None:
-            head.biases[n_old:] -= cfg.lr * dz[:, n_old:].sum(axis=0)
-
-    nest.tune_new_columns(table, head, n_old, cfg, rng, update)
-    return head.weights[:, n_old:], None if head.biases is None else head.biases[n_old:]
-
-
-def initialize_head(strategy, old_model, table, pretune_cfg, rng, use_bias=False):
-    """New-class columns (d, n_new), optional biases (n_new,), and an
-    optional replacement background column (only when the pre-tuned
-    background transform is kept for formal training).  `table` is the
-    step's pixel table."""
+def initialize_head(strategy, old_model, table, pretune_cfg, rng):
+    """The step's head: the old model's columns (and biases, if it has
+    them), then one new column per class of `table`, the step's pixel
+    table.  Column 0 is replaced only by nest with `use_pretuned_bg`;
+    the old model is never written to."""
+    old = old_model.head
+    n_old = old.num_classes
     n_new = len(table.classes)
-    d = old_model.head.dim
     if strategy.kind == "random":
-        cols = 0.01 * rng.normal((d, n_new))
-        biases = np.zeros(n_new) if use_bias else None
-        return cols, biases, None
+        return grow_head(old, 0.01 * rng.normal((old.dim, n_new)))
     if strategy.kind == "background":
-        cols, biases = _background_copy(old_model, n_new)
-        return cols, biases, None
+        return _background_head(old, n_new)
     if strategy.kind == "two_stage":
-        cols, biases = _background_copy(old_model, n_new)
-        cols, biases = _two_stage_tune(table, old_model, cols, biases, pretune_cfg, rng)
-        return cols, biases, None
+        # tune only the new columns (and biases) on the frozen features
+        head = _background_head(old, n_new)
+
+        def update(x, dz):
+            head.weights[:, n_old:] -= pretune_cfg.lr * (x.T @ dz[:, n_old:])
+            if head.biases is not None:
+                head.biases[n_old:] -= pretune_cfg.lr * dz[:, n_old:].sum(axis=0)
+
+        nest.tune_new_columns(table, head, n_old, pretune_cfg, rng, update)
+        return head
     if strategy.kind == "nest":
         if strategy.matrix_init == "similarity":
-            tset = nest.similarity_init_transforms(table, old_model, use_bias=use_bias)
+            tset = nest.similarity_init_transforms(table, old_model)
         else:
-            tset = nest.random_init_transforms(table, old_model, rng, use_bias=use_bias)
+            tset = nest.random_init_transforms(table, old_model, rng)
         nest.apply_component_variant(tset, strategy.components)
-        tset = nest.pretune(table, old_model, tset, pretune_cfg, rng)
-        cols = nest.generate_columns(tset, old_model.head.weights)
-        if pretune_cfg.weight_align and cols.size:
-            cols = nest.weight_align(old_model.head.weights, cols)
-        biases = None
-        if use_bias and tset.biases is not None:
-            biases = np.asarray([tset.biases[c] for c in tset.new_classes])
-        bg_col = None
-        if pretune_cfg.use_pretuned_bg:
-            bg_col = nest.generate_bg_weight(
-                tset.bg_importance, tset.bg_projection, old_model.head.weights[:, 0]
-            )
-        return cols, biases, bg_col
+        head = nest.assemble_pretune_head(old, nest.pretune(table, old_model, tset, pretune_cfg, rng))
+        if not pretune_cfg.use_pretuned_bg:
+            head.weights[:, 0] = old.weights[:, 0]
+        if pretune_cfg.weight_align and n_new:
+            head.weights[:, n_old:] = nest.weight_align(old.weights, head.weights[:, n_old:])
+        return head
     raise ConfigError(f"unknown strategy kind {strategy.kind!r}")

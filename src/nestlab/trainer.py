@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .losses import ce, incremental_loss
 from .metrics import ConfusionMatrix, cosine_stats, iou_per_class, miou_range
-from .model import Backbone, Head, SegModel, grow_head
+from .model import Backbone, Head, SegModel
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
@@ -37,8 +37,12 @@ class TrainConfig:
     use_bias: bool = False
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ConfigError("train.batch_size must be >= 1")
+        for key in ("backbone_dim", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"train.{key} must be >= 1")
+        for key in ("base_epochs", "inc_epochs", "lambda_kd", "poly_power"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"train.{key} must be >= 0")
         for key in ("base_lr", "inc_lr"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"train.{key} must be > 0")
@@ -200,7 +204,7 @@ def train_base_step(cfg, world, rng=None):
 
 
 def run_step(model, cfg, world, t, rng):
-    """One incremental step: init strategy, grow head, formal training."""
+    """One incremental step: the strategy's head, then formal training."""
     t0 = time.perf_counter()
     train = cfg.train
     snapshot = model.snapshot()
@@ -210,14 +214,11 @@ def run_step(model, cfg, world, t, rng):
     table = step_table(data, snapshot.backbone, col_of)
     strategy = parse_strategy(cfg.strategy)
 
+    n_old = snapshot.head.num_classes
     try:
-        new_cols, new_biases, bg_col = initialize_head(strategy, snapshot, table, cfg.pretune, rng, use_bias=train.use_bias)
+        model.head = initialize_head(strategy, snapshot, table, cfg.pretune, rng)
     except NumericError as e:
         raise NumericError(f"step {t}: {e}") from e
-    n_old = model.head.num_classes
-    model.head = grow_head(model.head, new_cols, new_biases)
-    if bg_col is not None:
-        model.head.weights[:, 0] = bg_col
 
     old_probs = None
     if train.lambda_kd > 0:

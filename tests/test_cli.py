@@ -1,6 +1,7 @@
 """CLI: config validation, determinism, exit codes, verbs."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -319,6 +320,12 @@ def test_verify_mutation_detected():
         ("run", {"strategy": "nest:similarity:both:junk"}, {}),
         ("run", {"train": {"base_lr": 0}}, {}),
         ("run", {"train": {"inc_lr": -0.5}}, {}),
+        ("ablate", {"train": {"backbone_dim": 0}}, {}),
+        ("ablate", {"train": {"backbone_dim": -2}}, {}),
+        ("ablate", {"train": {"base_epochs": -1}}, {}),
+        ("ablate", {"train": {"inc_epochs": -1}}, {}),
+        ("ablate", {"train": {"lambda_kd": -0.5}}, {}),
+        ("ablate", {"train": {"poly_power": -0.9}}, {}),
     ],
     ids=[
         "missing_file",
@@ -334,6 +341,12 @@ def test_verify_mutation_detected():
         "strategy_extra_part",
         "base_lr_0",
         "inc_lr_negative",
+        "backbone_dim_0",
+        "backbone_dim_negative",
+        "base_epochs_negative",
+        "inc_epochs_negative",
+        "lambda_kd_negative",
+        "poly_power_negative",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, extra, env):
@@ -357,6 +370,81 @@ def test_bad_files_exit_2_with_one_line(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+_HEADER = ",".join(cli.RESULT_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("abc,def\nr,s,1,0,1,1,1,0.0\x00\n", ":2: 2 columns"),
+        ("r,s,1,0,1,1,1,0.0\x00\n", ":2: could not convert"),
+        ("r,s,1,1,1,1,1,0\nr,s,x,1,1,1,1,0\n", ":3: invalid literal for int()"),
+    ],
+    ids=["short_row", "nul_in_wall_seconds", "seed_not_int"],
+)
+def test_report_rejects_bad_rows_with_one_line(tmp_path, capsys, body, where):
+    path = tmp_path / "results.csv"
+    path.write_text(_HEADER + body)
+    assert main(["report", str(path), "-o", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path}{where}"), err
+    assert not (tmp_path / "m.csv").exists()
+
+
+_CELL = st.text(st.characters(codec="utf-8"), max_size=5)
+_INT = st.integers(-5, 10**6).map(str)
+_FLOAT = st.floats().map(str) | st.sampled_from(["nan", "0.500000", "1e-3"])
+_GOOD_ROW = st.tuples(_CELL, _CELL, _INT, _INT, _FLOAT, _FLOAT, _FLOAT, _FLOAT).map(list)
+_BAD_NUMBER = st.sampled_from(["x", "", "1\x00", "0.0.0"])
+_BAD_ROW = st.lists(_CELL, max_size=9) | st.tuples(_GOOD_ROW, st.integers(2, 7), _BAD_NUMBER).map(
+    lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]
+)
+# mostly well-formed files, so that merges run too, with short rows, bad
+# numbers, NUL and undecodable bytes mixed in
+_FILE = st.tuples(
+    st.one_of(st.just(list(cli.RESULT_COLUMNS)), st.just(list(cli.RESULT_COLUMNS)), st.lists(_CELL, max_size=9)),
+    st.lists(st.one_of(_GOOD_ROW, _GOOD_ROW, _GOOD_ROW, _BAD_ROW), max_size=3),
+    st.one_of(st.none(), st.none(), st.none(), st.tuples(st.integers(0, 400), st.sampled_from([b"\xff", b"\xc0", b"\x00", b"\n"]))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FILE, min_size=1, max_size=2))
+def test_fuzzed_report_inputs_merge_or_exit_2(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, rows = [], []
+        for i, (header, body, damage) in enumerate(files):
+            text = io.StringIO(newline="")
+            csv.writer(text, lineterminator="\n").writerows([header, *body])
+            content = text.getvalue().encode("utf-8")
+            if damage:
+                at, raw = damage
+                content = content[:at] + raw + content[at:]
+            paths.append(os.path.join(tmp, f"{i}.csv"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(content)
+            with open(paths[-1], newline="", encoding="utf-8", errors="replace") as fh:
+                rows.extend(list(csv.reader(fh))[1:])
+        out = os.path.join(tmp, "merged.csv")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["report", *paths, "-o", out])
+        assert rc in (0, 2), rc
+        if rc:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+            return
+        with open(out, newline="", encoding="utf-8") as fh:
+            merged = list(csv.reader(fh))
+    assert merged[0] == list(cli.RESULT_COLUMNS)
+    assert merged[1:] == rows
+    for row in rows:  # and each merged row parses
+        assert len(row) == 8
+        for value in row[2:4]:
+            int(value)
+        for value in row[4:]:
+            float(value)
 
 
 @pytest.mark.parametrize(

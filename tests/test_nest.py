@@ -282,7 +282,7 @@ def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw,
     cfg = nest.PretuneConfig(epochs=3, lr=0.5, batch_size=batch_size)
 
     def fresh():
-        tset = nest.similarity_init_transforms(table, old, use_bias=use_bias)
+        tset = nest.similarity_init_transforms(table, old)
         return nest.apply_component_variant(tset, variant)
 
     ours_rng, ref_rng = SplitMix64(7), SplitMix64(7)
@@ -291,6 +291,17 @@ def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw,
     assert _tset_bytes(ours) != _tset_bytes(fresh())  # the transforms moved
     assert _tset_bytes(ours) == _tset_bytes(ref)
     assert ours_rng.next_u64() == ref_rng.next_u64()
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_transform_initializers_carry_biases_exactly_when_the_old_head_has_them(use_bias):
+    rng = SplitMix64(45)
+    head = Head(rng.normal((4, 3)), rng.normal(3) if use_bias else None)
+    old = SegModel(Backbone.single_relu(4, 4, rng), head).snapshot()
+    table = _table(_toy_step(rng), old)
+    expected = {3: 0.0, 4: 0.0} if use_bias else None
+    assert nest.similarity_init_transforms(table, old).biases == expected
+    assert nest.random_init_transforms(table, old, SplitMix64(1)).biases == expected
 
 
 def test_component_variants():

@@ -76,34 +76,31 @@ def test_background_copy_columns():
     rng = SplitMix64(61)
     old = _old_model(rng)
     table = _table(_step(rng), old)
-    cols, biases, bg = initialize_head(
-        parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1)
-    )
+    head = initialize_head(parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1))
     w0 = old.head.weights[:, 0]
-    np.testing.assert_array_equal(cols[:, 0], w0)
-    np.testing.assert_array_equal(cols[:, 1], w0)
-    assert biases is None and bg is None
+    np.testing.assert_array_equal(head.weights[:, 3], w0)
+    np.testing.assert_array_equal(head.weights[:, 4], w0)
+    assert head.biases is None
+    assert head.weights[:, :3].tobytes() == old.head.weights.tobytes()
 
 
 def test_background_copy_bias_split():
     rng = SplitMix64(62)
     old = _old_model(rng, use_bias=True)
     table = _table(_step(rng), old)
-    cols, biases, _ = initialize_head(
-        parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1)
-    )
+    head = initialize_head(parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1))
     expected = old.head.biases[0] - np.log(3.0)  # n_new + 1 = 3
-    np.testing.assert_allclose(biases, expected, atol=1e-12)
+    np.testing.assert_allclose(head.biases[3:], expected, atol=1e-12)
 
 
 def test_random_strategy_shape_and_determinism():
     rng = SplitMix64(63)
     old = _old_model(rng)
     table = _table(_step(rng), old)
-    cols_a, _, _ = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
-    cols_b, _, _ = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
-    assert cols_a.shape == (4, 2)
-    np.testing.assert_array_equal(cols_a, cols_b)
+    head_a = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
+    head_b = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
+    assert head_a.weights[:, 3:].shape == (4, 2)
+    np.testing.assert_array_equal(head_a.weights, head_b.weights)
 
 
 def test_two_stage_changes_background_copy():
@@ -111,9 +108,9 @@ def test_two_stage_changes_background_copy():
     old = _old_model(rng)
     table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=3, lr=0.1, batch_size=2)
-    ts_cols, _, _ = initialize_head(parse_strategy("two_stage"), old, table, cfg, SplitMix64(1))
-    bg_cols, _, _ = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
-    assert not np.array_equal(ts_cols, bg_cols)
+    ts_head = initialize_head(parse_strategy("two_stage"), old, table, cfg, SplitMix64(1))
+    bg_head = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
+    assert not np.array_equal(ts_head.weights[:, 3:], bg_head.weights[:, 3:])
 
 
 def test_nest_strategy_column_count_and_frozen_old():
@@ -122,10 +119,11 @@ def test_nest_strategy_column_count_and_frozen_old():
     before = old.param_bytes()
     table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.05, batch_size=2)
-    cols, biases, bg = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
-    assert cols.shape == (4, 2)
+    head = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
+    assert head.weights[:, 3:].shape == (4, 2)
     assert old.param_bytes() == before
-    assert bg is None  # default keeps the original background column
+    # the default keeps the original background column
+    assert head.weights[:, 0].tobytes() == old.head.weights[:, 0].tobytes()
 
 
 def test_nest_weight_align_postcondition():
@@ -133,7 +131,7 @@ def test_nest_weight_align_postcondition():
     old = _old_model(rng)
     table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.05, batch_size=2, weight_align=True)
-    cols, _, _ = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
+    cols = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1)).weights[:, 3:]
     assert abs(
         np.linalg.norm(cols, axis=0).mean() - np.linalg.norm(old.head.weights, axis=0).mean()
     ) < 1e-12
@@ -144,8 +142,8 @@ def test_nest_use_pretuned_bg_returns_column():
     old = _old_model(rng)
     table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.1, batch_size=2, use_pretuned_bg=True)
-    _, _, bg = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
-    assert bg is not None and bg.shape == (4,)
+    bg = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1)).weights[:, 0]
+    assert bg.shape == (4,)
     assert not np.array_equal(bg, old.head.weights[:, 0])
 
 
@@ -154,9 +152,41 @@ def test_nest_random_matrix_init_differs():
     old = _old_model(rng)
     table = _table(_step(rng), old)
     cfg = nest.PretuneConfig(epochs=1, lr=0.01, batch_size=2, weight_align=False)
-    sim, _, _ = initialize_head(parse_strategy("nest:similarity:both"), old, table, cfg, SplitMix64(1))
-    rnd, _, _ = initialize_head(parse_strategy("nest:random:both"), old, table, cfg, SplitMix64(1))
-    assert not np.array_equal(sim, rnd)
+    sim = initialize_head(parse_strategy("nest:similarity:both"), old, table, cfg, SplitMix64(1))
+    rnd = initialize_head(parse_strategy("nest:random:both"), old, table, cfg, SplitMix64(1))
+    assert not np.array_equal(sim.weights[:, 3:], rnd.weights[:, 3:])
+
+
+# the six strategy strings of tests/golden/mixed_strategies
+GOLDEN_STRATEGIES = (
+    "random",
+    "background",
+    "two_stage",
+    "nest:similarity:both",
+    "nest:random:importance_only",
+    "nest:similarity:projection_only",
+)
+
+
+@pytest.mark.parametrize("use_pretuned_bg", [False, True])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("strategy", GOLDEN_STRATEGIES)
+def test_initialized_head_keeps_the_old_columns(strategy, use_bias, use_pretuned_bg):
+    rng = SplitMix64(69)
+    old = _old_model(rng, use_bias=use_bias)
+    table = _table(_step(rng), old)
+    cfg = nest.PretuneConfig(epochs=2, lr=0.1, batch_size=2, use_pretuned_bg=use_pretuned_bg)
+    head = initialize_head(parse_strategy(strategy), old, table, cfg, SplitMix64(1))
+    assert head.num_classes == 3 + 2
+    assert head.weights.flags.writeable
+    assert head.weights[:, 1:3].tobytes() == old.head.weights[:, 1:].tobytes()
+    replaced = use_pretuned_bg and strategy.startswith("nest")
+    assert (head.weights[:, 0].tobytes() == old.head.weights[:, 0].tobytes()) != replaced
+    if use_bias:
+        assert head.biases.flags.writeable and head.biases.shape == (5,)
+        assert head.biases[:3].tobytes() == old.head.biases.tobytes()
+    else:
+        assert head.biases is None
 
 
 def _two_stage_concatenating_every_batch(table, old_model, cols, biases, cfg, rng):
@@ -192,12 +222,15 @@ def test_two_stage_equals_concatenating_the_head_every_batch(use_bias, hw, batch
     old = _old_model(rng, use_bias=use_bias)
     table = _table(_step(rng, hw=hw, images=6), old)
     cfg = nest.PretuneConfig(epochs=3, lr=0.3, batch_size=batch_size)
-    start_cols, start_biases, _ = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
+    start = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
+    start_cols = start.weights[:, 3:]
+    start_biases = None if start.biases is None else start.biases[3:]
 
     ours_rng, ref_rng = SplitMix64(7), SplitMix64(7)
-    cols, biases, bg = initialize_head(parse_strategy("two_stage"), old, table, cfg, ours_rng)
+    head = initialize_head(parse_strategy("two_stage"), old, table, cfg, ours_rng)
+    cols, biases = head.weights[:, 3:], None if head.biases is None else head.biases[3:]
     ref_cols, ref_biases = _two_stage_concatenating_every_batch(table, old, start_cols, start_biases, cfg, ref_rng)
-    assert bg is None
+    assert head.weights[:, 0].tobytes() == old.head.weights[:, 0].tobytes()
     assert cols.tobytes() != start_cols.tobytes()  # the columns moved
     assert cols.tobytes() == ref_cols.tobytes()
     if use_bias:
