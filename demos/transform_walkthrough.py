@@ -70,12 +70,11 @@ def main():
     loss0, acc0 = new_class_stats(head0, old, data, n_old)
     print(f"before pre-tuning: unbiased CE {loss0:.3f}, new-pixel accuracy {acc0:.3f}")
 
-    nest.pretune(table, old, tset, nest.PretuneConfig(), SplitMix64(2))
-    head1 = nest.assemble_pretune_head(old.head, tset)
+    head1 = nest.pretune(table, old, tset, nest.PretuneConfig(), SplitMix64(2))
     loss1, acc1 = new_class_stats(head1, old, data, n_old)
     print(f"after  pre-tuning: unbiased CE {loss1:.3f}, new-pixel accuracy {acc1:.3f}")
 
-    col = nest.generate_columns(tset, w_old)
+    col = head1.weights[:, n_old:]
     aligned = nest.weight_align(w_old, col)
     print(f"\ncolumn norm {np.linalg.norm(col):.3f} -> {np.linalg.norm(aligned):.3f} "
           f"after weight aligning (old mean {np.linalg.norm(w_old, axis=0).mean():.3f})")

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from itertools import repeat
@@ -31,8 +32,27 @@ _TOP_KEYS = ("world", "sequence", "strategy", "pretune", "train", "report")
 _SECTIONS = {"world": WorldSpec, "sequence": TaskSequence, "pretune": PretuneConfig, "train": TrainConfig}
 _REPORT_DEFAULTS = {"out_dir": "out", "run_id": "run", "timing": False}
 
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
+_DECIMAL_FLOAT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def _decimal_int(text):
+    """A `seed` or `step` cell: ASCII digits with an optional minus sign."""
+    if not _DECIMAL_INT.fullmatch(text):
+        raise ValueError(f"{text!r} is not a plain decimal integer")
+    return int(text)
+
+
+def _finite_float(text):
+    """A number cell: a finite decimal float, or `nan` as `_fmt` writes it.
+    Python's `float` would also take whitespace, underscores and `inf`."""
+    if text != "nan" and not (_DECIMAL_FLOAT.fullmatch(text) and math.isfinite(float(text))):
+        raise ValueError(f"{text!r} is not a finite decimal number or nan")
+    return float(text)
+
+
 RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new", "miou_all", "wall_seconds")
-RESULT_TYPES = (str, str, int, int, float, float, float, float)
+RESULT_TYPES = (str, str, _decimal_int, _decimal_int, _finite_float, _finite_float, _finite_float, _finite_float)
 CURVE_COLUMNS = ("run_id", "step", "epoch", "loss_mean", "loss_std", "featsim_mean", "featsim_std")
 
 
@@ -268,7 +288,7 @@ def cmd_report(inputs, out_path):
                 if tuple(header) != RESULT_COLUMNS:
                     raise ConfigError(f"{candidate}: unexpected columns {header}")
                 for row in reader:
-                    try:  # every column; an integer seed and step, float (or nan) numbers
+                    try:  # every column; a decimal seed and step, finite (or nan) numbers
                         if len(row) != len(RESULT_TYPES):
                             raise ValueError(f"{len(row)} columns, expected {len(RESULT_TYPES)}")
                         for parse, value in zip(RESULT_TYPES, row):

@@ -223,8 +223,9 @@ def pretune(table, old_model, tset, cfg, rng):
     """Tune the transforms by SGD on unbiased cross entropy.
 
     The old model is never written to; only importance/projection matrices
-    (and optional new-class biases) move.  The backbone is frozen, so its
-    features come from the table.
+    (and optional new-class biases) move, in `tset` itself.  The backbone
+    is frozen, so its features come from the table.  Returns the tuned
+    head, byte-equal to `assemble_pretune_head(old_model.head, tset)`.
     """
     w_old = old_model.head.weights
     n_old = w_old.shape[1]
@@ -260,7 +261,7 @@ def pretune(table, old_model, tset, cfg, rng):
             head.biases[n_old:] = [tset.biases[c] for c in new_classes]
 
     tune_new_columns(table, head, n_old, cfg, rng, update)
-    return tset
+    return head
 
 
 def weight_align(old_cols, new_cols):

@@ -84,7 +84,7 @@ def initialize_head(strategy, old_model, table, pretune_cfg, rng):
         else:
             tset = nest.random_init_transforms(table, old_model, rng)
         nest.apply_component_variant(tset, strategy.components)
-        head = nest.assemble_pretune_head(old, nest.pretune(table, old_model, tset, pretune_cfg, rng))
+        head = nest.pretune(table, old_model, tset, pretune_cfg, rng)
         if not pretune_cfg.use_pretuned_bg:
             head.weights[:, 0] = old.weights[:, 0]
         if pretune_cfg.weight_align and n_new:

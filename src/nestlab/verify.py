@@ -74,6 +74,36 @@ def _random_model(rng, d_in, d, n_cols):
     return SegModel(backbone, head)
 
 
+def _param_loss_fn(model, x, loss):
+    """`flat -> loss(logits)` for `model` with its parameters set from
+    `flat`.  One probe copy is made here; each call only overwrites its
+    parameters, so a finite-difference oracle pays for the loss alone."""
+    probe = model.copy()
+
+    def f(flat):
+        probe.set_flat_params(flat)
+        return loss(probe.head.logits(probe.backbone.forward(x)))
+
+    return f
+
+
+def _mp_loss_fn(feats, weights, y, n_old):
+    """`flat (M, P) -> L_unce` of the head `weights` whose column `n_old`
+    is generated from (M, P) and the first `n_old` columns.  Each call
+    rewrites only that column of one copy of `weights`."""
+    d = weights.shape[0]
+    w_old = weights[:, :n_old].copy()
+    w_full = weights.copy()
+
+    def f(flat):
+        m = flat[: d * n_old].reshape(d, n_old)
+        p = flat[d * n_old :].reshape(n_old, 1)
+        w_full[:, n_old] = nest.generate_new_weight(m, p, w_old)
+        return unbiased_ce(feats @ w_full, y, n_old)[0]
+
+    return f
+
+
 def check_gradients(instances=100, seed=13, h=1e-4):
     """Analytic loss gradients vs central finite differences."""
     rng = SplitMix64(seed)
@@ -98,33 +128,17 @@ def check_gradients(instances=100, seed=13, h=1e-4):
         old_probs = softmax(rng.normal((n_pix, n_old)), axis=1)
 
         # model-parameter gradients of L_unce and L_unkd
-        for loss_kind in ("unce", "unkd"):
-
-            def f(flat):
-                m2 = _random_model(SplitMix64(0), d_in, d, n_cols)
-                m2.backbone = Backbone([(w.copy(), b.copy()) for w, b in model.backbone.layers], d_in)
-                m2.head = model.head.copy()
-                m2.set_flat_params(flat)
-                out = m2.backbone.forward(x)
-                z = m2.head.logits(out)
-                if loss_kind == "unce":
-                    return unbiased_ce(z, y, n_old)[0]
-                return unbiased_kd(z, old_probs)[0]
-
-            flat0 = model.flat_params()
+        for loss in (lambda z: unbiased_ce(z, y, n_old), lambda z: unbiased_kd(z, old_probs)):
             out, acts = model.backbone.forward_cache(x)
-            z = model.head.logits(out)
-            if loss_kind == "unce":
-                _, dz = unbiased_ce(z, y, n_old)
-            else:
-                _, dz = unbiased_kd(z, old_probs)
+            _, dz = loss(model.head.logits(out))
             d_head = out.T @ dz
             dfeats = dz @ model.head.weights.T
             layer_grads = model.backbone.backward(dfeats, acts)
             analytic = np.concatenate(
                 [g.ravel() for gw, gb in layer_grads for g in (gw, gb)] + [d_head.ravel()]
             )
-            numeric = finite_diff_grad(f, flat0, h=h)
+            f = _param_loss_fn(model, x, lambda z: loss(z)[0])
+            numeric = finite_diff_grad(f, model.flat_params(), h=h)
             worst = max(worst, _rel_err(analytic, numeric))
 
         # L_unce gradient w.r.t. (M, P) through the weight generation
@@ -132,13 +146,6 @@ def check_gradients(instances=100, seed=13, h=1e-4):
         feats = model.backbone.forward(x)
         m_c = rng.uniform((d, n_old))
         p_c = softmax(rng.normal(n_old))[:, None]
-
-        def f_mp(flat):
-            m = flat[: d * n_old].reshape(d, n_old)
-            p = flat[d * n_old :].reshape(n_old, 1)
-            col = nest.generate_new_weight(m, p, w_old)
-            w_full = np.concatenate([w_old, col[:, None], model.head.weights[:, n_old + 1 :]], axis=1)
-            return unbiased_ce(feats @ w_full, y, n_old)[0]
 
         flat_mp = np.concatenate([m_c.ravel(), p_c.ravel()])
         col = nest.generate_new_weight(m_c, p_c, w_old)
@@ -148,7 +155,7 @@ def check_gradients(instances=100, seed=13, h=1e-4):
         d_m = g_col[:, None] * w_old * p_c.ravel()[None, :]
         d_p = ((m_c * w_old).T @ g_col)[:, None]
         analytic = np.concatenate([d_m.ravel(), d_p.ravel()])
-        numeric = finite_diff_grad(f_mp, flat_mp, h=h)
+        numeric = finite_diff_grad(_mp_loss_fn(feats, model.head.weights, y, n_old), flat_mp, h=h)
         worst = max(worst, _rel_err(analytic, numeric))
     return "gradient_correctness", worst <= 1e-4, f"max relative error {worst:.2e}"
 

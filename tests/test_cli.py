@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,10 +380,13 @@ _HEADER = ",".join(cli.RESULT_COLUMNS) + "\n"
     "body, where",
     [
         ("abc,def\nr,s,1,0,1,1,1,0.0\x00\n", ":2: 2 columns"),
-        ("r,s,1,0,1,1,1,0.0\x00\n", ":2: could not convert"),
-        ("r,s,1,1,1,1,1,0\nr,s,x,1,1,1,1,0\n", ":3: invalid literal for int()"),
+        ("r,s,1,0,1,1,1,0.0\x00\n", ":2: '0.0\\x00' is not a finite decimal number or nan"),
+        ("r,s,1,1,1,1,1,0\nr,s,x,1,1,1,1,0\n", ":3: 'x' is not a plain decimal integer"),
+        ('r,s," 3 ",0,1,1,1,0\n', ":2: ' 3 ' is not a plain decimal integer"),
+        ("r,s,1,1_0,1,1,1,0\n", ":2: '1_0' is not a plain decimal integer"),
+        ("r,s,1,0,1,inf,1,0\n", ":2: 'inf' is not a finite decimal number or nan"),
     ],
-    ids=["short_row", "nul_in_wall_seconds", "seed_not_int"],
+    ids=["short_row", "nul_in_wall_seconds", "seed_not_int", "seed_padded", "step_underscored", "miou_inf"],
 )
 def test_report_rejects_bad_rows_with_one_line(tmp_path, capsys, body, where):
     path = tmp_path / "results.csv"
@@ -395,9 +399,9 @@ def test_report_rejects_bad_rows_with_one_line(tmp_path, capsys, body, where):
 
 _CELL = st.text(st.characters(codec="utf-8"), max_size=5)
 _INT = st.integers(-5, 10**6).map(str)
-_FLOAT = st.floats().map(str) | st.sampled_from(["nan", "0.500000", "1e-3"])
+_FLOAT = st.floats(allow_infinity=False).map(str) | st.sampled_from(["nan", "0.500000", "1e-3"])
 _GOOD_ROW = st.tuples(_CELL, _CELL, _INT, _INT, _FLOAT, _FLOAT, _FLOAT, _FLOAT).map(list)
-_BAD_NUMBER = st.sampled_from(["x", "", "1\x00", "0.0.0"])
+_BAD_NUMBER = st.sampled_from(["x", "", "1\x00", "0.0.0", " 3 ", "1_0", "inf", "-inf", "NaN", "\u0663"])
 _BAD_ROW = st.lists(_CELL, max_size=9) | st.tuples(_GOOD_ROW, st.integers(2, 7), _BAD_NUMBER).map(
     lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]
 )
@@ -444,7 +448,7 @@ def test_fuzzed_report_inputs_merge_or_exit_2(files):
         for value in row[2:4]:
             int(value)
         for value in row[4:]:
-            float(value)
+            assert value == "nan" or math.isfinite(float(value))
 
 
 @pytest.mark.parametrize(

@@ -286,11 +286,18 @@ def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw,
         return nest.apply_component_variant(tset, variant)
 
     ours_rng, ref_rng = SplitMix64(7), SplitMix64(7)
-    ours = nest.pretune(table, old, fresh(), cfg, ours_rng)
+    ours = fresh()
+    tuned = nest.pretune(table, old, ours, cfg, ours_rng)
     ref = _pretune_reassembling_every_batch(table, old, fresh(), cfg, ref_rng)
     assert _tset_bytes(ours) != _tset_bytes(fresh())  # the transforms moved
     assert _tset_bytes(ours) == _tset_bytes(ref)
     assert ours_rng.next_u64() == ref_rng.next_u64()
+    # the returned head is the tuned transforms' head, byte for byte
+    assembled = nest.assemble_pretune_head(old.head, ref)
+    assert tuned.weights.tobytes() == assembled.weights.tobytes()
+    assert (tuned.biases is None) == (assembled.biases is None) == (not use_bias)
+    if use_bias:
+        assert tuned.biases.tobytes() == assembled.biases.tobytes()
 
 
 @pytest.mark.parametrize("use_bias", [False, True])

@@ -1,0 +1,128 @@
+"""The gradient check of `nestlab verify`: its loss closures, its cost in
+model draws, and that it can fail."""
+
+import numpy as np
+import pytest
+
+from nestlab import nest, verify
+from nestlab.losses import unbiased_ce, unbiased_kd
+from nestlab.model import Backbone
+from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
+
+
+def _rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind):
+    """Reference: the closure that built a throwaway random model on every
+    evaluation, replaced its backbone and head with copies of `model`'s
+    and then overwrote its parameters."""
+    d_in, d, n_cols = model.backbone.input_dim, model.head.dim, model.head.num_classes
+
+    def f(flat):
+        m2 = verify._random_model(SplitMix64(0), d_in, d, n_cols)
+        m2.backbone = Backbone([(w.copy(), b.copy()) for w, b in model.backbone.layers], d_in)
+        m2.head = model.head.copy()
+        m2.set_flat_params(flat)
+        out = m2.backbone.forward(x)
+        z = m2.head.logits(out)
+        if loss_kind == "unce":
+            return unbiased_ce(z, y, n_old)[0]
+        return unbiased_kd(z, old_probs)[0]
+
+    return f
+
+
+def _concatenating_mp_loss(feats, weights, y, n_old):
+    """Reference: the (M, P) closure that concatenated a fresh head on
+    every evaluation."""
+    d = weights.shape[0]
+    w_old = weights[:, :n_old].copy()
+
+    def f_mp(flat):
+        m = flat[: d * n_old].reshape(d, n_old)
+        p = flat[d * n_old :].reshape(n_old, 1)
+        col = nest.generate_new_weight(m, p, w_old)
+        w_full = np.concatenate([w_old, col[:, None], weights[:, n_old + 1 :]], axis=1)
+        return unbiased_ce(feats @ w_full, y, n_old)[0]
+
+    return f_mp
+
+
+def _instance(seed):
+    """A gradient-check instance drawn as `check_gradients` draws one
+    (without its ReLU-kink rejection, which both closures share)."""
+    rng = SplitMix64(seed)
+    d_in, d = 2 + rng.integers(4), 2 + rng.integers(7)
+    n_old, n_new = 2 + rng.integers(4), 1 + rng.integers(3)
+    model = verify._random_model(rng, d_in, d, n_old + n_new)
+    x = rng.normal((16, d_in))
+    y = rng.integers(n_new + 1, size=16)
+    y = np.where(y > 0, y + n_old - 1, 0)
+    old_probs = softmax(rng.normal((16, n_old)), axis=1)
+    m_c = rng.uniform((d, n_old))
+    p_c = softmax(rng.normal(n_old))[:, None]
+    return model, x, y, n_old, old_probs, np.concatenate([m_c.ravel(), p_c.ravel()])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("loss_kind", ["unce", "unkd"])
+def test_probe_model_closure_equals_rebuilding_the_model_every_evaluation(seed, loss_kind):
+    model, x, y, n_old, old_probs, _ = _instance(seed)
+    before = model.param_bytes()
+    loss = (lambda z: unbiased_ce(z, y, n_old)[0]) if loss_kind == "unce" else (lambda z: unbiased_kd(z, old_probs)[0])
+    ours = finite_diff_grad(verify._param_loss_fn(model, x, loss), model.flat_params())
+    ref = finite_diff_grad(_rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind), model.flat_params())
+    assert ours.tobytes() == ref.tobytes()
+    assert np.abs(ours).max() > 0
+    assert model.param_bytes() == before
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mp_closure_equals_concatenating_the_head_every_evaluation(seed):
+    model, x, y, n_old, _, flat_mp = _instance(seed)
+    weights = model.head.weights.copy()
+    feats = model.backbone.forward(x)
+    ours = finite_diff_grad(verify._mp_loss_fn(feats, model.head.weights, y, n_old), flat_mp)
+    ref = finite_diff_grad(_concatenating_mp_loss(feats, model.head.weights, y, n_old), flat_mp)
+    assert ours.tobytes() == ref.tobytes()
+    assert np.abs(ours).max() > 0
+    assert model.head.weights.tobytes() == weights.tobytes()
+
+
+def test_gradient_check_reports_the_reference_run():
+    # the detail string of the check when every evaluation rebuilt its model
+    assert verify.check_gradients(instances=5) == ("gradient_correctness", True, "max relative error 4.04e-09")
+
+
+def test_gradient_check_draws_one_model_per_rejection_loop_try(monkeypatch):
+    single_relu = Backbone.single_relu.__func__
+    random_model = verify._random_model
+    backbones, draws = [], []
+
+    def counting_single_relu(cls, *args, **kwargs):
+        backbones.append(1)
+        return single_relu(cls, *args, **kwargs)
+
+    def recording_random_model(rng, *args):
+        draws.append(rng)
+        return random_model(rng, *args)
+
+    monkeypatch.setattr(Backbone, "single_relu", classmethod(counting_single_relu))
+    monkeypatch.setattr(verify, "_random_model", recording_random_model)
+    name, ok, _ = verify.check_gradients(instances=3)
+    assert ok
+    # the rejection loop draws every model from the check's own rng
+    loop_draws = sum(rng is draws[0] for rng in draws)
+    assert loop_draws >= 3
+    assert len(backbones) == len(draws) == loop_draws
+
+
+@pytest.mark.parametrize("kernel", ["unbiased_ce", "unbiased_kd"])
+def test_gradient_check_detects_a_scaled_gradient(monkeypatch, kernel):
+    true_kernel = getattr(verify, kernel)
+
+    def scaled(*args):
+        loss, dz = true_kernel(*args)
+        return loss, dz * (1 + 1e-3)
+
+    monkeypatch.setattr(verify, kernel, scaled)
+    name, ok, detail = verify.check_gradients(instances=2)
+    assert name == "gradient_correctness" and not ok, detail
