@@ -10,7 +10,6 @@ data or a file that cannot be read or written, 3 numeric failure.
 """
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -19,12 +18,11 @@ import os
 import re
 import sys
 import time
-from itertools import repeat
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nest import PretuneConfig
 from .synthdata import TaskSequence, WorldSpec, build_world, dump_images
-from .trainer import ExperimentConfig, TrainConfig, run_experiment, train_base
+from .trainer import ExperimentConfig, TrainConfig, run_plan
 
 _TOP_KEYS = ("world", "sequence", "strategy", "pretune", "train", "report")
 
@@ -130,6 +128,12 @@ def load_config(path):
     strategies = _strategies(resolved)
     if not isinstance(strategies, list) or not strategies or not all(isinstance(x, str) for x in strategies):
         raise ConfigError("strategy must be a string or a non-empty list of strings")
+    # a repeated entry would run the same experiment twice and weight it
+    # twice in ablation.csv
+    for name, values in (("train.seeds", resolved["train"]["seeds"]), ("strategy", strategies)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
     for text in strategies:
         _experiment_config(resolved, text).validate()
     return resolved
@@ -154,24 +158,18 @@ def _write_csv(path, columns, rows):
         writer.writerows(rows)
 
 
-def _run_one(resolved, strat, seed, world, base):
-    """One arm from its seed's shared base; returns (result_rows,
-    curve_rows) for that run."""
-    timing = resolved["report"]["timing"]
-    run_id = f"{resolved['report']['run_id']}-{strat.replace(':', '_')}-s{seed}"
-    cfg = _experiment_config(resolved, strat, seed)
-    result = run_experiment(cfg, world, base)
-    result_rows, curve_rows = [], []
+def _run_rows(report, cfg, result, result_rows, curve_rows):
+    """Append the results.csv and curves.csv rows of the run of `cfg`;
+    `report` is the config's resolved `report` section."""
+    run_id = f"{report['run_id']}-{cfg.strategy.replace(':', '_')}-s{cfg.seed}"
     for rep in result.reports:
-        wall = rep.wall_seconds if timing else 0.0
-        result_rows.append(
-            (run_id, strat, seed, rep.step, _fmt(rep.miou_base), _fmt(rep.miou_new), _fmt(rep.miou_all), _fmt(wall))
-        )
+        wall = rep.wall_seconds if report["timing"] else 0.0
+        miou = (_fmt(rep.miou_base), _fmt(rep.miou_new), _fmt(rep.miou_all))
+        result_rows.append((run_id, cfg.strategy, cfg.seed, rep.step, *miou, _fmt(wall)))
         for e, st in enumerate(rep.epochs):
             curve_rows.append(
                 (run_id, rep.step, e, _fmt(st.loss_mean), _fmt(st.loss_std), _fmt(st.featsim_mean), _fmt(st.featsim_std))
             )
-    return result_rows, curve_rows
 
 
 def _worker_count(n_jobs):
@@ -184,40 +182,6 @@ def _worker_count(n_jobs):
     return max(1, min(workers, n_jobs, os.cpu_count() or 1))
 
 
-def execute_runs(resolved, out_dir):
-    """Run (strategy x seed) experiments; returns result and curve rows.
-
-    Jobs differ only in strategy and seed, and neither the world nor the
-    base step depends on the strategy, so the world is built once and the
-    base step trained once per seed; every arm continues from its seed's
-    base.  NEST_LAB_THREADS > 1 maps the bases, then the arms, over worker
-    processes; rows are merged in job order so output stays deterministic.
-    """
-    strategies = _strategies(resolved)
-    seeds = resolved["train"]["seeds"]
-    jobs = [(strat, seed) for strat in strategies for seed in seeds]
-    workers = _worker_count(len(jobs))
-    configs = [_experiment_config(resolved, strategies[0], seed) for seed in dict.fromkeys(seeds)]
-    world = build_world(configs[0].world)
-
-    pool = contextlib.nullcontext()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool as executor:
-        map_fn = executor.map if executor else map
-        bases = {cfg.seed: base for cfg, base in zip(configs, map_fn(train_base, configs, repeat(world)))}
-        strats, job_seeds = zip(*jobs)
-        outputs = list(map_fn(_run_one, repeat(resolved), strats, job_seeds, repeat(world), [bases[s] for s in job_seeds]))
-
-    result_rows, curve_rows = [], []
-    for rr, cr in outputs:
-        result_rows.extend(rr)
-        curve_rows.extend(cr)
-    return result_rows, curve_rows
-
-
 def cmd_run(config_path, out_dir, aggregate=False):
     """`run`; with `aggregate`, `ablate`, which also writes ablation.csv."""
     import statistics
@@ -225,7 +189,12 @@ def cmd_run(config_path, out_dir, aggregate=False):
     resolved = load_config(config_path)
     out_dir = out_dir or resolved["report"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    result_rows, curve_rows = execute_runs(resolved, out_dir)
+    # (strategy x seed) runs, strategy-major; the plan trains one base step per seed
+    seeds = resolved["train"]["seeds"]
+    configs = [_experiment_config(resolved, strat, seed) for strat in _strategies(resolved) for seed in seeds]
+    result_rows, curve_rows = [], []
+    for cfg, result in zip(configs, run_plan(configs, _worker_count(len(configs)))):
+        _run_rows(resolved["report"], cfg, result, result_rows, curve_rows)
     _write_csv(os.path.join(out_dir, "results.csv"), RESULT_COLUMNS, result_rows)
     _write_csv(os.path.join(out_dir, "curves.csv"), CURVE_COLUMNS, curve_rows)
 

@@ -118,11 +118,10 @@ def unbiased_kd(logits, old_probs):
 
 
 def incremental_loss(logits, labels, old_probs, n_old, lambda_kd):
-    """L_unce + lambda * L_unkd; returns (total, unce, dlogits)."""
-    l_ce, dz = unbiased_ce(logits, labels, n_old)
-    total = l_ce
+    """L_unce + lambda * L_unkd; returns (total, dlogits)."""
+    total, dz = unbiased_ce(logits, labels, n_old)
     if lambda_kd > 0 and old_probs is not None:
         l_kd, dz_kd = unbiased_kd(logits, old_probs)
-        total = l_ce + lambda_kd * l_kd
+        total = total + lambda_kd * l_kd
         dz = dz + lambda_kd * dz_kd
-    return total, l_ce, dz
+    return total, dz

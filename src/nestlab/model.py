@@ -134,6 +134,16 @@ class SegModel:
                 a.setflags(write=False)
         return snap
 
+    def grads(self, out, acts, dz):
+        """Backprop of the logit gradient `dz` through head and backbone,
+        from `out, acts = self.backbone.forward_cache(x)`: the per-layer
+        (dW, db), the head's weight gradient and its bias gradient (None
+        without biases), in `flat_params` order."""
+        d_head = out.T @ dz
+        layer_grads = self.backbone.backward(dz @ self.head.weights.T, acts)
+        d_bias = None if self.head.biases is None else dz.sum(axis=0)
+        return layer_grads, d_head, d_bias
+
     def param_bytes(self):
         parts = [w.tobytes() + b.tobytes() for w, b in self.backbone.layers]
         parts.append(self.head.weights.tobytes())

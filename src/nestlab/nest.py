@@ -120,6 +120,14 @@ def generate_new_weight(m, p, w_old):
     return ((m * w_old) @ p).ravel()
 
 
+def transform_grads(gc, m, p, w_old):
+    """Chain rule through `generate_new_weight`: the gradients w.r.t. M
+    and P from `gc`, the gradient w.r.t. the generated column."""
+    d_m = gc[:, None] * w_old * p.ravel()[None, :]
+    d_p = ((m * w_old).T @ gc)[:, None]
+    return d_m, d_p
+
+
 def generate_bg_weight(m0, p0, w0):
     m0 = np.asarray(m0, dtype=np.float64).ravel()
     w0 = np.asarray(w0, dtype=np.float64).ravel()
@@ -245,10 +253,8 @@ def pretune(table, old_model, tset, cfg, rng):
         if tset.train_projection:
             tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
         for i, c in enumerate(new_classes):
-            gc = g[:, n_old + i]
             m, p = tset.importance[c], tset.projection[c]
-            d_m = gc[:, None] * w_old * p.ravel()[None, :]
-            d_p = ((m * w_old).T @ gc)[:, None]
+            d_m, d_p = transform_grads(g[:, n_old + i], m, p, w_old)
             if tset.train_importance:
                 tset.importance[c] = m - cfg.lr * d_m
             if tset.train_projection:

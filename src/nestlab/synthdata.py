@@ -276,14 +276,3 @@ def dump_images(images, path):
             }
             fh.write(json.dumps(rec) + "\n")
 
-
-def load_images(path):
-    images = []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            feats = np.array(rec["features"], dtype=np.float64).reshape(rec["h"], rec["w"], rec["d"])
-            labels = np.array(rec["labels"], dtype=np.int64).reshape(rec["h"], rec["w"])
-            images.append(LabeledImage(feats, labels))
-    return images
-

@@ -2,12 +2,14 @@
 initialization, formal training with the unbiased losses, and
 stability instrumentation (per-epoch loss and feature-similarity stats).
 Base and formal training are one SGD loop, `_train_epochs`, over the
-`synthdata.minibatches` schedule; a config file's seed list is the CLI's.
+`synthdata.minibatches` schedule.  `run_plan` runs a list of configs,
+building each world once and training each base step once.
 """
 
+import contextlib
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,17 +139,14 @@ def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, f
                 raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, batch {it}")
             losses.append(loss)
             lr = lr_fn(epoch * len(batches) + it)
-            d_head = out.T @ dz
+            layer_grads, d_head, d_bias = model.grads(out, acts, dz)
             if frozen_cols:
                 d_head[:, list(frozen_cols)] = 0.0
-            dfeats = dz @ model.head.weights.T
-            layer_grads = model.backbone.backward(dfeats, acts)
             model.head.weights = model.head.weights - lr * d_head
-            if model.head.biases is not None:
-                db = dz.sum(axis=0)
+            if d_bias is not None:
                 if frozen_cols:
-                    db[list(frozen_cols)] = 0.0
-                model.head.biases = model.head.biases - lr * db
+                    d_bias[list(frozen_cols)] = 0.0
+                model.head.biases = model.head.biases - lr * d_bias
             for li, (gw, gb) in enumerate(layer_grads):
                 w, b = model.backbone.layers[li]
                 model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
@@ -160,8 +159,8 @@ def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, f
     return stats
 
 
-def _evaluate(model, test_images, n_cols, col_of):
-    cm = ConfusionMatrix(n_cols)
+def _evaluate(model, test_images, col_of):
+    cm = ConfusionMatrix(model.head.num_classes)
     for img in test_images:
         h, w, d_in = img.features.shape
         feats = model.backbone.forward(img.features.reshape(-1, d_in))
@@ -171,21 +170,21 @@ def _evaluate(model, test_images, n_cols, col_of):
     return cm
 
 
-def _report_from_cm(cm, step, sequence):
-    ious = iou_per_class(cm)
+def _step_report(model, data, sequence, stats, t0):
+    """The step's StepReport, timed from `t0`, and the IoU of every head
+    column, from evaluating `model` on the step's test images."""
+    ious = iou_per_class(_evaluate(model, data.test_images, _col_of_class(sequence)))
     n_base = sequence.base_count
-    n_seen = n_base + step * sequence.increment
-    base_ids = list(range(0, n_base + 1))
-    new_ids = list(range(n_base + 1, n_seen + 1))
-    all_ids = list(range(0, n_seen + 1))
+    n_seen = n_base + data.step * sequence.increment
+    new_ids = range(n_base + 1, n_seen + 1)
     miou_new = miou_range(ious, new_ids) if new_ids else float("nan")
-    return ious, miou_range(ious, base_ids), miou_new, miou_range(ious, all_ids)
+    miou_base = miou_range(ious, range(n_base + 1))
+    miou_all = miou_range(ious, range(n_seen + 1))
+    return StepReport(data.step, miou_base, miou_new, miou_all, stats, time.perf_counter() - t0), ious
 
 
-def train_base_step(cfg, world, rng=None):
+def train_base_step(cfg, world, rng):
     """Plain cross-entropy training on step 0 classes."""
-    if rng is None:
-        rng = SplitMix64(cfg.seed)
     train = cfg.train
     d_in = world.spec.feature_dim
     backbone = Backbone.single_relu(d_in, train.backbone_dim, rng)
@@ -210,8 +209,7 @@ def run_step(model, cfg, world, t, rng):
     snapshot = model.snapshot()
     snapshot_bytes = snapshot.param_bytes()
     data = step_view(cfg.sequence, world, t)
-    col_of = _col_of_class(cfg.sequence)
-    table = step_table(data, snapshot.backbone, col_of)
+    table = step_table(data, snapshot.backbone, _col_of_class(cfg.sequence))
     strategy = parse_strategy(cfg.strategy)
 
     n_old = snapshot.head.num_classes
@@ -227,8 +225,7 @@ def run_step(model, cfg, world, t, rng):
 
     def loss_fn(z, y, batch):
         op = None if old_probs is None else old_probs[batch].reshape(-1, n_old)
-        total, _, dz = incremental_loss(z, y, op, n_old, train.lambda_kd)
-        return total, dz
+        return incremental_loss(z, y, op, n_old, train.lambda_kd)
 
     total_iters = train.inc_epochs * -(-len(table.x) // train.batch_size)
 
@@ -243,9 +240,7 @@ def run_step(model, cfg, world, t, rng):
     if snapshot.param_bytes() != snapshot_bytes:
         raise NumericError("old-model snapshot was mutated during the step")
 
-    cm = _evaluate(model, data.test_images, model.head.num_classes, col_of)
-    ious, miou_base, miou_new, miou_all = _report_from_cm(cm, t, cfg.sequence)
-    report = StepReport(t, miou_base, miou_new, miou_all, stats, time.perf_counter() - t0)
+    report, ious = _step_report(model, data, cfg.sequence, stats, t0)
     return model, report, ious
 
 
@@ -254,9 +249,7 @@ def train_base(cfg, world):
     rng = SplitMix64(cfg.seed)
     t0 = time.perf_counter()
     model, base_data, base_stats = train_base_step(cfg, world, rng)
-    cm = _evaluate(model, base_data.test_images, model.head.num_classes, _col_of_class(cfg.sequence))
-    ious, miou_base, miou_new, miou_all = _report_from_cm(cm, 0, cfg.sequence)
-    report = StepReport(0, miou_base, miou_new, miou_all, base_stats, time.perf_counter() - t0)
+    report, ious = _step_report(model, base_data, cfg.sequence, base_stats, t0)
     return BaseStep(model.snapshot(), rng, report, ious)
 
 
@@ -283,3 +276,41 @@ def run_experiment(cfg, world=None, base=None):
         if col < len(ious):
             per_class[c] = float(ious[col])
     return RunResult(reports=reports, per_class_iou=per_class)
+
+
+def _base_key(cfg):
+    """What `train_base` may read of `cfg`: the config with only the
+    fields it never reads blanked out.  A field added later then gives
+    its own base, trained again, instead of sharing one trained for
+    another config."""
+    train = replace(cfg.train, inc_epochs=None, inc_lr=None, lambda_kd=None, fix_old_classifiers=None, poly_power=None)
+    return repr(replace(cfg, strategy=None, pretune=None, train=train))
+
+
+def run_plan(configs, workers=1):
+    """Run every config; returns their RunResults in input order.
+
+    One world is built per distinct `WorldSpec` and one base step trained
+    per distinct `_base_key`; every run continues from its key's base, so
+    each result is byte-identical to `run_experiment(cfg)` run alone.
+    With `workers` > 1 the bases, then the runs, are mapped over that many
+    worker processes.
+    """
+    for cfg in configs:
+        cfg.validate()
+    worlds = {repr(cfg.world): cfg.world for cfg in configs}
+    worlds = {key: build_world(spec) for key, spec in worlds.items()}
+    base_cfgs = {}  # base key -> the first config with that key
+    for cfg in configs:
+        base_cfgs.setdefault(_base_key(cfg), cfg)
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool as executor:
+        map_fn = executor.map if executor else map
+        base_worlds = [worlds[repr(cfg.world)] for cfg in base_cfgs.values()]
+        bases = dict(zip(base_cfgs, map_fn(train_base, base_cfgs.values(), base_worlds)))
+        run_worlds = [worlds[repr(cfg.world)] for cfg in configs]
+        return list(map_fn(run_experiment, configs, run_worlds, [bases[_base_key(cfg)] for cfg in configs]))

@@ -131,12 +131,8 @@ def check_gradients(instances=100, seed=13, h=1e-4):
         for loss in (lambda z: unbiased_ce(z, y, n_old), lambda z: unbiased_kd(z, old_probs)):
             out, acts = model.backbone.forward_cache(x)
             _, dz = loss(model.head.logits(out))
-            d_head = out.T @ dz
-            dfeats = dz @ model.head.weights.T
-            layer_grads = model.backbone.backward(dfeats, acts)
-            analytic = np.concatenate(
-                [g.ravel() for gw, gb in layer_grads for g in (gw, gb)] + [d_head.ravel()]
-            )
+            layer_grads, d_head, _ = model.grads(out, acts, dz)  # the head has no biases
+            analytic = np.concatenate([g.ravel() for layer in layer_grads for g in layer] + [d_head.ravel()])
             f = _param_loss_fn(model, x, lambda z: loss(z)[0])
             numeric = finite_diff_grad(f, model.flat_params(), h=h)
             worst = max(worst, _rel_err(analytic, numeric))
@@ -151,9 +147,7 @@ def check_gradients(instances=100, seed=13, h=1e-4):
         col = nest.generate_new_weight(m_c, p_c, w_old)
         w_full = np.concatenate([w_old, col[:, None], model.head.weights[:, n_old + 1 :]], axis=1)
         _, dz = unbiased_ce(feats @ w_full, y, n_old)
-        g_col = feats.T @ dz[:, n_old]
-        d_m = g_col[:, None] * w_old * p_c.ravel()[None, :]
-        d_p = ((m_c * w_old).T @ g_col)[:, None]
+        d_m, d_p = nest.transform_grads(feats.T @ dz[:, n_old], m_c, p_c, w_old)
         analytic = np.concatenate([d_m.ravel(), d_p.ravel()])
         numeric = finite_diff_grad(_mp_loss_fn(feats, model.head.weights, y, n_old), flat_mp, h=h)
         worst = max(worst, _rel_err(analytic, numeric))

@@ -246,15 +246,21 @@ def test_ablate_single_arm_matches_run(tmp_path):
 
 
 def test_gen_data_round_trip(tmp_path):
-    from nestlab.synthdata import load_images
+    # gen-data writes the configured world's pools, one image per line,
+    # exactly as `dump_images` writes them (test_synthdata reads them back)
+    from nestlab.synthdata import build_world, dump_images
 
     cfg = write_config(tmp_path)
     out = str(tmp_path / "data")
     assert main(["gen-data", cfg, "-o", out]) == 0
-    train = load_images(os.path.join(out, "train.jsonl"))
-    test = load_images(os.path.join(out, "test.jsonl"))
-    assert len(train) == 4 * 5
-    assert len(test) == 4 * 2
+    world = build_world(_experiment_config(load_config(cfg), "background").world)
+    for name, pool, count in (("train", world.train_pool, 4 * 5), ("test", world.test_pool, 4 * 2)):
+        ref = str(tmp_path / f"{name}.ref.jsonl")
+        dump_images(pool, ref)
+        with open(os.path.join(out, f"{name}.jsonl"), "rb") as fa, open(ref, "rb") as fb:
+            written = fa.read()
+            assert written == fb.read(), name
+        assert written.count(b"\n") == count, name
 
 
 def test_report_merges(tmp_path):
@@ -327,6 +333,8 @@ def test_verify_mutation_detected():
         ("ablate", {"train": {"inc_epochs": -1}}, {}),
         ("ablate", {"train": {"lambda_kd": -0.5}}, {}),
         ("ablate", {"train": {"poly_power": -0.9}}, {}),
+        ("ablate", {"strategy": ["background", "background"]}, {}),
+        ("ablate", {"train": {"seeds": [1, 1, 2]}}, {}),
     ],
     ids=[
         "missing_file",
@@ -348,6 +356,8 @@ def test_verify_mutation_detected():
         "inc_epochs_negative",
         "lambda_kd_negative",
         "poly_power_negative",
+        "strategy_repeated",
+        "seed_repeated",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, extra, env):
@@ -357,6 +367,15 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, ex
     assert main([verb, path, "-o", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+def test_repeated_strategy_or_seed_is_named(tmp_path):
+    # a repeated entry would run one experiment twice and weight it twice
+    # in ablation.csv's means
+    with pytest.raises(ConfigError, match="strategy lists 'background' more than once"):
+        load_config(write_config(tmp_path, {"strategy": ["background", "random", "background"]}))
+    with pytest.raises(ConfigError, match="train.seeds lists 1 more than once"):
+        load_config(write_config(tmp_path, {"train": {"seeds": [1, 2, 1]}}))
 
 
 @pytest.mark.parametrize("case", ["report_missing_file", "report_empty_file", "gen_data_out_is_a_file"])
@@ -610,7 +629,7 @@ def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config):
             json.dump(config, fh)
         # in-process runs, so that every trained model can be recorded
         stack.enter_context(mock.patch.dict(os.environ, {"NEST_LAB_THREADS": "1"}))
-        stack.enter_context(mock.patch.object(cli, "train_base", keep(cli.train_base, lambda base: base.model)))
+        stack.enter_context(mock.patch.object(trainer, "train_base", keep(trainer.train_base, lambda base: base.model)))
         stack.enter_context(mock.patch.object(trainer, "run_step", keep(trainer.run_step, lambda out: out[0])))
         stderr = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         caught = stack.enter_context(warnings.catch_warnings(record=True))

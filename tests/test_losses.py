@@ -163,14 +163,13 @@ def test_gradients_match_finite_differences():
 def test_incremental_loss_combination():
     rng = SplitMix64(26)
     z, y, old = _random_instance(rng)
-    total, l_ce, dz = incremental_loss(z, y, old, n_old=3, lambda_kd=2.5)
+    total, dz = incremental_loss(z, y, old, n_old=3, lambda_kd=2.5)
     ce_only, dce = unbiased_ce(z, y, 3)
     kd_only, dkd = unbiased_kd(z, old)
     assert abs(total - (ce_only + 2.5 * kd_only)) < 1e-12
-    assert abs(l_ce - ce_only) < 1e-12
     np.testing.assert_allclose(dz, dce + 2.5 * dkd, atol=1e-12)
     # lambda 0 short-circuits the distillation term
-    t0, _, dz0 = incremental_loss(z, y, None, n_old=3, lambda_kd=0.0)
+    t0, dz0 = incremental_loss(z, y, None, n_old=3, lambda_kd=0.0)
     assert abs(t0 - ce_only) < 1e-12
     np.testing.assert_allclose(dz0, dce, atol=1e-12)
 

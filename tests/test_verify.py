@@ -1,13 +1,18 @@
 """The gradient check of `nestlab verify`: its loss closures, its cost in
-model draws, and that it can fail."""
+model draws, that it can fail, and that it checks the gradient code that
+training and pre-tuning use."""
+
+import collections
 
 import numpy as np
 import pytest
 
 from nestlab import nest, verify
 from nestlab.losses import unbiased_ce, unbiased_kd
-from nestlab.model import Backbone
+from nestlab.model import Backbone, SegModel
 from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
+from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_table
+from nestlab.trainer import ExperimentConfig, TrainConfig, train_base_step
 
 
 def _rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind):
@@ -115,14 +120,81 @@ def test_gradient_check_draws_one_model_per_rejection_loop_try(monkeypatch):
     assert len(backbones) == len(draws) == loop_draws
 
 
-@pytest.mark.parametrize("kernel", ["unbiased_ce", "unbiased_kd"])
-def test_gradient_check_detects_a_scaled_gradient(monkeypatch, kernel):
-    true_kernel = getattr(verify, kernel)
+_SCALE = 1 + 1e-3
 
+
+def _scaled_dz(kernel):
     def scaled(*args):
-        loss, dz = true_kernel(*args)
-        return loss, dz * (1 + 1e-3)
+        loss, dz = kernel(*args)
+        return loss, dz * _SCALE
 
-    monkeypatch.setattr(verify, kernel, scaled)
+    return scaled
+
+
+def _scaled_model_grads(grads):
+    def scaled(self, out, acts, dz):
+        layer_grads, d_head, d_bias = grads(self, out, acts, dz)
+        d_bias = None if d_bias is None else d_bias * _SCALE
+        return [(gw * _SCALE, gb * _SCALE) for gw, gb in layer_grads], d_head * _SCALE, d_bias
+
+    return scaled
+
+
+def _scaled_transform_grads(transform_grads):
+    def scaled(*args):
+        d_m, d_p = transform_grads(*args)
+        return d_m * _SCALE, d_p * _SCALE
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "owner, attr, scale",
+    [
+        (verify, "unbiased_ce", _scaled_dz),
+        (verify, "unbiased_kd", _scaled_dz),
+        (SegModel, "grads", _scaled_model_grads),
+        (nest, "transform_grads", _scaled_transform_grads),
+    ],
+    ids=["unbiased_ce", "unbiased_kd", "SegModel.grads", "transform_grads"],
+)
+def test_gradient_check_detects_a_scaled_gradient(monkeypatch, owner, attr, scale):
+    # the loss kernels and the two chain-rule helpers that training and
+    # pre-tuning step with: a 0.1 % error in any of them fails criterion 3
+    monkeypatch.setattr(owner, attr, scale(getattr(owner, attr)))
     name, ok, detail = verify.check_gradients(instances=2)
     assert name == "gradient_correctness" and not ok, detail
+
+
+def test_training_and_pretuning_step_with_the_checked_helpers(monkeypatch):
+    # the code criterion 3 checks is the code that trains: formal
+    # training backprops through SegModel.grads, pre-tuning through
+    # nest.transform_grads
+    calls = collections.Counter()
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args):
+            calls[attr] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(SegModel, "grads")
+    count(nest, "transform_grads")
+    spec = WorldSpec(num_classes=2, feature_dim=3, mixture_classes=(), height=4, width=4, images_per_class=2)
+    seq = TaskSequence(class_order=(1, 2), base_count=1)
+    cfg = ExperimentConfig(world=spec, sequence=seq, train=TrainConfig(base_epochs=1, batch_size=1))
+    _, data, _ = train_base_step(cfg, build_world(spec), SplitMix64(1))
+    n_batches = len(data.train_images)  # one epoch, batch size 1
+    assert n_batches and calls == {"grads": n_batches}
+
+    rng = SplitMix64(5)
+    old = verify._random_model(rng, 4, 4, 3).snapshot()
+    data = verify._toy_step(rng)
+    table = step_table(data, old.backbone, {c: 3 + i for i, c in enumerate(data.class_set)})
+    tset = nest.similarity_init_transforms(table, old)
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=1, batch_size=2), rng)
+    # two batches of the four toy images, one call per new class each
+    assert calls == {"grads": n_batches, "transform_grads": 2 * len(data.class_set)}
