@@ -18,19 +18,62 @@ def _safe_log(x):
     return np.log(np.maximum(x, _LOG_FLOOR))
 
 
+def _rows(logits):
+    """`(..., n, C)` logits as one class-major `(rows, C)` table, and the
+    shape `(..., n)` of one value per row.  Every row is worked on alone,
+    so a slice's rows come out as in a call on that slice."""
+    logits = np.asarray(logits, dtype=np.float64)
+    rows_shape = logits.shape[:-1]
+    if len(rows_shape) != 1:
+        if not rows_shape:
+            raise ShapeError(f"logits of shape {logits.shape} are not (..., n, C)")
+        logits = logits.reshape(-1, logits.shape[-1])
+    return class_major(logits), rows_shape
+
+
+def _per_row(what, a, rows_shape, tail=()):
+    """`a` of shape `(n, *tail)` or `(..., n, *tail)`, broadcast over the
+    rows of the `rows_shape` table, as one flat `(rows, *tail)` array."""
+    shape = rows_shape + tail
+    if a.shape != shape:
+        try:
+            a = np.broadcast_to(a, shape)
+        except ValueError:
+            raise ShapeError(f"{what} of shape {a.shape} do not fit logit rows {rows_shape}") from None
+    return a if len(rows_shape) == 1 else a.reshape((-1,) + tail)
+
+
+def _slice_mean(values, rows_shape):
+    """The mean of each slice's per-row values: bit for bit
+    `ndarray.mean()` of the slice, without its Python-level wrapper."""
+    if len(rows_shape) != 1:
+        values = values.reshape(rows_shape)
+    return np.add.reduce(values, axis=-1) / rows_shape[-1]
+
+
+def _slice_grad(g, rows_shape):
+    """The `(rows, C)` gradient of the per-row losses as the gradient of
+    each slice's mean, C-ordered in the logits' shape."""
+    return np.divide(g, rows_shape[-1], order="C").reshape(rows_shape + g.shape[1:])
+
+
 def ce(logits, labels):
-    """Mean cross entropy over pixels; returns (loss, dloss/dlogits)."""
-    logits = class_major(logits)
+    """Mean cross entropy over pixels; returns (loss, dloss/dlogits).
+
+    Like the unbiased kernels below, it takes `(..., n, C)` logits and
+    returns one loss per slice of n rows."""
+    logits, rows_shape = _rows(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
+    c = logits.shape[1]
     if labels.min() < 0 or labels.max() >= c:
         raise DataError("label outside class range")
+    labels = _per_row("labels", labels, rows_shape)
     q = softmax(logits, axis=1)
-    rows = np.arange(n)
-    loss = -_safe_log(q[rows, labels]).mean()
+    rows = np.arange(len(q))
+    loss = _slice_mean(-_safe_log(q[rows, labels]), rows_shape)
     # q - onehot(label), in place in softmax's fresh output
     q[rows, labels] -= 1.0
-    return loss, np.divide(q, n, order="C")
+    return loss, _slice_grad(q, rows_shape)
 
 
 def unbiased_ce(logits, labels, n_old):
@@ -39,10 +82,15 @@ def unbiased_ce(logits, labels, n_old):
     For label 0 the modeled probability is sum of columns 0..n_old-1; for a
     new-class label it is the plain softmax probability.  Labels in
     1..n_old-1 are invalid: step labels must already be background-shifted.
+
+    `logits` may carry leading batch axes, `(..., n, C)`, with labels of
+    shape `(n,)` or `(..., n)`: the loss is then one mean per slice of n
+    rows and `dz` has the logits' shape, each slice bit for bit the call on
+    that slice alone.
     """
-    logits = class_major(logits)
+    logits, rows_shape = _rows(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
+    c = logits.shape[1]
     if n_old < 1 or n_old > c:
         raise ShapeError(f"n_old={n_old} incompatible with {c} columns")
     if labels.min() < 0 or labels.max() >= c:
@@ -50,13 +98,14 @@ def unbiased_ce(logits, labels, n_old):
     bad = (labels > 0) & (labels < n_old)
     if bad.any():
         raise DataError(f"label {labels[bad][0]} belongs to a previous step")
+    labels = _per_row("labels", labels, rows_shape)
 
     q = softmax(logits, axis=1)
     fold = rowsum(q[:, :n_old])
-    rows = np.arange(n)
+    rows = np.arange(len(q))
     is_bg = labels == 0
     modeled = np.where(is_bg, fold, q[rows, labels])
-    loss = -_safe_log(modeled).mean()
+    loss = _slice_mean(-_safe_log(modeled), rows_shape)
 
     # the gradient, in place in softmax's fresh output
     # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold, NaN
@@ -69,7 +118,7 @@ def unbiased_ce(logits, labels, n_old):
     # background pixel's onehot would subtract 0.0 from q_0 >= +0)
     for j in range(n_old, c):
         q[:, j] -= labels == j
-    return loss, np.divide(q, n, order="C")
+    return loss, _slice_grad(q, rows_shape)
 
 
 def unbiased_kd(logits, old_probs):
@@ -77,16 +126,18 @@ def unbiased_kd(logits, old_probs):
 
     `old_probs` has n_old columns and rows summing to 1.  The current
     model's background probability is the sum over {bg} + new columns.
+    Leading batch axes work as in `unbiased_ce`: `(..., n, C)` logits with
+    `old_probs` of shape `(n, n_old)` or `(..., n, n_old)`.
     """
-    logits = class_major(logits)
+    logits, rows_shape = _rows(logits)
     old_probs = np.asarray(old_probs, dtype=np.float64)
-    n, c = logits.shape
-    if old_probs.ndim != 2 or old_probs.shape[0] != n:
+    c = logits.shape[1]
+    if old_probs.ndim < 2 or old_probs.shape[-2] != rows_shape[-1]:
         raise ShapeError("old_probs row count mismatch")
-    n_old = old_probs.shape[1]
+    n_old = old_probs.shape[-1]
     if n_old < 1 or n_old > c:
         raise ShapeError(f"old model has {n_old} classes, current has {c}")
-    old_probs = class_major(old_probs)
+    old_probs = class_major(_per_row("old_probs", old_probs, rows_shape, (n_old,)))
 
     q = softmax(logits, axis=1)
     s_new = q[:, 0] + rowsum(q[:, n_old:])
@@ -94,7 +145,7 @@ def unbiased_kd(logits, old_probs):
     per_pixel = t0 * _safe_log(s_new)
     if n_old > 1:
         per_pixel = per_pixel + rowsum(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]))
-    loss = -per_pixel.mean()
+    loss = -_slice_mean(per_pixel, rows_shape)
 
     # folded-background term t0*q_k*(1 - [k in fold]/s_new), one column
     # block at a time; a zero s_new gives NaN quietly, and the caller's
@@ -114,7 +165,7 @@ def unbiased_kd(logits, old_probs):
     dz += q
     if n_old > 1:
         dz[:, 1:n_old] -= old_probs[:, 1:n_old]
-    return loss, np.divide(dz, n, order="C")
+    return loss, _slice_grad(dz, rows_shape)
 
 
 def incremental_loss(logits, labels, old_probs, n_old, lambda_kd):

@@ -15,23 +15,29 @@ from .errors import ShapeError
 def _affine_relu(x, w, b):
     """relu(x @ w.T + b) with the bias add and ReLU in place in the one
     fresh array of the matmul: the same operations in the same order,
-    without two table-sized temporaries; `x` is never written."""
-    z = x @ w.T
-    z += b
+    without two table-sized temporaries; `x` is never written.  Weights
+    and biases stacked over leading axes give one output per stacked
+    layer, each the bits of the unstacked call."""
+    z = x @ w.mT
+    z += b[..., None, :]
     return np.maximum(z, 0.0, out=z)
 
 
 class Backbone:
-    """Stack of linear layers with ReLU after each; zero layers = identity."""
+    """Stack of linear layers with ReLU after each; zero layers = identity.
+
+    A layer's (w, b) may carry leading axes, as `SegModel.unflatten`
+    stacks them; `forward` then maps (P, d_in) pixels to one (..., P, d)
+    output per stacked model."""
 
     def __init__(self, layers, input_dim):
         self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in layers]
         self.input_dim = input_dim
         dim = input_dim
         for w, b in self.layers:
-            if w.shape[1] != dim or b.shape[0] != w.shape[0]:
+            if w.shape[-1] != dim or b.shape[-1] != w.shape[-2]:
                 raise ShapeError(f"layer shape {w.shape} does not chain from dim {dim}")
-            dim = w.shape[0]
+            dim = w.shape[-2]
         self.output_dim = dim
 
     @classmethod
@@ -73,26 +79,29 @@ class Backbone:
 
 
 class Head:
-    """Linear classifier: weights (d, C), optional per-class biases."""
+    """Linear classifier: weights (d, C), optional per-class biases.
+
+    Weights (..., d, C) and biases (..., C) stacked over leading axes give
+    one (..., P, C) logit table per stacked head."""
 
     def __init__(self, weights, biases=None):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.biases = None if biases is None else np.asarray(biases, dtype=np.float64)
-        if self.biases is not None and self.biases.shape[0] != self.weights.shape[1]:
+        if self.biases is not None and self.biases.shape[-1] != self.weights.shape[-1]:
             raise ShapeError("bias count must match column count")
 
     @property
     def num_classes(self):
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def dim(self):
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     def logits(self, feats):
         z = feats @ self.weights
         if self.biases is not None:
-            z = z + self.biases
+            z = z + self.biases[..., None, :]
         return z
 
     def copy(self):
@@ -158,18 +167,28 @@ class SegModel:
             parts.append(self.head.biases.ravel())
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def set_flat_params(self, flat):
+    def unflatten(self, flat):
+        """The model of this one's shapes whose parameters are read from
+        `flat` in `flat_params` order.  Leading axes of `flat` stack
+        models: `(..., n_params)` gives arrays `(..., *shape)`, views of
+        `flat`, whose forward pass and logits carry the same axes."""
+        flat = np.asarray(flat, dtype=np.float64)
+        lead = flat.shape[:-1]
         i = 0
-        for li, (w, b) in enumerate(self.backbone.layers):
+        layers = []
+        for w, b in self.backbone.layers:
             nw, nb = w.size, b.size
-            self.backbone.layers[li] = (
-                flat[i : i + nw].reshape(w.shape).copy(),
-                flat[i + nw : i + nw + nb].copy(),
-            )
+            layers.append((flat[..., i : i + nw].reshape(lead + w.shape), flat[..., i + nw : i + nw + nb]))
             i += nw + nb
-        hw = self.head.weights
-        self.head.weights = flat[i : i + hw.size].reshape(hw.shape).copy()
-        i += hw.size
-        if self.head.biases is not None:
-            self.head.biases = flat[i : i + self.head.biases.size].copy()
+        hw, hb = self.head.weights, self.head.biases
+        weights = flat[..., i : i + hw.size].reshape(lead + hw.shape)
+        biases = None if hb is None else flat[..., i + hw.size : i + hw.size + hb.size]
+        return SegModel(Backbone(layers, self.backbone.input_dim), Head(weights, biases))
+
+    def set_flat_params(self, flat):
+        new = self.unflatten(flat)
+        self.backbone.layers[:] = [(w.copy(), b.copy()) for w, b in new.backbone.layers]
+        self.head.weights = new.head.weights.copy()
+        if new.head.biases is not None:
+            self.head.biases = new.head.biases.copy()
 

@@ -112,12 +112,15 @@ def init_background_transform(d):
 
 
 def generate_new_weight(m, p, w_old):
+    """The column `(M ⊙ W_old) P`.  (M, P) stacked over matching leading
+    axes, `(..., d, n_old)` and `(..., n_old, 1)`, give one `(..., d)`
+    column per stacked transform."""
     m = np.asarray(m, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     w_old = np.asarray(w_old, dtype=np.float64)
-    if m.shape != w_old.shape or p.shape != (w_old.shape[1], 1):
+    if m.shape[-2:] != w_old.shape or p.shape[-2:] != (w_old.shape[1], 1) or m.shape[:-2] != p.shape[:-2]:
         raise ShapeError(f"transform shapes {m.shape}, {p.shape} vs head {w_old.shape}")
-    return ((m * w_old) @ p).ravel()
+    return ((m * w_old) @ p)[..., 0]
 
 
 def transform_grads(gc, m, p, w_old):

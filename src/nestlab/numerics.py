@@ -166,19 +166,27 @@ def softmax(x, axis=-1):
 
 
 def finite_diff_grad(f, x, h=1e-4):
-    """Central-difference gradient of a scalar function of an array."""
+    """Central-difference gradient of a scalar function of an array.
+
+    `f` is evaluated once, on a stack: it takes a `(2n, *x.shape)` array of
+    points, `x + h*e_i` for entry i at row i and `x - h*e_i` at row n + i
+    (n = x.size), and returns their 2n values.  Entry i of the gradient
+    is `(f_i+ - f_i-) / (2h)`, the arithmetic of one evaluation per point,
+    so a stacked `f` whose values match its scalar form gives the same
+    bits.  The stack holds 2n copies of `x`, so the memory is O(n^2).  A
+    non-finite value raises `NumericError` naming the first entry it hits.
+    """
     x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat_x = x.ravel()
-    flat_g = grad.ravel()
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        fp = f(x)
-        flat_x[i] = orig - h
-        fm = f(x)
-        flat_x[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite evaluation at entry {i}")
-        flat_g[i] = (fp - fm) / (2.0 * h)
-    return grad
+    n = x.size
+    if n == 0:
+        return x
+    flat = x.ravel()
+    points = np.tile(flat, (2, n, 1))
+    idx = np.arange(n)
+    points[0, idx, idx] = flat + h
+    points[1, idx, idx] = flat - h
+    fp, fm = np.asarray(f(points.reshape((2 * n,) + x.shape)), dtype=np.float64).reshape(2, n)
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if bad.any():
+        raise NumericError(f"non-finite evaluation at entry {int(np.argmax(bad))}")
+    return ((fp - fm) / (2.0 * h)).reshape(x.shape)

@@ -75,31 +75,32 @@ def _random_model(rng, d_in, d, n_cols):
 
 
 def _param_loss_fn(model, x, loss):
-    """`flat -> loss(logits)` for `model` with its parameters set from
-    `flat`.  One probe copy is made here; each call only overwrites its
-    parameters, so a finite-difference oracle pays for the loss alone."""
-    probe = model.copy()
+    """`stack -> loss(logits)` over a stack of flat parameter vectors of
+    `model`: each row is unflattened into a model of `model`'s shapes and
+    the whole stack runs through one forward pass, one head and one call
+    of `loss`, which returns one value per stacked model."""
 
-    def f(flat):
-        probe.set_flat_params(flat)
+    def f(stack):
+        probe = model.unflatten(stack)
         return loss(probe.head.logits(probe.backbone.forward(x)))
 
     return f
 
 
 def _mp_loss_fn(feats, weights, y, n_old):
-    """`flat (M, P) -> L_unce` of the head `weights` whose column `n_old`
-    is generated from (M, P) and the first `n_old` columns.  Each call
-    rewrites only that column of one copy of `weights`."""
+    """`stack of flat (M, P) -> L_unce` of the head `weights` whose column
+    `n_old` is generated from (M, P) and the first `n_old` columns: one
+    head per row of the stack, all through one `unbiased_ce` call."""
     d = weights.shape[0]
     w_old = weights[:, :n_old].copy()
-    w_full = weights.copy()
 
-    def f(flat):
-        m = flat[: d * n_old].reshape(d, n_old)
-        p = flat[d * n_old :].reshape(n_old, 1)
-        w_full[:, n_old] = nest.generate_new_weight(m, p, w_old)
-        return unbiased_ce(feats @ w_full, y, n_old)[0]
+    def f(stack):
+        k = len(stack)
+        m = stack[:, : d * n_old].reshape(k, d, n_old)
+        p = stack[:, d * n_old :].reshape(k, n_old, 1)
+        w_full = np.repeat(weights[None], k, axis=0)
+        w_full[:, :, n_old] = nest.generate_new_weight(m, p, w_old)
+        return unbiased_ce(Head(w_full).logits(feats), y, n_old)[0]
 
     return f
 

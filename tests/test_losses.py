@@ -11,6 +11,8 @@ from nestlab.errors import DataError, ShapeError
 from nestlab.losses import ce, incremental_loss, unbiased_ce, unbiased_kd
 from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
 
+from fd_reference import per_point
+
 
 def logits_for_probs(probs):
     """Any logit vector whose softmax equals the given probabilities."""
@@ -150,13 +152,13 @@ def test_gradients_match_finite_differences():
     for _ in range(30):
         z, y, old = _random_instance(rng)
         _, dz = ce(z, y)
-        num = finite_diff_grad(lambda a: ce(a, y)[0], z)
+        num = finite_diff_grad(per_point(lambda a: ce(a, y)[0]), z)
         np.testing.assert_allclose(dz, num, rtol=1e-4, atol=1e-8)
         _, dz = unbiased_ce(z, y, 3)
-        num = finite_diff_grad(lambda a: unbiased_ce(a, y, 3)[0], z)
+        num = finite_diff_grad(per_point(lambda a: unbiased_ce(a, y, 3)[0]), z)
         np.testing.assert_allclose(dz, num, rtol=1e-4, atol=1e-8)
         _, dz = unbiased_kd(z, old)
-        num = finite_diff_grad(lambda a: unbiased_kd(a, old)[0], z)
+        num = finite_diff_grad(per_point(lambda a: unbiased_kd(a, old)[0]), z)
         np.testing.assert_allclose(dz, num, rtol=1e-4, atol=1e-8)
 
 
@@ -319,3 +321,89 @@ def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
     for c in (1, 5, 9, 40):
         x = SplitMix64(c).normal(c)
         assert softmax(x).tobytes() == _oracle_softmax(x[None, :])[0].tobytes()
+
+
+# Leading batch axes: every slice of a batched call is the 2-D call on that
+# slice alone, byte for byte.  1 and 16 rows per slice stay below
+# numerics._FEW_ROWS in the 2-D call, 63/64/65 straddle it, and a batch
+# of several slices crosses it even where its slices do not.
+
+
+def _batched_instance(rng, k, n, c=6, n_old=3, special=None):
+    z = 4.0 * rng.normal((k, n, c))
+    y = np.where(rng.uniform((k, n)) < 0.6, 0, n_old + rng.integers(c - n_old, size=(k, n)))
+    old = softmax(rng.normal((k, n, n_old)), axis=-1)
+    if special == "empty_fold":
+        # an old-class logit 1000 above the rest underflows unbiased_kd's
+        # folded mass to 0 in every third row of the first slice
+        z[0, ::3, 2] = 1000.0
+    elif special == "underflowed_fold":
+        # a new-class logit 1000 above the rest underflows unbiased_ce's
+        # background fold to 0 in every third row, all background
+        z[0, ::3, c - 1] = 1000.0
+        y[0, ::3] = 0
+    return z, y, old
+
+
+def _assert_slices_match(batched, single, k):
+    loss, dz = batched
+    assert loss.shape == (k,) and dz.flags.c_contiguous
+    for i in range(k):
+        ref_loss, ref_dz = single(i)
+        assert loss[i].tobytes() == np.float64(ref_loss).tobytes()
+        assert dz[i].tobytes() == ref_dz.tobytes()
+
+
+@pytest.mark.parametrize("special", [None, "empty_fold", "underflowed_fold"])
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 16, 63, 64, 65])
+def test_batched_kernels_equal_the_2d_call_on_each_slice(n, k, special):
+    rng = SplitMix64(100 * n + 10 * k + (special is not None))
+    z, y, old = _batched_instance(rng, k, n, special=special)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # labels and old_probs per slice, and one set broadcast over all
+        _assert_slices_match(ce(z, y), lambda i: ce(z[i], y[i]), k)
+        _assert_slices_match(ce(z, y[0]), lambda i: ce(z[i], y[0]), k)
+        _assert_slices_match(unbiased_ce(z, y, 3), lambda i: unbiased_ce(z[i], y[i], 3), k)
+        _assert_slices_match(unbiased_ce(z, y[0], 3), lambda i: unbiased_ce(z[i], y[0], 3), k)
+        _assert_slices_match(unbiased_kd(z, old), lambda i: unbiased_kd(z[i], old[i]), k)
+        _assert_slices_match(unbiased_kd(z, old[0]), lambda i: unbiased_kd(z[i], old[0]), k)
+    if special == "empty_fold":
+        assert np.isnan(unbiased_kd(z, old)[1][0, ::3]).all()
+    if special == "underflowed_fold":
+        assert np.isnan(unbiased_ce(z, y, 3)[1][0, ::3, :3]).all()
+
+
+def test_batched_kernels_over_two_leading_axes():
+    rng = SplitMix64(7)
+    z, y, old = _batched_instance(rng, 6, 16)
+    z, y, old = z.reshape(2, 3, 16, 6), y.reshape(2, 3, 16), old.reshape(2, 3, 16, 3)
+    for kernel, args in ((unbiased_ce, (y, 3)), (unbiased_kd, (old,))):
+        loss, dz = kernel(z, *args)
+        assert loss.shape == (2, 3) and dz.shape == z.shape
+        for i, j in np.ndindex(2, 3):
+            ref_loss, ref_dz = kernel(z[i, j], *(a[i, j] if isinstance(a, np.ndarray) else a for a in args))
+            assert loss[i, j] == ref_loss and dz[i, j].tobytes() == ref_dz.tobytes()
+
+
+def test_batched_kernels_reject_bad_labels_and_row_counts():
+    rng = SplitMix64(8)
+    z, y, old = _batched_instance(rng, 3, 16)
+    for labels, error in (
+        (np.where(np.arange(16) == 5, 6, y), DataError),  # past the last column
+        (np.where(np.arange(16) == 5, -1, y), DataError),
+        (np.where(np.arange(16) == 5, 1, y), DataError),  # a previous step's class
+        (y[:, :15], ShapeError),  # one label short per slice
+        (y[:2], ShapeError),  # a slice without labels
+    ):
+        with pytest.raises(error):
+            unbiased_ce(z, labels, 3)
+    for labels, error in ((np.where(np.arange(16) == 5, 6, y), DataError), (y[:2], ShapeError)):
+        with pytest.raises(error):
+            ce(z, labels)
+    for probs in (old[:, :15], old[:2], old[0, :15], old[..., 0], np.zeros((3, 16, 7))):
+        with pytest.raises(ShapeError):
+            unbiased_kd(z, probs)
+    with pytest.raises(ShapeError):
+        unbiased_ce(z[0, 0], y[0, 0], 3)  # one row without its row axis

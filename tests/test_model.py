@@ -7,6 +7,8 @@ from nestlab.errors import ShapeError
 from nestlab.model import Backbone, Head, SegModel, grow_head
 from nestlab.numerics import SplitMix64, finite_diff_grad
 
+from fd_reference import per_point
+
 
 def test_identity_backbone_passes_through():
     bb = Backbone([], 4)
@@ -154,7 +156,7 @@ def test_backward_matches_finite_differences():
     analytic = np.concatenate(
         [g.ravel() for gw, gb in layer_grads for g in (gw, gb)] + [d_head.ravel()]
     )
-    numeric = finite_diff_grad(f, model.flat_params())
+    numeric = finite_diff_grad(per_point(f), model.flat_params())
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-6)
 
 
@@ -165,3 +167,38 @@ def test_flat_params_round_trip():
     other = SegModel(Backbone.single_relu(3, 4, SplitMix64(0)), Head(np.zeros((4, 2))))
     other.set_flat_params(flat)
     assert other.param_bytes() == model.param_bytes()
+
+
+def _two_layer_biased_model(rng):
+    backbone = Backbone([(rng.normal((5, 3)), rng.normal(5)), (rng.normal((4, 5)), rng.normal(4))], 3)
+    return SegModel(backbone, Head(rng.normal((4, 6)), rng.normal(6)))
+
+
+def test_flat_params_round_trip_with_biases_and_two_layers():
+    rng = SplitMix64(13)
+    model = _two_layer_biased_model(rng)
+    other = _two_layer_biased_model(rng)
+    layers = other.backbone.layers
+    other.set_flat_params(model.flat_params())
+    assert other.param_bytes() == model.param_bytes()
+    assert other.backbone.layers is layers
+    # every parameter array is its own copy, not a view of the flat vector
+    arrays = [a for layer in other.backbone.layers for a in layer] + [other.head.weights, other.head.biases]
+    assert all(a.base is None for a in arrays)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_unflattened_stack_runs_each_model_bit_for_bit(k):
+    rng = SplitMix64(14 + k)
+    model = _two_layer_biased_model(rng)
+    x = rng.normal((9, 3))
+    stack = model.flat_params() + 0.1 * rng.normal((k, model.flat_params().size))
+    probe = model.unflatten(stack)
+    logits = probe.head.logits(probe.backbone.forward(x))
+    assert logits.shape == (k, 9, 6)
+    for i in range(k):
+        single = model.copy()
+        single.set_flat_params(stack[i])
+        assert logits[i].tobytes() == single.head.logits(single.backbone.forward(x)).tobytes()
+    # one unstacked vector unflattens to a model of the same parameters
+    assert model.unflatten(model.flat_params()).param_bytes() == model.param_bytes()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from nestlab.errors import NumericError, ShapeError
 from nestlab.numerics import _FEW_ROWS, _PW_BLOCK, SplitMix64, class_major, finite_diff_grad, rowmax, rowsum, softmax
 
+from fd_reference import per_point, scalar_finite_diff_grad
+
 # First five raw draws for seed 0, frozen from the reference SplitMix64
 # implementation (Steele et al. mixing constants).
 _SEED0_STREAM = [
@@ -119,19 +121,81 @@ def test_softmax_permutation_equivariant(vals, pyrandom):
 
 def test_finite_diff_sum_and_quadratic():
     x = SplitMix64(2).normal((3, 2))
-    np.testing.assert_allclose(finite_diff_grad(lambda a: a.sum(), x), np.ones((3, 2)), atol=1e-9)
-    g = finite_diff_grad(lambda a: a.ravel()[0] ** 2, np.array([3.0, 1.0]))
+    np.testing.assert_allclose(finite_diff_grad(lambda s: s.sum(axis=(1, 2)), x), np.ones((3, 2)), atol=1e-9)
+    g = finite_diff_grad(lambda s: s[:, 0] ** 2, np.array([3.0, 1.0]))
     assert abs(g[0] - 6.0) < 1e-6
     assert abs(g[1]) < 1e-9
 
 
 def test_finite_diff_nonfinite_errors():
-    def f(a):
+    def f(s):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.log(a[0]))
+            return np.log(s[:, 0])
 
     with pytest.raises(NumericError):
         finite_diff_grad(f, np.array([0.0]))
+
+
+_SUM_AND_QUADRATIC = [
+    (lambda a: a.sum(), lambda s: s.sum(axis=tuple(range(1, s.ndim)))),
+    (lambda a: a.ravel()[0] ** 2, lambda s: s.reshape(len(s), -1)[:, 0] ** 2),
+    (lambda a: (a * a).sum(), lambda s: (s * s).sum(axis=tuple(range(1, s.ndim)))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_SUM_AND_QUADRATIC)))
+@pytest.mark.parametrize("shape", [(1,), (2,), (3, 2), (2, 3, 4)])
+@pytest.mark.parametrize("h", [1e-4, 1e-6])
+def test_stacked_oracle_equals_the_scalar_loop_bit_for_bit(case, shape, h):
+    scalar, stacked = _SUM_AND_QUADRATIC[case]
+    x = SplitMix64(len(shape) + case).normal(shape)
+    x.ravel()[0] = -0.0  # a signed zero is perturbed like any other entry
+    ref = scalar_finite_diff_grad(scalar, x, h)
+    for f in (stacked, per_point(scalar)):
+        ours = finite_diff_grad(f, x, h)
+        assert ours.shape == x.shape
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_stacked_oracle_takes_one_evaluation_of_the_whole_stack():
+    x = SplitMix64(3).normal((2, 3))
+    seen = []
+
+    def f(s):
+        seen.append(s.copy())
+        return s.sum(axis=(1, 2))
+
+    finite_diff_grad(f, x, h=0.5)
+    (stack,) = seen
+    assert stack.shape == (12, 2, 3)
+    # x + h*e_i at row i, x - h*e_i at row 6 + i
+    for i in range(6):
+        for sign, row in ((1.0, i), (-1.0, 6 + i)):
+            point = x.copy()
+            point.ravel()[i] += sign * 0.5
+            assert stack[row].tobytes() == point.tobytes()
+    assert finite_diff_grad(f, np.zeros((0, 3))).shape == (0, 3)
+    assert len(seen) == 1  # an empty x is not evaluated
+
+
+@pytest.mark.parametrize("bad", [[(2, 1)], [(0, -1), (3, 1)], [(4, 1), (1, -1)], [(5, -1)], [(3, 1), (3, -1), (5, 1)]])
+def test_stacked_oracle_names_the_first_non_finite_entry(bad):
+    # f is NaN at x + h*e_i for each (i, 1) in `bad` and inf at x - h*e_i
+    # for each (i, -1)
+    x = SplitMix64(4).normal(6)
+
+    def value(a):
+        for i, sign in bad:
+            if a[i] == x[i] + sign * 1e-4:
+                return np.nan if sign > 0 else np.inf
+        return a.sum()
+
+    with pytest.raises(NumericError) as ref:
+        scalar_finite_diff_grad(value, x)
+    with pytest.raises(NumericError) as ours:
+        finite_diff_grad(per_point(value), x)
+    first = min(i for i, _ in bad)
+    assert str(ours.value) == str(ref.value) == f"non-finite evaluation at entry {first}"
 
 
 _ROWS = (1, 16, 63, 64, 2048, 51_200)

@@ -1,6 +1,6 @@
 """The gradient check of `nestlab verify`: its loss closures, its cost in
-model draws, that it can fail, and that it checks the gradient code that
-training and pre-tuning use."""
+model draws and loss calls, that it can fail, and that it checks the
+gradient code that training and pre-tuning use."""
 
 import collections
 
@@ -9,16 +9,18 @@ import pytest
 
 from nestlab import nest, verify
 from nestlab.losses import unbiased_ce, unbiased_kd
-from nestlab.model import Backbone, SegModel
+from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
 from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_table
 from nestlab.trainer import ExperimentConfig, TrainConfig, train_base_step
 
+from fd_reference import scalar_finite_diff_grad
+
 
 def _rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind):
-    """Reference: the closure that built a throwaway random model on every
-    evaluation, replaced its backbone and head with copies of `model`'s
-    and then overwrote its parameters."""
+    """Reference: the one-point closure that built a throwaway random model
+    on every evaluation, replaced its backbone and head with copies of
+    `model`'s and then overwrote its parameters."""
     d_in, d, n_cols = model.backbone.input_dim, model.head.dim, model.head.num_classes
 
     def f(flat):
@@ -36,8 +38,8 @@ def _rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind):
 
 
 def _concatenating_mp_loss(feats, weights, y, n_old):
-    """Reference: the (M, P) closure that concatenated a fresh head on
-    every evaluation."""
+    """Reference: the one-point (M, P) closure that concatenated a fresh
+    head on every evaluation."""
     d = weights.shape[0]
     w_old = weights[:, :n_old].copy()
 
@@ -70,11 +72,13 @@ def _instance(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("loss_kind", ["unce", "unkd"])
 def test_probe_model_closure_equals_rebuilding_the_model_every_evaluation(seed, loss_kind):
+    # the batched oracle on the stacked closure against the scalar loop on
+    # the one-point closure
     model, x, y, n_old, old_probs, _ = _instance(seed)
     before = model.param_bytes()
     loss = (lambda z: unbiased_ce(z, y, n_old)[0]) if loss_kind == "unce" else (lambda z: unbiased_kd(z, old_probs)[0])
     ours = finite_diff_grad(verify._param_loss_fn(model, x, loss), model.flat_params())
-    ref = finite_diff_grad(_rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind), model.flat_params())
+    ref = scalar_finite_diff_grad(_rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind), model.flat_params())
     assert ours.tobytes() == ref.tobytes()
     assert np.abs(ours).max() > 0
     assert model.param_bytes() == before
@@ -86,7 +90,7 @@ def test_mp_closure_equals_concatenating_the_head_every_evaluation(seed):
     weights = model.head.weights.copy()
     feats = model.backbone.forward(x)
     ours = finite_diff_grad(verify._mp_loss_fn(feats, model.head.weights, y, n_old), flat_mp)
-    ref = finite_diff_grad(_concatenating_mp_loss(feats, model.head.weights, y, n_old), flat_mp)
+    ref = scalar_finite_diff_grad(_concatenating_mp_loss(feats, model.head.weights, y, n_old), flat_mp)
     assert ours.tobytes() == ref.tobytes()
     assert np.abs(ours).max() > 0
     assert model.head.weights.tobytes() == weights.tobytes()
@@ -95,6 +99,23 @@ def test_mp_closure_equals_concatenating_the_head_every_evaluation(seed):
 def test_gradient_check_reports_the_reference_run():
     # the detail string of the check when every evaluation rebuilt its model
     assert verify.check_gradients(instances=5) == ("gradient_correctness", True, "max relative error 4.04e-09")
+
+
+def test_gradient_check_makes_one_loss_call_per_perturbation_stack(monkeypatch):
+    # per instance: the analytic and the stacked numeric call for each of
+    # the two model-parameter losses, and the same pair for (M, P); one
+    # call per perturbed point would be hundreds
+    calls = collections.Counter()
+    for name in ("unbiased_ce", "unbiased_kd"):
+        kernel = getattr(verify, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.check_gradients(instances=5)[1]
+    assert calls == {"unbiased_ce": 20, "unbiased_kd": 10}
 
 
 def test_gradient_check_draws_one_model_per_rejection_loop_try(monkeypatch):
@@ -164,6 +185,49 @@ def test_gradient_check_detects_a_scaled_gradient(monkeypatch, owner, attr, scal
     monkeypatch.setattr(owner, attr, scale(getattr(owner, attr)))
     name, ok, detail = verify.check_gradients(instances=2)
     assert name == "gradient_correctness" and not ok, detail
+
+
+def _bias_gradient_error(instances=3, seed=29, h=1e-4):
+    """The largest relative error of `SegModel.grads`' head-bias gradient
+    against central differences through the stacked probe closure, over
+    heads with biases (which `check_gradients` does not draw)."""
+    rng = SplitMix64(seed)
+    worst = 0.0
+    for _ in range(instances):
+        d_in, d, n_old, n_new = 3, 5, 3, 2
+        while True:
+            model = verify._random_model(rng, d_in, d, n_old + n_new)
+            x = rng.normal((16, d_in))
+            w0, b0 = model.backbone.layers[0]
+            if np.abs(x @ w0.T + b0).min() > 10 * h:
+                break
+        model.head = Head(model.head.weights, rng.normal(n_old + n_new))
+        y = rng.integers(n_new + 1, size=16)
+        y = np.where(y > 0, y + n_old - 1, 0)
+        old_probs = softmax(rng.normal((16, n_old)), axis=1)
+        for loss in (lambda z: unbiased_ce(z, y, n_old), lambda z: unbiased_kd(z, old_probs)):
+            out, acts = model.backbone.forward_cache(x)
+            _, dz = loss(model.head.logits(out))
+            d_bias = model.grads(out, acts, dz)[2]
+            numeric = finite_diff_grad(verify._param_loss_fn(model, x, lambda z: loss(z)[0]), model.flat_params(), h=h)
+            # the biases come last in flat_params order
+            worst = max(worst, verify._rel_err(d_bias, numeric[-len(d_bias) :]))
+    return worst
+
+
+def test_head_bias_gradients_match_finite_differences():
+    assert _bias_gradient_error() <= 1e-4
+
+
+def test_head_bias_gradient_check_detects_a_scaled_bias_gradient(monkeypatch):
+    grads = SegModel.grads
+
+    def scaled_bias(self, out, acts, dz):
+        layer_grads, d_head, d_bias = grads(self, out, acts, dz)
+        return layer_grads, d_head, d_bias * _SCALE
+
+    monkeypatch.setattr(SegModel, "grads", scaled_bias)
+    assert _bias_gradient_error() > 1e-4
 
 
 def test_training_and_pretuning_step_with_the_checked_helpers(monkeypatch):
