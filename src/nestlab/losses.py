@@ -20,8 +20,9 @@ def _safe_log(x):
 
 def _rows(logits):
     """`(..., n, C)` logits as one class-major `(rows, C)` table, and the
-    shape `(..., n)` of one value per row.  Every row is worked on alone,
-    so a slice's rows come out as in a call on that slice."""
+    shape `(..., n)` of one value per row, for the unbiased kernels.  Every
+    row is worked on alone, so a slice's rows come out as in a call on
+    that slice."""
     logits = np.asarray(logits, dtype=np.float64)
     rows_shape = logits.shape[:-1]
     if len(rows_shape) != 1:
@@ -58,22 +59,19 @@ def _slice_grad(g, rows_shape):
 
 
 def ce(logits, labels):
-    """Mean cross entropy over pixels; returns (loss, dloss/dlogits).
-
-    Like the unbiased kernels below, it takes `(..., n, C)` logits and
-    returns one loss per slice of n rows."""
-    logits, rows_shape = _rows(logits)
+    """Mean cross entropy over pixels; returns (loss, dloss/dlogits)."""
+    logits = class_major(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    c = logits.shape[1]
+    n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise DataError("label outside class range")
-    labels = _per_row("labels", labels, rows_shape)
     q = softmax(logits, axis=1)
-    rows = np.arange(len(q))
-    loss = _slice_mean(-_safe_log(q[rows, labels]), rows_shape)
+    rows = np.arange(n)
+    # the sum over n, ndarray.mean()'s bits without its Python-level wrapper
+    loss = -np.add.reduce(_safe_log(q[rows, labels])) / n
     # q - onehot(label), in place in softmax's fresh output
     q[rows, labels] -= 1.0
-    return loss, _slice_grad(q, rows_shape)
+    return loss, np.divide(q, n, order="C")
 
 
 def unbiased_ce(logits, labels, n_old):

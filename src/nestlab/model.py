@@ -18,7 +18,7 @@ def _affine_relu(x, w, b):
     without two table-sized temporaries; `x` is never written.  Weights
     and biases stacked over leading axes give one output per stacked
     layer, each the bits of the unstacked call."""
-    z = x @ w.mT
+    z = x @ w.swapaxes(-1, -2)
     z += b[..., None, :]
     return np.maximum(z, 0.0, out=z)
 
@@ -184,11 +184,3 @@ class SegModel:
         weights = flat[..., i : i + hw.size].reshape(lead + hw.shape)
         biases = None if hb is None else flat[..., i + hw.size : i + hw.size + hb.size]
         return SegModel(Backbone(layers, self.backbone.input_dim), Head(weights, biases))
-
-    def set_flat_params(self, flat):
-        new = self.unflatten(flat)
-        self.backbone.layers[:] = [(w.copy(), b.copy()) for w, b in new.backbone.layers]
-        self.head.weights = new.head.weights.copy()
-        if new.head.biases is not None:
-            self.head.biases = new.head.biases.copy()
-

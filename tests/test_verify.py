@@ -20,14 +20,14 @@ from fd_reference import scalar_finite_diff_grad
 def _rebuilding_param_loss(model, x, y, n_old, old_probs, loss_kind):
     """Reference: the one-point closure that built a throwaway random model
     on every evaluation, replaced its backbone and head with copies of
-    `model`'s and then overwrote its parameters."""
+    `model`'s and then overwrote its parameters with copies of `flat`'s."""
     d_in, d, n_cols = model.backbone.input_dim, model.head.dim, model.head.num_classes
 
     def f(flat):
         m2 = verify._random_model(SplitMix64(0), d_in, d, n_cols)
         m2.backbone = Backbone([(w.copy(), b.copy()) for w, b in model.backbone.layers], d_in)
         m2.head = model.head.copy()
-        m2.set_flat_params(flat)
+        m2 = m2.unflatten(flat).copy()
         out = m2.backbone.forward(x)
         z = m2.head.logits(out)
         if loss_kind == "unce":
