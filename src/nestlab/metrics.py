@@ -56,6 +56,17 @@ def _norms(rows, out):
     return np.sqrt(rowsum(rows * rows), out=out)
 
 
+def row_norms(a):
+    """Per-row Euclidean norms of a (rows, d) table, bit for bit
+    np.linalg.norm(a, axis=1), filled `_ROW_BLOCK` rows at a time into
+    one preallocated vector, so no table-sized temporary is allocated."""
+    out = np.empty(len(a))
+    for start in range(0, len(a), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        _norms(a[rows], out[rows])
+    return out
+
+
 def cosine_stats(a_rows, b, b_norms):
     """Per-pixel cosine similarity between two feature tables: (mean, std).
 

@@ -133,15 +133,29 @@ class SegModel:
         """Deep copy with writable arrays, also of a snapshot."""
         return SegModel(copy.deepcopy(self.backbone), self.head.copy())
 
+    def _arrays(self):
+        arrays = [a for layer in self.backbone.layers for a in layer] + [self.head.weights, self.head.biases]
+        return [a for a in arrays if a is not None]
+
     def snapshot(self):
         """Deep frozen copy; training the live model never touches it, and
-        an in-place write to its arrays raises."""
+        an in-place write to its arrays raises, also after a pickle round
+        trip (numpy loads every array writable; `__setstate__` freezes a
+        snapshot's again)."""
         snap = self.copy()
-        arrays = [a for layer in snap.backbone.layers for a in layer] + [snap.head.weights, snap.head.biases]
-        for a in arrays:
-            if a is not None:
-                a.setflags(write=False)
+        for a in snap._arrays():
+            a.setflags(write=False)
         return snap
+
+    def __getstate__(self):
+        return dict(vars(self), frozen=not any(a.flags.writeable for a in self._arrays()))
+
+    def __setstate__(self, state):
+        frozen = state.pop("frozen")
+        vars(self).update(state)
+        if frozen:
+            for a in self._arrays():
+                a.setflags(write=False)
 
     def grads(self, out, acts, dz):
         """Backprop of the logit gradient `dz` through head and backbone,

@@ -155,14 +155,21 @@ def class_major(x):
 
 
 def softmax(x, axis=-1):
-    """Stable softmax along an axis; rows sum to 1."""
+    """Stable softmax along an axis; rows sum to 1.
+
+    The exp and the divide run in place in the one fresh array of the
+    max-subtraction, so the only allocations beyond the output are
+    per-row vectors; `x` is never written.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of empty input")
     rows = x.swapaxes(axis, -1)
     flat = rows.reshape(-1, rows.shape[-1])
-    e = np.exp(flat - rowmax(flat)[:, None])
-    return (e / rowsum(e)[:, None]).reshape(rows.shape).swapaxes(axis, -1)
+    e = flat - rowmax(flat)[:, None]
+    np.exp(e, out=e)
+    e /= rowsum(e)[:, None]
+    return e.reshape(rows.shape).swapaxes(axis, -1)
 
 
 def finite_diff_grad(f, x, h=1e-4):

@@ -4,9 +4,12 @@ Each image is a background canvas with rectangular class blobs painted on
 top; pixel features are drawn from per-class Gaussian prototypes.  Step
 views relabel pixels of classes outside the current step as background,
 reproducing background shift under the overlapped and disjoint protocols.
-A step table holds a step's train pixels once, flattened, with head-column
-labels and the frozen backbone's features, for every consumer to index;
-`minibatches` is the one schedule in which every SGD loop visits its images.
+The world holds its train features in one read-only array; every train
+image, step view and step table reads views of it, never a copy, except
+that the disjoint protocol gathers the images it keeps once per step.  A
+step table holds a step's train pixels, with head-column labels and the
+frozen backbone's features, for every consumer to index; `minibatches` is
+the one schedule in which every SGD loop visits its images.
 """
 
 import json
@@ -16,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .metrics import row_norms
 from .numerics import SplitMix64
 
 
@@ -65,12 +69,43 @@ class LabeledImage:
     full_labels: np.ndarray  # (H, W) int64, 0 = background
 
 
+def _freeze(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _views(train_x, labels):
+    """Train images whose features are views of the rows of `train_x`."""
+    return [LabeledImage(x.reshape(y.shape + x.shape[-1:]), y) for x, y in zip(train_x, labels)]
+
+
 @dataclass
 class World:
+    """A synthetic world; every array of it is read-only.
+
+    train_x: the train pool's features, (n_train, H*W, d_in), one array;
+    each train image's `features` is a view of its row.  A pickle holds
+    `train_x` once and no train image's features; loading it rebuilds the
+    views and makes every array read-only again.
+    """
+
     spec: WorldSpec
     prototypes: np.ndarray  # (K+1, d_in), row 0 = background
+    train_x: np.ndarray
     train_pool: list  # of LabeledImage
     test_pool: list
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state["train_pool"] = [img.full_labels for img in self.train_pool]
+        return state
+
+    def __setstate__(self, state):
+        labels = state.pop("train_pool")
+        vars(self).update(state)
+        test_arrays = [a for img in self.test_pool for a in (img.features, img.full_labels)]
+        _freeze(self.prototypes, self.train_x, *labels, *test_arrays)
+        self.train_pool = _views(self.train_x, labels)
 
 
 @dataclass
@@ -110,19 +145,38 @@ class TaskSequence:
 
 @dataclass
 class StepData:
+    """A step's view of the world.
+
+    train_x: the train images' features, (n_img, H*W, d_in), read-only:
+    the world's own `train_x` when the step keeps every train image, else
+    one gather of the rows it keeps.  Each of `train_images` has its row
+    of `train_x` as features and its labels relabeled for the step;
+    `test_images` keep every class seen so far.
+    """
+
     step: int
     class_set: tuple
-    train_images: list = field(default_factory=list)
+    train_x: np.ndarray
+    train_images: list
     test_images: list = field(default_factory=list)
+
+    @classmethod
+    def stacked(cls, step, class_set, train_images):
+        """The step of hand-made `train_images`, their features stacked
+        into one read-only `train_x` that the returned images view."""
+        train_x = np.stack([img.features.reshape(-1, img.features.shape[-1]) for img in train_images])
+        _freeze(train_x)
+        return cls(step, class_set, train_x, _views(train_x, [img.full_labels for img in train_images]))
 
 
 @dataclass
 class StepTable:
     """A step's train pixels, built once per step and never written.
 
-    x: raw features (n_img, H*W, d_in); y: head-column labels (n_img, H*W);
-    f: features of the frozen backbone (n_img, H*W, d); classes: the step's
-    class ids in head-column order.
+    x: raw features (n_img, H*W, d_in), the step's `StepData.train_x`
+    itself, so under the overlapped protocol the world's memory; y:
+    head-column labels (n_img, H*W); f: features of the frozen backbone
+    (n_img, H*W, d); classes: the step's class ids in head-column order.
     """
 
     classes: tuple
@@ -132,9 +186,10 @@ class StepTable:
 
     @cached_property
     def f_norms(self):
-        """Per-pixel norms of `f`, flattened; computed on first use."""
-        norms = np.linalg.norm(self.f.reshape(-1, self.f.shape[-1]), axis=1)
-        norms.setflags(write=False)
+        """Per-pixel norms of `f`, flattened; computed on first use, a row
+        block at a time, so no `f`-sized temporary is allocated."""
+        norms = row_norms(self.f.reshape(-1, self.f.shape[-1]))
+        _freeze(norms)
         return norms
 
 
@@ -176,22 +231,25 @@ def _render_image(spec, protos, primary_class, rng):
 
 def build_world(spec):
     """Deterministically generate prototypes plus train/test image pools;
+    the train features are rendered into one array, `World.train_x`, and
     every array of the world is read-only."""
     spec.validate()
     rng = SplitMix64(spec.seed)
     protos = _make_prototypes(spec, rng)
-    train_pool = []
+    train_x = np.empty((spec.num_classes * spec.images_per_class, spec.height * spec.width, spec.feature_dim))
+    labels = []
     for c in range(1, spec.num_classes + 1):
         for _ in range(spec.images_per_class):
-            train_pool.append(_render_image(spec, protos, c, rng))
+            img = _render_image(spec, protos, c, rng)
+            train_x[len(labels)] = img.features.reshape(train_x.shape[1:])
+            labels.append(img.full_labels)
     test_pool = []
     for c in range(1, spec.num_classes + 1):
         for _ in range(spec.test_images_per_class):
             test_pool.append(_render_image(spec, protos, c, rng))
     # every run that shares this world reads it; none may write it
-    for a in [protos] + [a for img in train_pool + test_pool for a in (img.features, img.full_labels)]:
-        a.setflags(write=False)
-    return World(spec=spec, prototypes=protos, train_pool=train_pool, test_pool=test_pool)
+    _freeze(protos, train_x, *labels, *(a for img in test_pool for a in (img.features, img.full_labels)))
+    return World(spec=spec, prototypes=protos, train_x=train_x, train_pool=_views(train_x, labels), test_pool=test_pool)
 
 
 def _relabel(labels, keep):
@@ -205,6 +263,8 @@ def step_view(seq, world, t):
     Train labels collapse everything outside the step's classes to
     background; the disjoint protocol additionally drops train images that
     contain any future class.  Test labels keep all classes seen so far.
+    A step that keeps every train image views the world's `train_x`;
+    one that drops some gathers the rest once.
     """
     seq.validate(world.spec.num_classes)
     if not (0 <= t < seq.num_steps):
@@ -213,19 +273,24 @@ def step_view(seq, world, t):
     seen = set(seq.seen_classes(t))
     future = set(seq.class_order) - seen
 
-    train = []
-    for img in world.train_pool:
-        if seq.setting == "disjoint" and future and np.isin(img.full_labels, list(future)).any():
-            continue
-        train.append(LabeledImage(img.features, _relabel(img.full_labels, current)))
-    if not train:
+    kept = [
+        i
+        for i, img in enumerate(world.train_pool)
+        if not (seq.setting == "disjoint" and future and np.isin(img.full_labels, list(future)).any())
+    ]
+    if not kept:
         raise DataError(f"disjoint filtering left no training images at step {t}")
+    train_x = world.train_x
+    if len(kept) < len(train_x):
+        train_x = train_x[kept]
+        _freeze(train_x)
+    train = _views(train_x, [_relabel(world.train_pool[i].full_labels, current) for i in kept])
 
     test = [
         LabeledImage(img.features, _relabel(img.full_labels, seen))
         for img in world.test_pool
     ]
-    return StepData(step=t, class_set=seq.classes_at(t), train_images=train, test_images=test)
+    return StepData(step=t, class_set=seq.classes_at(t), train_x=train_x, train_images=train, test_images=test)
 
 
 def map_labels(labels, col_of):
@@ -241,14 +306,14 @@ def step_table(data, backbone, col_of):
     """The pixel table of a step's train images, read-only.
 
     `backbone` is the frozen one whose features go in `f`; `col_of` maps
-    class ids to head columns.
+    class ids to head columns.  The table's `x` is `data.train_x`, not a
+    copy: the only arrays allocated are `y` and `f`.
     """
-    x = np.stack([img.features.reshape(-1, img.features.shape[-1]) for img in data.train_images])
+    x = data.train_x
     n_img, n_pix, d_in = x.shape
     y = map_labels(np.stack([img.full_labels for img in data.train_images]), col_of).reshape(n_img, n_pix)
     f = backbone.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
-    for a in (x, y, f):
-        a.setflags(write=False)
+    _freeze(y, f)
     return StepTable(data.class_set, x, y, f)
 
 

@@ -162,7 +162,7 @@ def _toy_step(rng, d_in=4, hw=4, new_classes=(3, 4)):
         labels = np.where(labels > 0, np.asarray(new_classes)[labels - 1], 0)
         feats = rng.normal((hw, hw, d_in))
         images.append(LabeledImage(feats, labels.astype(np.int64)))
-    return StepData(step=1, class_set=tuple(new_classes), train_images=images, test_images=[])
+    return StepData.stacked(1, tuple(new_classes), images)
 
 
 def check_frozen_contract(seed=17):

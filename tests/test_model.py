@@ -1,5 +1,7 @@
 """Model: backbone forward/backward, head growth, snapshot."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,25 @@ def test_snapshot_rejects_in_place_writes():
         with pytest.raises(ValueError):
             a += 1.0
     model.head.weights += 1.0  # the live model stays writable
+
+
+@pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+def test_snapshot_stays_frozen_through_a_pickle_round_trip(protocol):
+    # numpy loads arrays writable; a snapshot sent to a worker must not be
+    rng = SplitMix64(15)
+    model = SegModel(Backbone.single_relu(3, 4, rng), Head(rng.normal((4, 2)), biases=rng.normal(2)))
+    snap = pickle.loads(pickle.dumps(model.snapshot(), protocol=protocol))
+    assert snap.param_bytes() == model.param_bytes()
+    w, b = snap.backbone.layers[0]
+    for a in (w, b, snap.head.weights, snap.head.biases):
+        with pytest.raises(ValueError):
+            a += 1.0
+    live = pickle.loads(pickle.dumps(model, protocol=protocol))
+    assert live.param_bytes() == model.param_bytes()
+    w, b = live.backbone.layers[0]
+    for a in (w, b, live.head.weights, live.head.biases):
+        a += 1.0  # a live model stays writable
+    assert vars(live).keys() == vars(model).keys()
 
 
 def test_copy_of_snapshot_is_writable_and_independent():

@@ -125,7 +125,7 @@ def _toy_step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
         labels = rng.integers(len(new_classes) + 1, size=(hw, hw))
         labels = np.where(labels > 0, np.asarray(new_classes)[labels - 1], 0)
         imgs.append(LabeledImage(rng.normal((hw, hw, d_in)), labels.astype(np.int64)))
-    return StepData(step=1, class_set=tuple(new_classes), train_images=imgs, test_images=[])
+    return StepData.stacked(1, tuple(new_classes), imgs)
 
 
 def _table(data, old):

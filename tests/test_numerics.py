@@ -298,3 +298,57 @@ def test_rowsum_and_rowmax_leave_input_untouched():
     rowsum(a)
     rowmax(a)
     rowsum(a[:, 3:6])
+
+
+def _softmax_before_in_place(x, axis=-1):
+    """Test-only copy of softmax as it was before its exp and divide ran
+    in place: three fresh arrays of the input's size."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.swapaxes(axis, -1)
+    flat = rows.reshape(-1, rows.shape[-1])
+    e = np.exp(flat - rowmax(flat)[:, None])
+    return (e / rowsum(e)[:, None]).reshape(rows.shape).swapaxes(axis, -1)
+
+
+def _softmax_inputs():
+    rng = SplitMix64(91)
+    for n in (1, 2, _FEW_ROWS - 1, _FEW_ROWS, _FEW_ROWS + 1, 300):
+        for c in (1, 2, 5, 7, 8, 11, 17, _PW_BLOCK + 3):
+            x = rng.normal((n, c), std=4.0)
+            x[::5, 0] = 700.0  # rows whose exp overflows without the shift
+            yield f"{n}x{c}", x
+    x = rng.normal((3, 70, 6))
+    yield "3x70x6", x
+    yield "vector", rng.normal(9)
+
+
+@pytest.mark.parametrize("name, x", list(_softmax_inputs()), ids=lambda v: v if isinstance(v, str) else "")
+def test_in_place_softmax_equals_the_old_expression_bit_for_bit(name, x):
+    for layout in (np.ascontiguousarray(x), np.asfortranarray(x), class_major(x) if x.ndim == 2 else x[..., ::-1]):
+        layout.setflags(write=False)  # the input is never written
+        before = layout.tobytes()
+        for axis in range(-x.ndim, x.ndim):
+            got, want = softmax(layout, axis=axis), _softmax_before_in_place(layout, axis=axis)
+            assert got.shape == want.shape and got.strides == want.strides, (name, axis)
+            assert got.tobytes() == want.tobytes(), (name, axis)
+            assert got.flags.writeable and not np.shares_memory(got, layout)
+        assert layout.tobytes() == before
+
+
+@pytest.mark.parametrize("c", [5, 11])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_softmax_peaks_at_its_output_plus_row_vectors(c, order):
+    import tracemalloc
+
+    n = 51200
+    x = np.asarray(SplitMix64(c).normal((n, c)), order=order)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = softmax(x, axis=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the output, the row max and the row sum's partial sums, nothing of
+    # the input's size beside the output
+    assert peak <= out.nbytes + 4 * n * 8 + 64 * 1024

@@ -49,7 +49,7 @@ def _step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
         labels = rng.integers(len(new_classes) + 1, size=(hw, hw))
         labels = np.where(labels > 0, np.asarray(new_classes)[labels - 1], 0)
         imgs.append(LabeledImage(rng.normal((hw, hw, d_in)), labels.astype(np.int64)))
-    return StepData(step=1, class_set=tuple(new_classes), train_images=imgs, test_images=[])
+    return StepData.stacked(1, tuple(new_classes), imgs)
 
 
 def _table(data, old):
@@ -64,8 +64,9 @@ def test_tuning_that_overflows_the_new_columns_raises(strategy):
     rng = SplitMix64(48)
     old = _old_model(rng)
     data = _step(rng, images=1)
-    for img in data.train_images:
-        img.features *= 100.0
+    # the step's features are read-only: scale them into a new step
+    scaled = [LabeledImage(100.0 * img.features, img.full_labels) for img in data.train_images]
+    data = StepData.stacked(data.step, data.class_set, scaled)
     table = _table(data, old)
     cfg = nest.PretuneConfig(epochs=1, lr=1e308, batch_size=1)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 0"):

@@ -1,20 +1,25 @@
 """Synthetic worlds: prototypes, rendering, step views, round-trip."""
 
 import json
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nestlab.errors import ConfigError
+from nestlab.metrics import _ROW_BLOCK, row_norms
 from nestlab.model import Backbone
 from nestlab.numerics import SplitMix64
 from nestlab.synthdata import (
     LabeledImage,
+    StepData,
     TaskSequence,
     WorldSpec,
     _make_prototypes,
     build_world,
     dump_images,
+    map_labels,
     minibatches,
     step_table,
     step_view,
@@ -216,3 +221,172 @@ def test_minibatches_draw_each_epoch_when_it_starts():
     next(schedule)
     ref.permutation(6)
     assert rng.next_u64() == ref.next_u64()
+
+
+def _stacked_table(world, seq, t, backbone, col_of):
+    """The step table as it was built before the world held one train
+    array: the kept images' features and relabeled labels stacked per
+    image, straight from the world's pool."""
+    current, future = set(seq.classes_at(t)), set(seq.class_order) - set(seq.seen_classes(t))
+    kept = [
+        img
+        for img in world.train_pool
+        if not (seq.setting == "disjoint" and future and np.isin(img.full_labels, list(future)).any())
+    ]
+    x = np.stack([img.features.reshape(-1, img.features.shape[-1]) for img in kept])
+    n_img, n_pix, d_in = x.shape
+    labels = np.stack([np.where(np.isin(img.full_labels, list(current)), img.full_labels, 0) for img in kept])
+    y = map_labels(labels, col_of).reshape(n_img, n_pix)
+    f = backbone.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
+    return x, y, f
+
+
+def test_world_train_features_are_views_of_one_read_only_array():
+    world = build_world(tiny_spec())
+    assert world.train_x.shape == (len(world.train_pool), 8 * 8, 6)
+    assert not world.train_x.flags.writeable
+    for i, img in enumerate(world.train_pool):
+        assert img.features.shape == (8, 8, 6)
+        assert np.shares_memory(img.features, world.train_x[i])
+        assert img.features.tobytes() == world.train_x[i].tobytes()
+    with pytest.raises(ValueError):
+        world.train_x[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("setting", ["overlapped", "disjoint"])
+def test_step_table_equals_the_stacked_build_byte_for_byte(setting):
+    world = build_world(tiny_spec())
+    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1, setting=setting)
+    backbone = Backbone.single_relu(6, 5, SplitMix64(2))
+    col_of = {c: i + 1 for i, c in enumerate(seq.class_order)}
+    for t in range(seq.num_steps):
+        table = step_table(step_view(seq, world, t), backbone, col_of)
+        for got, want in zip((table.x, table.y, table.f), _stacked_table(world, seq, t, backbone, col_of)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (setting, t)
+            assert not got.flags.writeable
+
+
+def test_overlapped_table_x_is_the_worlds_memory():
+    world = build_world(tiny_spec())
+    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
+    data = step_view(seq, world, 1)
+    assert data.train_x is world.train_x
+    table = step_table(data, Backbone.single_relu(6, 5, SplitMix64(1)), {c: c for c in range(1, 5)})
+    assert np.shares_memory(table.x, world.train_x)
+    with pytest.raises(ValueError):
+        table.x[0, 0, 0] = 1.0
+    for img, row in zip(data.train_images, world.train_x):
+        assert np.shares_memory(img.features, row)
+
+
+def test_disjoint_table_x_holds_exactly_the_kept_images():
+    world = build_world(tiny_spec())
+    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1, setting="disjoint")
+    data = step_view(seq, world, 1)
+    kept = [i for i, img in enumerate(world.train_pool) if not (img.full_labels == 4).any()]
+    assert 0 < len(kept) < len(world.train_pool)
+    assert data.train_x.tobytes() == world.train_x[kept].tobytes()
+    assert not data.train_x.flags.writeable
+    for img, row in zip(data.train_images, data.train_x):
+        assert np.shares_memory(img.features, row)
+    # the last step has no future class, so it keeps, and views, every image
+    assert step_view(seq, world, seq.num_steps - 1).train_x is world.train_x
+
+
+def test_hand_built_step_stacks_its_images_once():
+    rng = SplitMix64(5)
+    images = [LabeledImage(rng.normal((4, 4, 3)), np.full((4, 4), c, dtype=np.int64)) for c in (0, 2, 2)]
+    data = StepData.stacked(1, (2,), images)
+    assert data.train_x.shape == (3, 16, 3) and not data.train_x.flags.writeable
+    for img, orig, row in zip(data.train_images, images, data.train_x):
+        assert img.features.tobytes() == orig.features.tobytes()
+        assert img.full_labels is orig.full_labels
+        assert np.shares_memory(img.features, row)
+    table = step_table(data, Backbone([], 3), {2: 1})
+    assert table.x is data.train_x
+
+
+def _traced(fn):
+    """fn()'s result, with the bytes it left allocated and the peak above
+    the start, as tracemalloc counts them (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current - base, peak - base
+
+
+_KIB = 1024
+
+
+def test_step_table_allocates_only_its_labels_and_features():
+    world = build_world(WorldSpec())
+    seq = TaskSequence()
+    data = step_view(seq, world, 1)
+    backbone = Backbone.single_relu(16, 16, SplitMix64(1))
+    col_of = {c: i + 1 for i, c in enumerate(seq.class_order)}
+    table, net, peak = _traced(lambda: step_table(data, backbone, col_of))
+    assert net <= table.f.nbytes + table.y.nbytes + 64 * _KIB
+    # plus one ufunc buffer of the backbone's broadcast bias add at the peak
+    assert peak <= table.f.nbytes + table.y.nbytes + 64 * _KIB + np.getbufsize() * 8
+
+
+def test_feature_norms_make_no_table_sized_temporary():
+    world = build_world(WorldSpec())
+    data = step_view(TaskSequence(), world, 1)
+    table = step_table(data, Backbone.single_relu(16, 16, SplitMix64(1)), {c: c for c in range(1, 11)})
+    assert table.f.shape[0] * table.f.shape[1] > 2 * _ROW_BLOCK
+    norms, _, peak = _traced(lambda: table.f_norms)
+    assert peak < table.f.nbytes / 4
+    assert norms.tobytes() == np.linalg.norm(table.f.reshape(-1, 16), axis=1).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 4095, 4096, 4097, 51200])
+def test_blocked_row_norms_equal_linalg_norm_bit_for_bit(rows):
+    a = SplitMix64(rows).normal((rows, 16))
+    a[::7] = np.maximum(a[::7], 0.0)  # ReLU-like rows with exact zeros
+    a[3::11] = 0.0
+    a.setflags(write=False)
+    assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+
+def _world_arrays(world):
+    """Every array of a world, by where it lives."""
+    arrays = {"prototypes": world.prototypes, "train_x": world.train_x}
+    for pool in ("train_pool", "test_pool"):
+        for i, img in enumerate(getattr(world, pool)):
+            arrays[f"{pool}[{i}].features"] = img.features
+            arrays[f"{pool}[{i}].full_labels"] = img.full_labels
+    return arrays
+
+
+@pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+def test_world_pickle_round_trip_stays_read_only_and_shared(protocol):
+    world = build_world(tiny_spec())
+    loaded = pickle.loads(pickle.dumps(world, protocol=protocol))
+    before, after = _world_arrays(world), _world_arrays(loaded)
+    assert before.keys() == after.keys()
+    for key, a in after.items():
+        assert not a.flags.writeable, key
+        assert a.tobytes() == before[key].tobytes() and a.shape == before[key].shape, key
+    for i, img in enumerate(loaded.train_pool):
+        assert np.shares_memory(img.features, loaded.train_x[i])
+    assert loaded.spec == world.spec
+
+
+def test_world_pickle_holds_the_train_features_once():
+    world = build_world(WorldSpec())
+    size = len(pickle.dumps(world))
+    # the layout of a world whose train images each own their features
+    owned = dict(
+        spec=world.spec,
+        prototypes=world.prototypes,
+        train_pool=[LabeledImage(np.array(img.features), img.full_labels) for img in world.train_pool],
+        test_pool=world.test_pool,
+    )
+    assert size <= len(pickle.dumps(owned))
+    assert size < world.train_x.nbytes * 3 / 2

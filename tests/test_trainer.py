@@ -1,6 +1,7 @@
 """Trainer: end-to-end contracts on small worlds (kept fast)."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -215,6 +216,27 @@ def test_shared_base_matches_independent_runs():
         shared = run_experiment(small_config(strategy=strat), world, base)
         assert _pinned(shared) == _pinned(run_experiment(small_config(strategy=strat))), strat
         assert base.model.param_bytes() == base_bytes
+
+
+def test_world_and_base_reach_a_worker_read_only():
+    # run_plan's workers receive the world and the base as the process
+    # pool pickles them; they arrive read-only and give the same run
+    from multiprocessing.reduction import ForkingPickler
+
+    from nestlab.synthdata import build_world
+    from nestlab.trainer import train_base
+
+    world = build_world(small_config().world)
+    base = train_base(small_config(), world)
+    sent_world, sent_base = pickle.loads(ForkingPickler.dumps((world, base)))
+    model = sent_base.model
+    arrays = [sent_world.prototypes, sent_world.train_x, model.head.weights]
+    arrays += [a for img in sent_world.train_pool + sent_world.test_pool for a in (img.features, img.full_labels)]
+    arrays += [a for layer in model.backbone.layers for a in layer]
+    assert not any(a.flags.writeable for a in arrays)
+    assert all(np.shares_memory(img.features, sent_world.train_x) for img in sent_world.train_pool)
+    cfg = small_config()
+    assert _pinned(run_experiment(cfg, sent_world, sent_base)) == _pinned(run_experiment(cfg, world, base))
 
 
 def test_train_config_has_no_seed_list():
