@@ -15,19 +15,17 @@ from nestlab import nest
 from nestlab.losses import unbiased_ce
 from nestlab.numerics import SplitMix64
 from nestlab.strategies import initialize_head, parse_strategy
-from nestlab.synthdata import build_world, step_table, step_view
+from nestlab.synthdata import build_world, step_view
 from nestlab.trainer import ExperimentConfig, train_base_step
 
 
-def new_class_stats(head, old_model, data, n_old):
-    """Unbiased CE and new-pixel accuracy of a candidate head on step data."""
+def new_class_stats(head, old_model, table, n_old):
+    """Unbiased CE and new-pixel accuracy of a candidate head on a step's
+    table, one image at a time."""
     total = hits = new_px = n = 0
     loss_sum = 0.0
-    for img in data.train_images:
-        h, w, d_in = img.features.shape
-        x = old_model.backbone.forward(img.features.reshape(-1, d_in))
-        y = np.where(img.full_labels.ravel() > 0, n_old, 0)
-        z = head.logits(x)
+    for x, y in zip(table.x, table.y):
+        z = head.logits(old_model.backbone.forward(x))
         loss_sum += unbiased_ce(z, y, n_old)[0] * y.size
         n += y.size
         pred = np.argmax(z, axis=1)
@@ -42,15 +40,14 @@ def main():
     cfg = ExperimentConfig(seed=1)
     world = build_world(cfg.world)
     print("training the base model on classes 1-6 ...")
-    model, _, _ = train_base_step(cfg, world, rng)
+    model, _ = train_base_step(cfg, world, rng)
     old = model.snapshot()
     n_old = old.head.num_classes
 
-    data = step_view(cfg.sequence, world, 1)  # class 7 arrives
-    print(f"step 1 introduces class {data.class_set}, "
-          f"{len(data.train_images)} training images\n")
+    table = step_view(cfg.sequence, world, 1, old.backbone)  # class 7 arrives
+    print(f"step 1 introduces class {table.classes}, "
+          f"{len(table.x)} training images\n")
 
-    table = step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
     tset = nest.similarity_init_transforms(table, old)
     m = tset.importance[7]
     p = tset.projection[7]
@@ -67,11 +64,11 @@ def main():
 
     w_old = old.head.weights
     head0 = nest.assemble_pretune_head(old.head, tset)
-    loss0, acc0 = new_class_stats(head0, old, data, n_old)
+    loss0, acc0 = new_class_stats(head0, old, table, n_old)
     print(f"before pre-tuning: unbiased CE {loss0:.3f}, new-pixel accuracy {acc0:.3f}")
 
     head1 = nest.pretune(table, old, tset, nest.PretuneConfig(), SplitMix64(2))
-    loss1, acc1 = new_class_stats(head1, old, data, n_old)
+    loss1, acc1 = new_class_stats(head1, old, table, n_old)
     print(f"after  pre-tuning: unbiased CE {loss1:.3f}, new-pixel accuracy {acc1:.3f}")
 
     col = head1.weights[:, n_old:]
@@ -81,7 +78,7 @@ def main():
 
     # the baseline everything is measured against: copy the bg classifier
     bg_head = initialize_head(parse_strategy("background"), old, table, nest.PretuneConfig(), rng)
-    loss_bg, acc_bg = new_class_stats(bg_head, old, data, n_old)
+    loss_bg, acc_bg = new_class_stats(bg_head, old, table, n_old)
     print(f"\nbackground-copy baseline: unbiased CE {loss_bg:.3f}, "
           f"new-pixel accuracy {acc_bg:.3f}")
     print(f"extra scalars the transforms cost: "

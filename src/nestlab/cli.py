@@ -69,6 +69,15 @@ def _fits(default, value):
     return (value is None and default is None) or (isinstance(value, list) and all(map(_is_int, value)))
 
 
+def _finite_float64(value):
+    """Whether `value` is a finite float64: an int past float64's range
+    overflows in `math.isfinite`."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _defaults(cls):
     """A section's defaults from its dataclass fields, tuples as lists."""
     return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in dataclasses.fields(cls)}
@@ -85,8 +94,8 @@ def _merge_section(name, defaults, given):
     for key, value in given.items():
         if not _fits(defaults[key], value):
             raise ConfigError(f"{name}.{key} has the wrong type: {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name}.{key} must be finite, got {value!r}")
+        if isinstance(defaults[key], float) and not _finite_float64(value):
+            raise ConfigError(f"{name}.{key} must be a finite float64, got {value!r}")
     merged = dict(defaults)
     merged.update(given)
     return merged
@@ -105,7 +114,7 @@ def load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-    except (UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, too deep, or an int of over 4300 digits
         raise ConfigError(f"{path}: {e}")
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror}")
@@ -232,8 +241,8 @@ def cmd_gen_data(config_path, out_dir):
     out_dir = out_dir or resolved["report"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     world = build_world(_experiment_config(resolved, "background").world)
-    dump_images(world.train_pool, os.path.join(out_dir, "train.jsonl"))
-    dump_images(world.test_pool, os.path.join(out_dir, "test.jsonl"))
+    dump_images(world.train_x, world.train_y, world.spec.height, os.path.join(out_dir, "train.jsonl"))
+    dump_images(world.test_x, world.test_y, world.spec.height, os.path.join(out_dir, "test.jsonl"))
     return 0
 
 

@@ -1,19 +1,19 @@
 """Synthetic per-pixel segmentation worlds with controllable class similarity.
 
 Each image is a background canvas with rectangular class blobs painted on
-top; pixel features are drawn from per-class Gaussian prototypes.  Step
-views relabel pixels of classes outside the current step as background,
-reproducing background shift under the overlapped and disjoint protocols.
-The world holds its train features in one read-only array; every train
-image, step view and step table reads views of it, never a copy, except
-that the disjoint protocol gathers the images it keeps once per step.  A
-step table holds a step's train pixels, with head-column labels and the
-frozen backbone's features, for every consumer to index; `minibatches` is
-the one schedule in which every SGD loop visits its images.
+top; pixel features are drawn from per-class Gaussian prototypes.  The
+world keeps each pool as two read-only arrays, features and class-id
+labels, one row per image.  A step's view of it is its `StepTable`: the
+train pixels, labelled by `label_columns` with every class outside the
+step as background (background shift under the overlapped and disjoint
+protocols), plus the frozen backbone's features.  The table's features
+are the world's array itself, except that the disjoint protocol gathers
+the images it keeps once per step.  `minibatches` is the one schedule in
+which every SGD loop visits its images.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,49 +63,30 @@ class WorldSpec:
             raise ConfigError("need at least one image per class in each pool")
 
 
-@dataclass
-class LabeledImage:
-    features: np.ndarray  # (H, W, d_in) float64
-    full_labels: np.ndarray  # (H, W) int64, 0 = background
-
-
 def _freeze(*arrays):
     for a in arrays:
         a.setflags(write=False)
-
-
-def _views(train_x, labels):
-    """Train images whose features are views of the rows of `train_x`."""
-    return [LabeledImage(x.reshape(y.shape + x.shape[-1:]), y) for x, y in zip(train_x, labels)]
 
 
 @dataclass
 class World:
     """A synthetic world; every array of it is read-only.
 
-    train_x: the train pool's features, (n_train, H*W, d_in), one array;
-    each train image's `features` is a view of its row.  A pickle holds
-    `train_x` once and no train image's features; loading it rebuilds the
-    views and makes every array read-only again.
+    Each pool is two arrays: features (n, H*W, d_in) float64 and class-id
+    labels (n, H*W) int64, 0 = background, one row per image.  numpy
+    loads pickled arrays writable, so loading a world freezes them again.
     """
 
     spec: WorldSpec
     prototypes: np.ndarray  # (K+1, d_in), row 0 = background
     train_x: np.ndarray
-    train_pool: list  # of LabeledImage
-    test_pool: list
-
-    def __getstate__(self):
-        state = dict(vars(self))
-        state["train_pool"] = [img.full_labels for img in self.train_pool]
-        return state
+    train_y: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
 
     def __setstate__(self, state):
-        labels = state.pop("train_pool")
         vars(self).update(state)
-        test_arrays = [a for img in self.test_pool for a in (img.features, img.full_labels)]
-        _freeze(self.prototypes, self.train_x, *labels, *test_arrays)
-        self.train_pool = _views(self.train_x, labels)
+        _freeze(self.prototypes, self.train_x, self.train_y, self.test_x, self.test_y)
 
 
 @dataclass
@@ -144,39 +125,13 @@ class TaskSequence:
 
 
 @dataclass
-class StepData:
-    """A step's view of the world.
-
-    train_x: the train images' features, (n_img, H*W, d_in), read-only:
-    the world's own `train_x` when the step keeps every train image, else
-    one gather of the rows it keeps.  Each of `train_images` has its row
-    of `train_x` as features and its labels relabeled for the step;
-    `test_images` keep every class seen so far.
-    """
-
-    step: int
-    class_set: tuple
-    train_x: np.ndarray
-    train_images: list
-    test_images: list = field(default_factory=list)
-
-    @classmethod
-    def stacked(cls, step, class_set, train_images):
-        """The step of hand-made `train_images`, their features stacked
-        into one read-only `train_x` that the returned images view."""
-        train_x = np.stack([img.features.reshape(-1, img.features.shape[-1]) for img in train_images])
-        _freeze(train_x)
-        return cls(step, class_set, train_x, _views(train_x, [img.full_labels for img in train_images]))
-
-
-@dataclass
 class StepTable:
     """A step's train pixels, built once per step and never written.
 
-    x: raw features (n_img, H*W, d_in), the step's `StepData.train_x`
-    itself, so under the overlapped protocol the world's memory; y:
-    head-column labels (n_img, H*W); f: features of the frozen backbone
-    (n_img, H*W, d); classes: the step's class ids in head-column order.
+    x: raw features (n_img, H*W, d_in), under the overlapped protocol
+    the world's `train_x` itself; y: head-column labels (n_img, H*W);
+    f: features of the frozen backbone (n_img, H*W, d); classes: the
+    step's class ids in head-column order.
     """
 
     classes: tuple
@@ -215,6 +170,7 @@ def _make_prototypes(spec, rng):
 
 
 def _render_image(spec, protos, primary_class, rng):
+    """One image's class-id labels (H*W,) and features (H*W, d_in)."""
     h, w = spec.height, spec.width
     labels = np.zeros((h, w), dtype=np.int64)
     n_blobs = spec.blobs_min + rng.integers(spec.blobs_max - spec.blobs_min + 1)
@@ -226,95 +182,73 @@ def _render_image(spec, protos, primary_class, rng):
         left = rng.integers(w - bw + 1)
         labels[top : top + bh, left : left + bw] = cls
     feats = protos[labels] + spec.noise_sigma * rng.normal((h, w, spec.feature_dim))
-    return LabeledImage(features=feats, full_labels=labels)
+    return labels.ravel(), feats.reshape(h * w, -1)
+
+
+def _render_pool(spec, protos, per_class, rng):
+    """`per_class` images of each class in turn, as read-only features
+    (n, H*W, d_in) and labels (n, H*W)."""
+    n_pix = spec.height * spec.width
+    x = np.empty((spec.num_classes * per_class, n_pix, spec.feature_dim))
+    y = np.empty(x.shape[:2], dtype=np.int64)
+    for i in range(len(x)):
+        y[i], x[i] = _render_image(spec, protos, 1 + i // per_class, rng)
+    # every run that shares the world reads it; none may write it
+    _freeze(x, y)
+    return x, y
 
 
 def build_world(spec):
-    """Deterministically generate prototypes plus train/test image pools;
-    the train features are rendered into one array, `World.train_x`, and
-    every array of the world is read-only."""
+    """Deterministically generate prototypes plus the train and test
+    pools, each rendered into a features array and a labels array."""
     spec.validate()
     rng = SplitMix64(spec.seed)
     protos = _make_prototypes(spec, rng)
-    train_x = np.empty((spec.num_classes * spec.images_per_class, spec.height * spec.width, spec.feature_dim))
-    labels = []
-    for c in range(1, spec.num_classes + 1):
-        for _ in range(spec.images_per_class):
-            img = _render_image(spec, protos, c, rng)
-            train_x[len(labels)] = img.features.reshape(train_x.shape[1:])
-            labels.append(img.full_labels)
-    test_pool = []
-    for c in range(1, spec.num_classes + 1):
-        for _ in range(spec.test_images_per_class):
-            test_pool.append(_render_image(spec, protos, c, rng))
-    # every run that shares this world reads it; none may write it
-    _freeze(protos, train_x, *labels, *(a for img in test_pool for a in (img.features, img.full_labels)))
-    return World(spec=spec, prototypes=protos, train_x=train_x, train_pool=_views(train_x, labels), test_pool=test_pool)
+    _freeze(protos)
+    train_x, train_y = _render_pool(spec, protos, spec.images_per_class, rng)
+    test_x, test_y = _render_pool(spec, protos, spec.test_images_per_class, rng)
+    return World(spec, protos, train_x, train_y, test_x, test_y)
 
 
-def _relabel(labels, keep):
-    out = np.where(np.isin(labels, list(keep)), labels, 0)
-    return out.astype(np.int64)
+def label_columns(labels, classes, first):
+    """Class ids to head columns: `classes[i]` to column `first + i`, every
+    other id to 0 (background), through one lookup table."""
+    lut = np.zeros(max([labels.max(), *classes]) + 1, dtype=np.int64)
+    lut[list(classes)] = np.arange(first, first + len(classes))
+    return lut[labels]
 
 
-def step_view(seq, world, t):
-    """Training and evaluation views of the world at step t.
+def step_table(classes, x, y, backbone):
+    """The read-only pixel table of `x` (n_img, H*W, d_in) and its head-column
+    labels `y` (n_img, H*W), with the features of the frozen `backbone`.
+    `x` and `y` are frozen, not copied; only `f` is allocated."""
+    n_img, n_pix, d_in = x.shape
+    f = backbone.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
+    _freeze(x, y, f)
+    return StepTable(tuple(classes), x, y, f)
+
+
+def step_view(seq, world, t, backbone):
+    """The step table of step t, its features taken by the frozen `backbone`.
 
     Train labels collapse everything outside the step's classes to
-    background; the disjoint protocol additionally drops train images that
-    contain any future class.  Test labels keep all classes seen so far.
-    A step that keeps every train image views the world's `train_x`;
-    one that drops some gathers the rest once.
+    background, and its classes take the head columns after the old ones;
+    the disjoint protocol additionally drops train images that contain any
+    future class.  A step that keeps every train image views the world's
+    `train_x`; one that drops some gathers the rest once.
     """
     seq.validate(world.spec.num_classes)
     if not (0 <= t < seq.num_steps):
         raise ConfigError(f"step {t} outside sequence of {seq.num_steps} steps")
-    current = set(seq.classes_at(t))
-    seen = set(seq.seen_classes(t))
-    future = set(seq.class_order) - seen
-
-    kept = [
-        i
-        for i, img in enumerate(world.train_pool)
-        if not (seq.setting == "disjoint" and future and np.isin(img.full_labels, list(future)).any())
-    ]
-    if not kept:
-        raise DataError(f"disjoint filtering left no training images at step {t}")
-    train_x = world.train_x
-    if len(kept) < len(train_x):
-        train_x = train_x[kept]
-        _freeze(train_x)
-    train = _views(train_x, [_relabel(world.train_pool[i].full_labels, current) for i in kept])
-
-    test = [
-        LabeledImage(img.features, _relabel(img.full_labels, seen))
-        for img in world.test_pool
-    ]
-    return StepData(step=t, class_set=seq.classes_at(t), train_x=train_x, train_images=train, test_images=test)
-
-
-def map_labels(labels, col_of):
-    """Class ids to head columns, flattened; ids missing from `col_of` map
-    to column 0 (background)."""
-    lut = np.zeros(max(col_of) + 1, dtype=np.int64)
-    for c, col in col_of.items():
-        lut[c] = col
-    return lut[np.asarray(labels).ravel()]
-
-
-def step_table(data, backbone, col_of):
-    """The pixel table of a step's train images, read-only.
-
-    `backbone` is the frozen one whose features go in `f`; `col_of` maps
-    class ids to head columns.  The table's `x` is `data.train_x`, not a
-    copy: the only arrays allocated are `y` and `f`.
-    """
-    x = data.train_x
-    n_img, n_pix, d_in = x.shape
-    y = map_labels(np.stack([img.full_labels for img in data.train_images]), col_of).reshape(n_img, n_pix)
-    f = backbone.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
-    _freeze(y, f)
-    return StepTable(data.class_set, x, y, f)
+    classes, seen = seq.classes_at(t), seq.seen_classes(t)
+    future = sorted(set(seq.class_order) - set(seen))
+    x, y = world.train_x, world.train_y
+    if seq.setting == "disjoint" and future:
+        keep = ~np.isin(y, future).any(axis=1)
+        if not keep.any():
+            raise DataError(f"disjoint filtering left no training images at step {t}")
+        x, y = x[keep], y[keep]
+    return step_table(classes, x, label_columns(y, classes, 1 + len(seen) - len(classes)), backbone)
 
 
 def minibatches(n, epochs, batch_size, rng):
@@ -327,17 +261,17 @@ def minibatches(n, epochs, batch_size, rng):
         yield [order[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
-def dump_images(images, path):
-    """Write images as JSON lines; floats round-trip bit-exactly."""
+def dump_images(x, y, height, path):
+    """Write a pool of images, features `x` (n, H*W, d) and labels `y`
+    (n, H*W), as JSON lines; floats round-trip bit-exactly."""
+    n, n_pix, d = x.shape
     with open(path, "w") as fh:
-        for img in images:
-            h, w, d = img.features.shape
+        for feats, labels in zip(x, y):
             rec = {
-                "h": h,
-                "w": w,
+                "h": height,
+                "w": n_pix // height,
                 "d": d,
-                "features": img.features.ravel().tolist(),
-                "labels": img.full_labels.ravel().tolist(),
+                "features": feats.ravel().tolist(),
+                "labels": labels.tolist(),
             }
             fh.write(json.dumps(rec) + "\n")
-

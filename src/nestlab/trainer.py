@@ -2,7 +2,9 @@
 initialization, formal training with the unbiased losses, and
 stability instrumentation (per-epoch loss and feature-similarity stats).
 Base and formal training are one SGD loop, `_train_epochs`, over the
-`synthdata.minibatches` schedule.  `run_plan` runs a list of configs,
+`synthdata.minibatches` schedule and the step's table from
+`synthdata.step_view`; evaluation maps the world's test labels to head
+columns with `synthdata.label_columns`.  `run_plan` runs a list of configs,
 building each world once and training each base step once.
 """
 
@@ -20,7 +22,7 @@ from .model import Backbone, Head, SegModel
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
-from .synthdata import TaskSequence, WorldSpec, build_world, map_labels, minibatches, step_table, step_view
+from .synthdata import TaskSequence, WorldSpec, build_world, label_columns, minibatches, step_view
 
 
 @dataclass
@@ -103,11 +105,6 @@ class RunResult:
     per_class_iou: dict  # class id -> IoU at the final step
 
 
-def _col_of_class(sequence):
-    """Head column index per class id: introduction order, bg = 0."""
-    return {c: i + 1 for i, c in enumerate(sequence.class_order)}
-
-
 def track_stability(live_model, table):
     """Cosine similarity between live and frozen backbone features.
 
@@ -159,32 +156,26 @@ def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, f
     return stats
 
 
-def _evaluate(model, test_images, col_of):
+def _step_report(model, world, sequence, step, stats, t0):
+    """The StepReport of `step`, timed from `t0`, and the IoU of every head
+    column, from evaluating `model` on the world's test images."""
+    seen = sequence.seen_classes(step)
+    # one forward per image: a matmul's rounding depends on its row count
+    pred = [np.argmax(model.head.logits(model.backbone.forward(x)), axis=1) for x in world.test_x]
     cm = ConfusionMatrix(model.head.num_classes)
-    for img in test_images:
-        h, w, d_in = img.features.shape
-        feats = model.backbone.forward(img.features.reshape(-1, d_in))
-        pred = np.argmax(model.head.logits(feats), axis=1)
-        truth = map_labels(img.full_labels, col_of)
-        cm.add(truth, pred)
-    return cm
-
-
-def _step_report(model, data, sequence, stats, t0):
-    """The step's StepReport, timed from `t0`, and the IoU of every head
-    column, from evaluating `model` on the step's test images."""
-    ious = iou_per_class(_evaluate(model, data.test_images, _col_of_class(sequence)))
+    cm.add(label_columns(world.test_y, seen, 1), np.stack(pred))
+    ious = iou_per_class(cm)
     n_base = sequence.base_count
-    n_seen = n_base + data.step * sequence.increment
-    new_ids = range(n_base + 1, n_seen + 1)
+    new_ids = range(n_base + 1, len(seen) + 1)
     miou_new = miou_range(ious, new_ids) if new_ids else float("nan")
     miou_base = miou_range(ious, range(n_base + 1))
-    miou_all = miou_range(ious, range(n_seen + 1))
-    return StepReport(data.step, miou_base, miou_new, miou_all, stats, time.perf_counter() - t0), ious
+    miou_all = miou_range(ious, range(len(seen) + 1))
+    return StepReport(step, miou_base, miou_new, miou_all, stats, time.perf_counter() - t0), ious
 
 
 def train_base_step(cfg, world, rng):
-    """Plain cross-entropy training on step 0 classes."""
+    """Plain cross-entropy training on step 0 classes; returns the model
+    and its per-epoch stats."""
     train = cfg.train
     d_in = world.spec.feature_dim
     backbone = Backbone.single_relu(d_in, train.backbone_dim, rng)
@@ -193,13 +184,12 @@ def train_base_step(cfg, world, rng):
     head_b = np.zeros(n_cols) if train.use_bias else None
     model = SegModel(backbone, Head(head_w, head_b))
 
-    data = step_view(cfg.sequence, world, 0)
     # the freshly initialized backbone is the base step's frozen reference
-    table = step_table(data, model.backbone, _col_of_class(cfg.sequence))
+    table = step_view(cfg.sequence, world, 0, model.backbone)
     stats = _train_epochs(
         model, table, train.base_epochs, train.batch_size, rng, lambda it: train.base_lr, lambda z, y, batch: ce(z, y), 0
     )
-    return model, data, stats
+    return model, stats
 
 
 def run_step(model, cfg, world, t, rng):
@@ -208,8 +198,7 @@ def run_step(model, cfg, world, t, rng):
     train = cfg.train
     snapshot = model.snapshot()
     snapshot_bytes = snapshot.param_bytes()
-    data = step_view(cfg.sequence, world, t)
-    table = step_table(data, snapshot.backbone, _col_of_class(cfg.sequence))
+    table = step_view(cfg.sequence, world, t, snapshot.backbone)
     strategy = parse_strategy(cfg.strategy)
 
     n_old = snapshot.head.num_classes
@@ -240,7 +229,7 @@ def run_step(model, cfg, world, t, rng):
     if snapshot.param_bytes() != snapshot_bytes:
         raise NumericError("old-model snapshot was mutated during the step")
 
-    report, ious = _step_report(model, data, cfg.sequence, stats, t0)
+    report, ious = _step_report(model, world, cfg.sequence, t, stats, t0)
     return model, report, ious
 
 
@@ -248,8 +237,8 @@ def train_base(cfg, world):
     """Train and evaluate step 0 once, for every arm of this seed."""
     rng = SplitMix64(cfg.seed)
     t0 = time.perf_counter()
-    model, base_data, base_stats = train_base_step(cfg, world, rng)
-    report, ious = _step_report(model, base_data, cfg.sequence, base_stats, t0)
+    model, base_stats = train_base_step(cfg, world, rng)
+    report, ious = _step_report(model, world, cfg.sequence, 0, base_stats, t0)
     return BaseStep(model.snapshot(), rng, report, ious)
 
 
@@ -270,11 +259,10 @@ def run_experiment(cfg, world=None, base=None):
         model, report, ious = run_step(model, cfg, world, t, rng)
         reports.append(report)
 
-    col_of = _col_of_class(cfg.sequence)
+    # head column i + 1 is the i-th class of the order
     per_class = {0: float(ious[0])}
-    for c, col in col_of.items():
-        if col < len(ious):
-            per_class[c] = float(ious[col])
+    for col, c in enumerate(cfg.sequence.class_order[: len(ious) - 1], 1):
+        per_class[c] = float(ious[col])
     return RunResult(reports=reports, per_class_iou=per_class)
 
 

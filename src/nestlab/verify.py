@@ -11,7 +11,7 @@ from . import nest
 from .losses import unbiased_ce, unbiased_kd
 from .model import Backbone, Head, SegModel
 from .numerics import SplitMix64, finite_diff_grad, softmax
-from .synthdata import LabeledImage, StepData, step_table
+from .synthdata import step_table
 
 
 def _rel_err(analytic, numeric):
@@ -155,14 +155,15 @@ def check_gradients(instances=100, seed=13, h=1e-4):
     return "gradient_correctness", worst <= 1e-4, f"max relative error {worst:.2e}"
 
 
-def _toy_step(rng, d_in=4, hw=4, new_classes=(3, 4)):
-    images = []
-    for _ in range(4):
-        labels = rng.integers(len(new_classes) + 1, size=(hw, hw))
-        labels = np.where(labels > 0, np.asarray(new_classes)[labels - 1], 0)
-        feats = rng.normal((hw, hw, d_in))
-        images.append(LabeledImage(feats, labels.astype(np.int64)))
-    return StepData.stacked(1, tuple(new_classes), images)
+def _toy_step(rng, backbone, n_old, d_in=4, hw=4, new_classes=(3, 4)):
+    """The table of four random images whose pixels are background or one
+    of `new_classes`, which take the head columns from `n_old`."""
+    x, y = np.empty((4, hw * hw, d_in)), np.empty((4, hw * hw), dtype=np.int64)
+    for i in range(4):
+        k = rng.integers(len(new_classes) + 1, size=hw * hw)  # 0 = background, else new class k
+        y[i] = np.where(k > 0, n_old - 1 + k, 0)
+        x[i] = rng.normal((hw * hw, d_in))
+    return step_table(new_classes, x, y, backbone)
 
 
 def check_frozen_contract(seed=17):
@@ -171,8 +172,7 @@ def check_frozen_contract(seed=17):
     d_in, d, n_old = 4, 4, 3
     old = _random_model(rng, d_in, d, n_old).snapshot()
     before = old.param_bytes()
-    data = _toy_step(rng, d_in=d_in)
-    table = step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+    table = _toy_step(rng, old.backbone, n_old, d_in=d_in)
     tset = nest.similarity_init_transforms(table, old)
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=3, lr=0.05, batch_size=2), rng)
     ok = old.param_bytes() == before

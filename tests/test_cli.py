@@ -254,13 +254,30 @@ def test_gen_data_round_trip(tmp_path):
     out = str(tmp_path / "data")
     assert main(["gen-data", cfg, "-o", out]) == 0
     world = build_world(_experiment_config(load_config(cfg), "background").world)
-    for name, pool, count in (("train", world.train_pool, 4 * 5), ("test", world.test_pool, 4 * 2)):
+    pools = (("train", world.train_x, world.train_y, 4 * 5), ("test", world.test_x, world.test_y, 4 * 2))
+    for name, x, y, count in pools:
         ref = str(tmp_path / f"{name}.ref.jsonl")
-        dump_images(pool, ref)
+        dump_images(x, y, world.spec.height, ref)
         with open(os.path.join(out, f"{name}.jsonl"), "rb") as fa, open(ref, "rb") as fb:
             written = fa.read()
             assert written == fb.read(), name
         assert written.count(b"\n") == count, name
+
+
+def test_gen_data_bytes_of_the_default_world_are_pinned(tmp_path):
+    # the file format itself: a change to the layout, the float text or
+    # the draws of the default world changes these digests
+    import hashlib
+
+    path = tmp_path / "cfg.json"
+    path.write_text("{}")
+    out = tmp_path / "data"
+    assert main(["gen-data", str(path), "-o", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / f"{name}.jsonl").read_bytes()).hexdigest() for name in ("train", "test")}
+    assert digests == {
+        "train": "13b30b2d2b4192518fc6cae7a077c894de42b7f6b2e4ad1b4b65206baf8fbcfd",
+        "test": "82de4b46cb11909bd67b19f713949bff5609095cc3db25221c2dc72fab0789c5",
+    }
 
 
 def test_report_merges(tmp_path):
@@ -367,6 +384,34 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, verb, ex
     assert main([verb, path, "-o", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+@pytest.mark.parametrize(
+    "verb, extra",
+    [
+        ("gen-data", {"world": {"noise_sigma": 10**400}}),
+        ("run", {"train": {"base_lr": 10**400}}),
+        ("run", {"pretune": {"lr": -(10**400)}}),
+    ],
+    ids=["world.noise_sigma", "train.base_lr", "pretune.lr"],
+)
+def test_float_field_given_an_int_past_float64_exits_2_with_one_line(tmp_path, capsys, verb, extra):
+    # JSON integers are unbounded; one too large for float64 is rejected
+    # at load time, before any output is written
+    path = write_config(tmp_path, extra)
+    assert main([verb, path, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    (section, fields), = extra.items()
+    assert len(err) == 1 and err[0].startswith(f"config error: {section}.{next(iter(fields))} must be a finite float64"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_past_the_parsers_digit_limit_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"world": {"noise_sigma": 1' + "0" * 5000 + "}}")
+    assert main(["gen-data", str(path), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path}: "), err
 
 
 def test_repeated_strategy_or_seed_is_named(tmp_path):

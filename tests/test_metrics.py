@@ -8,7 +8,7 @@ from nestlab.errors import ConfigError, ShapeError
 from nestlab.metrics import _ROW_BLOCK, ConfusionMatrix, _norms, cosine_stats, iou_per_class, miou_range
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
-from nestlab.synthdata import StepTable, TaskSequence, WorldSpec, build_world, step_table, step_view
+from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_table, step_view
 from nestlab.trainer import track_stability
 
 
@@ -94,7 +94,7 @@ def test_cosine_stats_with_given_norms_is_identical():
     rng = SplitMix64(53)
     a, b = rng.normal((3, 7, 4)), rng.normal((3, 7, 4))
     b[0, 0] = 0.0
-    table = StepTable((), a, np.zeros((3, 7), dtype=np.int64), b)
+    table = step_table((), b, np.zeros((3, 7), dtype=np.int64), Backbone([], 4))  # f is b
     fa, fb = a.reshape(-1, 4), b.reshape(-1, 4)
     assert cosine_stats(fa.__getitem__, fb, table.f_norms) == _whole_table_cosine_stats(fa, fb)
 
@@ -155,11 +155,7 @@ def test_cosine_stats_blocked_equals_whole_table(n):
 
 
 def _table(x, frozen):
-    n_img, n_pix, d_in = x.shape
-    f = frozen.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
-    for arr in (x, f):
-        arr.setflags(write=False)
-    return StepTable((), x, np.zeros((n_img, n_pix), dtype=np.int64), f)
+    return step_table((), x, np.zeros(x.shape[:2], dtype=np.int64), frozen)
 
 
 def _probe_oracle(live, table):
@@ -184,10 +180,9 @@ def test_track_stability_equals_whole_table_probe(n_img, n_pix, n_layers):
 def test_track_stability_equals_whole_table_probe_on_s61_base_table():
     rng = SplitMix64(1)
     world = build_world(WorldSpec())
-    data = step_view(TaskSequence(), world, 0)
     d_in = world.spec.feature_dim
     frozen = Backbone.single_relu(d_in, 16, rng)
-    table = step_table(data, frozen, {c: c for c in data.class_set})
+    table = step_view(TaskSequence(), world, 0, frozen)
     assert table.x.shape[0] * table.x.shape[1] % _ROW_BLOCK != 0
     (w, b), = frozen.layers
     live = SegModel(Backbone([(w + 0.05 * rng.normal(w.shape), b + 0.01)], d_in), Head(np.zeros((16, 2))))

@@ -7,7 +7,7 @@ from nestlab import nest
 from nestlab.errors import DataError, NumericError, ShapeError
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64, softmax
-from nestlab.synthdata import LabeledImage, StepData, step_table
+from nestlab.synthdata import label_columns, step_table
 
 
 def test_similarity_scores_hand_computed():
@@ -120,17 +120,20 @@ def _toy_model(rng, d_in=4, d=4, n_old=3):
 
 
 def _toy_step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
-    imgs = []
-    for _ in range(images):
-        labels = rng.integers(len(new_classes) + 1, size=(hw, hw))
-        labels = np.where(labels > 0, np.asarray(new_classes)[labels - 1], 0)
-        imgs.append(LabeledImage(rng.normal((hw, hw, d_in)), labels.astype(np.int64)))
-    return StepData.stacked(1, tuple(new_classes), imgs)
+    """(classes, features, class-id labels) of random images of
+    `new_classes` and background."""
+    x, labels = np.empty((images, hw * hw, d_in)), np.empty((images, hw * hw), dtype=np.int64)
+    for i in range(images):
+        ids = rng.integers(len(new_classes) + 1, size=hw * hw)
+        labels[i] = np.where(ids > 0, np.asarray(new_classes)[ids - 1], 0)
+        x[i] = rng.normal((hw * hw, d_in))
+    return tuple(new_classes), x, labels
 
 
-def _table(data, old):
-    n_old = old.head.num_classes
-    return step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+def _table(step, old):
+    """The step's table, its classes in the head columns after `old`'s."""
+    classes, x, labels = step
+    return step_table(classes, x, label_columns(labels, classes, old.head.num_classes), old.backbone)
 
 
 def test_assemble_pretune_head_layout():
@@ -164,11 +167,10 @@ def test_assemble_no_new_classes():
 def test_similarity_init_requires_class_pixels():
     rng = SplitMix64(38)
     old = _toy_model(rng)
-    data = _toy_step(rng)
-    for img in data.train_images:
-        img.full_labels[img.full_labels == 4] = 0
+    classes, x, labels = _toy_step(rng)
+    labels[labels == 4] = 0
     with pytest.raises(DataError):
-        nest.similarity_init_transforms(_table(data, old), old)
+        nest.similarity_init_transforms(_table((classes, x, labels), old), old)
 
 
 def test_pretune_zero_lr_equivalent():

@@ -8,7 +8,7 @@ from nestlab.errors import ConfigError, NumericError
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
 from nestlab.strategies import initialize_head, parse_strategy
-from nestlab.synthdata import LabeledImage, StepData, step_table
+from nestlab.synthdata import label_columns, step_table
 
 
 def test_parse_simple_strategies():
@@ -44,17 +44,20 @@ def _old_model(rng, d_in=4, d=4, n_old=3, use_bias=False):
 
 
 def _step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
-    imgs = []
-    for _ in range(images):
-        labels = rng.integers(len(new_classes) + 1, size=(hw, hw))
-        labels = np.where(labels > 0, np.asarray(new_classes)[labels - 1], 0)
-        imgs.append(LabeledImage(rng.normal((hw, hw, d_in)), labels.astype(np.int64)))
-    return StepData.stacked(1, tuple(new_classes), imgs)
+    """(classes, features, class-id labels) of random images of
+    `new_classes` and background."""
+    x, labels = np.empty((images, hw * hw, d_in)), np.empty((images, hw * hw), dtype=np.int64)
+    for i in range(images):
+        ids = rng.integers(len(new_classes) + 1, size=hw * hw)
+        labels[i] = np.where(ids > 0, np.asarray(new_classes)[ids - 1], 0)
+        x[i] = rng.normal((hw * hw, d_in))
+    return tuple(new_classes), x, labels
 
 
-def _table(data, old):
-    n_old = old.head.num_classes
-    return step_table(data, old.backbone, {c: n_old + i for i, c in enumerate(data.class_set)})
+def _table(step, old):
+    """The step's table, its classes in the head columns after `old`'s."""
+    classes, x, labels = step
+    return step_table(classes, x, label_columns(labels, classes, old.head.num_classes), old.backbone)
 
 
 @pytest.mark.parametrize("strategy", ["two_stage", "nest"])
@@ -63,11 +66,8 @@ def test_tuning_that_overflows_the_new_columns_raises(strategy):
     # the end-of-tuning check can see the non-finite result
     rng = SplitMix64(48)
     old = _old_model(rng)
-    data = _step(rng, images=1)
-    # the step's features are read-only: scale them into a new step
-    scaled = [LabeledImage(100.0 * img.features, img.full_labels) for img in data.train_images]
-    data = StepData.stacked(data.step, data.class_set, scaled)
-    table = _table(data, old)
+    classes, x, labels = _step(rng, images=1)
+    table = _table((classes, 100.0 * x, labels), old)
     cfg = nest.PretuneConfig(epochs=1, lr=1e308, batch_size=1)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 0"):
         initialize_head(parse_strategy(strategy), old, table, cfg, SplitMix64(1))

@@ -6,20 +6,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestlab.errors import ConfigError
 from nestlab.metrics import _ROW_BLOCK, row_norms
 from nestlab.model import Backbone
 from nestlab.numerics import SplitMix64
 from nestlab.synthdata import (
-    LabeledImage,
-    StepData,
     TaskSequence,
     WorldSpec,
     _make_prototypes,
     build_world,
     dump_images,
-    map_labels,
+    label_columns,
     minibatches,
     step_table,
     step_view,
@@ -42,6 +42,10 @@ def tiny_spec(**overrides):
     return WorldSpec(**base)
 
 
+# the identity backbone: a table's `f` is then its `x`
+IDENTITY = Backbone([], 6)
+
+
 def test_prototypes_unit_norm():
     spec = tiny_spec(num_classes=2)
     protos = _make_prototypes(spec, SplitMix64(1))
@@ -58,9 +62,8 @@ def test_degenerate_mixture_equals_parent():
 def test_same_seed_byte_identical_pools():
     a = build_world(tiny_spec())
     b = build_world(tiny_spec())
-    for x, y in zip(a.train_pool + a.test_pool, b.train_pool + b.test_pool):
-        assert x.features.tobytes() == y.features.tobytes()
-        assert x.full_labels.tobytes() == y.full_labels.tobytes()
+    for name in ("train_x", "train_y", "test_x", "test_y"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_world_arrays_reject_in_place_writes():
@@ -68,11 +71,9 @@ def test_world_arrays_reject_in_place_writes():
     world = build_world(tiny_spec())
     with pytest.raises(ValueError):
         world.prototypes[0] += 1.0
-    for img in (world.train_pool[0], world.test_pool[-1]):
+    for name in ("train_x", "train_y", "test_x", "test_y"):
         with pytest.raises(ValueError):
-            img.features[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            img.full_labels[0, 0] = 1
+            getattr(world, name)[-1, 0] = 1
 
 
 def test_invalid_specs_rejected():
@@ -99,31 +100,29 @@ def test_sequence_arithmetic():
 def test_overlapped_relabel_rule():
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
-    view = step_view(seq, world, 1)
-    current = {0, 3}
-    for img in view.train_images:
-        assert set(np.unique(img.full_labels)) <= current
+    view = step_view(seq, world, 1, IDENTITY)
+    # class 3 takes head column 3, after background and classes 1-2
+    assert set(np.unique(view.y).tolist()) == {0, 3}
     # overlapped keeps every train image
-    assert len(view.train_images) == len(world.train_pool)
+    assert len(view.x) == len(world.train_x)
 
 
 def test_overlapped_pixels_preserved():
     # pixels of a current class are exactly the pixels with that full label
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
-    view = step_view(seq, world, 2)
-    for img, orig in zip(view.train_images, world.train_pool):
-        np.testing.assert_array_equal(img.full_labels == 4, orig.full_labels == 4)
+    view = step_view(seq, world, 2, IDENTITY)
+    np.testing.assert_array_equal(view.y == 4, world.train_y == 4)
 
 
 def test_disjoint_excludes_future_classes():
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1, setting="disjoint")
-    view = step_view(seq, world, 1)
+    view = step_view(seq, world, 1, IDENTITY)
     # exactly the originals free of the future class 4 are retained
-    kept = sum(1 for orig in world.train_pool if not (orig.full_labels == 4).any())
-    assert len(view.train_images) == kept
-    assert kept < len(world.train_pool)  # the tiny world does hit class 4
+    kept = sum(1 for labels in world.train_y if not (labels == 4).any())
+    assert len(view.x) == kept
+    assert kept < len(world.train_x)  # the tiny world does hit class 4
 
 
 def test_label_union_over_steps_is_full_label_set():
@@ -133,49 +132,48 @@ def test_label_union_over_steps_is_full_label_set():
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
     seen = set()
     for t in range(seq.num_steps):
-        view = step_view(seq, world, t)
-        for img in view.train_images:
-            seen |= set(np.unique(img.full_labels).tolist())
+        view = step_view(seq, world, t, IDENTITY)
+        # in the order 1..4, class c takes head column c
+        seen |= set(np.unique(view.y).tolist())
     assert seen == {0, 1, 2, 3, 4}
 
 
 def test_test_split_keeps_seen_classes():
+    # the trainer's evaluation labels: every seen class keeps its column
     world = build_world(tiny_spec())
-    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
-    view = step_view(seq, world, 1)
-    allowed = {0, 1, 2, 3}
-    for img in view.test_images:
-        assert set(np.unique(img.full_labels).tolist()) <= allowed
+    seq = TaskSequence(class_order=(2, 4, 1, 3), base_count=2, increment=1)
+    cols = label_columns(world.test_y, seq.seen_classes(1), 1)
+    for c, col in ((2, 1), (4, 2), (1, 3), (3, 0)):
+        assert (world.test_y == c).any()
+        assert (cols[world.test_y == c] == col).all(), c
+    assert (cols[world.test_y == 0] == 0).all()
 
 
 def test_step_index_out_of_range():
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
     with pytest.raises(ConfigError):
-        step_view(seq, world, 3)
+        step_view(seq, world, 3, IDENTITY)
 
 
 def load_images(path):
-    """Read back what `dump_images` wrote."""
-    images = []
+    """Read back what `dump_images` wrote: features (n, H*W, d) and
+    labels (n, H*W), with each record's (h, w, d)."""
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            feats = np.array(rec["features"], dtype=np.float64).reshape(rec["h"], rec["w"], rec["d"])
-            labels = np.array(rec["labels"], dtype=np.int64).reshape(rec["h"], rec["w"])
-            images.append(LabeledImage(feats, labels))
-    return images
+        recs = [json.loads(line) for line in fh]
+    x = np.array([r["features"] for r in recs], dtype=np.float64).reshape(len(recs), -1, recs[0]["d"])
+    y = np.array([r["labels"] for r in recs], dtype=np.int64)
+    return x, y, {(r["h"], r["w"], r["d"]) for r in recs}
 
 
 def test_dump_load_round_trip(tmp_path):
-    world = build_world(tiny_spec(images_per_class=2))
+    world = build_world(tiny_spec(images_per_class=2, height=4))
     path = tmp_path / "imgs.jsonl"
-    dump_images(world.train_pool, path)
-    loaded = load_images(path)
-    assert len(loaded) == len(world.train_pool)
-    for a, b in zip(world.train_pool, loaded):
-        assert a.features.tobytes() == b.features.tobytes()
-        assert a.full_labels.tobytes() == b.full_labels.tobytes()
+    dump_images(world.train_x, world.train_y, 4, path)
+    x, y, shapes = load_images(path)
+    assert shapes == {(4, 8, 6)}
+    assert x.tobytes() == world.train_x.tobytes()
+    assert y.tobytes() == world.train_y.tobytes()
 
 
 def test_s61_shape():
@@ -190,8 +188,7 @@ def test_s61_shape():
 def test_table_feature_norms_computed_once_on_first_use():
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
-    data = step_view(seq, world, 1)
-    table = step_table(data, Backbone.single_relu(6, 5, SplitMix64(1)), {c: c for c in range(1, 5)})
+    table = step_view(seq, world, 1, Backbone.single_relu(6, 5, SplitMix64(1)))
     assert "f_norms" not in vars(table)
     norms = table.f_norms
     assert table.f_norms is norms
@@ -223,45 +220,75 @@ def test_minibatches_draw_each_epoch_when_it_starts():
     assert rng.next_u64() == ref.next_u64()
 
 
-def _stacked_table(world, seq, t, backbone, col_of):
-    """The step table as it was built before the world held one train
-    array: the kept images' features and relabeled labels stacked per
-    image, straight from the world's pool."""
+def _relabel(labels, keep):
+    """The per-image background shift that `label_columns` replaced."""
+    return np.where(np.isin(labels, list(keep)), labels, 0).astype(np.int64)
+
+
+def _map_labels(labels, col_of):
+    """The dict-driven column map that `label_columns` replaced: ids
+    missing from `col_of` map to column 0, flattened."""
+    lut = np.zeros(max(col_of) + 1, dtype=np.int64)
+    for c, col in col_of.items():
+        lut[c] = col
+    return lut[np.asarray(labels).ravel()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True),
+    st.integers(1, 9),
+)
+def test_label_columns_equals_relabel_then_map_labels(labels, classes, first):
+    labels = np.array(labels, dtype=np.int64).reshape(1, -1)
+    col_of = {c: first + i for i, c in enumerate(classes)}
+    want = _map_labels(_relabel(labels, classes), col_of).reshape(labels.shape)
+    got = label_columns(labels, tuple(classes), first)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _stacked_table(world, seq, t, backbone):
+    """The step table as it was built before `label_columns`: one
+    `isin`/`where` per kept image of the world and a dict column map,
+    with the kept images' features stacked."""
     current, future = set(seq.classes_at(t)), set(seq.class_order) - set(seq.seen_classes(t))
+    n_old = 1 + len(seq.seen_classes(t)) - len(current)
+    col_of = {c: n_old + i for i, c in enumerate(seq.classes_at(t))}
     kept = [
-        img
-        for img in world.train_pool
-        if not (seq.setting == "disjoint" and future and np.isin(img.full_labels, list(future)).any())
+        i
+        for i, labels in enumerate(world.train_y)
+        if not (seq.setting == "disjoint" and future and np.isin(labels, list(future)).any())
     ]
-    x = np.stack([img.features.reshape(-1, img.features.shape[-1]) for img in kept])
+    x = np.stack([world.train_x[i] for i in kept])
     n_img, n_pix, d_in = x.shape
-    labels = np.stack([np.where(np.isin(img.full_labels, list(current)), img.full_labels, 0) for img in kept])
-    y = map_labels(labels, col_of).reshape(n_img, n_pix)
+    labels = np.stack([_relabel(world.train_y[i], current) for i in kept])
+    y = _map_labels(labels, col_of).reshape(n_img, n_pix)
     f = backbone.forward(x.reshape(-1, d_in)).reshape(n_img, n_pix, -1)
     return x, y, f
 
 
 def test_world_train_features_are_views_of_one_read_only_array():
+    # each pool is one features array and one labels array, one row per
+    # image, none of them writable
     world = build_world(tiny_spec())
-    assert world.train_x.shape == (len(world.train_pool), 8 * 8, 6)
-    assert not world.train_x.flags.writeable
-    for i, img in enumerate(world.train_pool):
-        assert img.features.shape == (8, 8, 6)
-        assert np.shares_memory(img.features, world.train_x[i])
-        assert img.features.tobytes() == world.train_x[i].tobytes()
-    with pytest.raises(ValueError):
-        world.train_x[0, 0, 0] = 0.0
+    assert world.train_x.shape == (4 * 5, 8 * 8, 6) and world.train_y.shape == (4 * 5, 8 * 8)
+    assert world.test_x.shape == (4 * 2, 8 * 8, 6) and world.test_y.shape == (4 * 2, 8 * 8)
+    for x, y in ((world.train_x, world.train_y), (world.test_x, world.test_y)):
+        assert x.dtype == np.float64 and y.dtype == np.int64
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert not x.flags.writeable and not y.flags.writeable
 
 
 @pytest.mark.parametrize("setting", ["overlapped", "disjoint"])
 def test_step_table_equals_the_stacked_build_byte_for_byte(setting):
     world = build_world(tiny_spec())
-    seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1, setting=setting)
+    seq = TaskSequence(class_order=(3, 1, 4, 2), base_count=2, increment=1, setting=setting)
     backbone = Backbone.single_relu(6, 5, SplitMix64(2))
-    col_of = {c: i + 1 for i, c in enumerate(seq.class_order)}
     for t in range(seq.num_steps):
-        table = step_table(step_view(seq, world, t), backbone, col_of)
-        for got, want in zip((table.x, table.y, table.f), _stacked_table(world, seq, t, backbone, col_of)):
+        table = step_view(seq, world, t, backbone)
+        assert table.classes == seq.classes_at(t)
+        for got, want in zip((table.x, table.y, table.f), _stacked_table(world, seq, t, backbone)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (setting, t)
             assert not got.flags.writeable
@@ -270,41 +297,33 @@ def test_step_table_equals_the_stacked_build_byte_for_byte(setting):
 def test_overlapped_table_x_is_the_worlds_memory():
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1)
-    data = step_view(seq, world, 1)
-    assert data.train_x is world.train_x
-    table = step_table(data, Backbone.single_relu(6, 5, SplitMix64(1)), {c: c for c in range(1, 5)})
-    assert np.shares_memory(table.x, world.train_x)
+    table = step_view(seq, world, 1, Backbone.single_relu(6, 5, SplitMix64(1)))
+    assert table.x is world.train_x
     with pytest.raises(ValueError):
         table.x[0, 0, 0] = 1.0
-    for img, row in zip(data.train_images, world.train_x):
-        assert np.shares_memory(img.features, row)
 
 
 def test_disjoint_table_x_holds_exactly_the_kept_images():
     world = build_world(tiny_spec())
     seq = TaskSequence(class_order=(1, 2, 3, 4), base_count=2, increment=1, setting="disjoint")
-    data = step_view(seq, world, 1)
-    kept = [i for i, img in enumerate(world.train_pool) if not (img.full_labels == 4).any()]
-    assert 0 < len(kept) < len(world.train_pool)
-    assert data.train_x.tobytes() == world.train_x[kept].tobytes()
-    assert not data.train_x.flags.writeable
-    for img, row in zip(data.train_images, data.train_x):
-        assert np.shares_memory(img.features, row)
+    table = step_view(seq, world, 1, IDENTITY)
+    kept = [i for i, labels in enumerate(world.train_y) if not (labels == 4).any()]
+    assert 0 < len(kept) < len(world.train_x)
+    assert table.x.tobytes() == world.train_x[kept].tobytes()
+    assert not table.x.flags.writeable
     # the last step has no future class, so it keeps, and views, every image
-    assert step_view(seq, world, seq.num_steps - 1).train_x is world.train_x
+    assert step_view(seq, world, seq.num_steps - 1, IDENTITY).x is world.train_x
 
 
-def test_hand_built_step_stacks_its_images_once():
-    rng = SplitMix64(5)
-    images = [LabeledImage(rng.normal((4, 4, 3)), np.full((4, 4), c, dtype=np.int64)) for c in (0, 2, 2)]
-    data = StepData.stacked(1, (2,), images)
-    assert data.train_x.shape == (3, 16, 3) and not data.train_x.flags.writeable
-    for img, orig, row in zip(data.train_images, images, data.train_x):
-        assert img.features.tobytes() == orig.features.tobytes()
-        assert img.full_labels is orig.full_labels
-        assert np.shares_memory(img.features, row)
-    table = step_table(data, Backbone([], 3), {2: 1})
-    assert table.x is data.train_x
+def test_hand_built_table_freezes_its_arrays_without_copying():
+    x = SplitMix64(5).normal((3, 16, 3))
+    labels = np.array([0, 2, 2]).repeat(16).reshape(3, 16)
+    y = label_columns(labels, (2,), 1)
+    table = step_table((2,), x, y, Backbone([], 3))
+    assert table.x is x and table.y is y and table.classes == (2,)
+    assert y.tolist() == [[0] * 16, [1] * 16, [1] * 16]
+    for a in (x, y, table.f):
+        assert not a.flags.writeable
 
 
 def _traced(fn):
@@ -324,12 +343,12 @@ _KIB = 1024
 
 
 def test_step_table_allocates_only_its_labels_and_features():
+    # an overlapped step's table: the world's features, its own labels
+    # and frozen features, and nothing else left behind
     world = build_world(WorldSpec())
-    seq = TaskSequence()
-    data = step_view(seq, world, 1)
     backbone = Backbone.single_relu(16, 16, SplitMix64(1))
-    col_of = {c: i + 1 for i, c in enumerate(seq.class_order)}
-    table, net, peak = _traced(lambda: step_table(data, backbone, col_of))
+    table, net, peak = _traced(lambda: step_view(TaskSequence(), world, 1, backbone))
+    assert table.x is world.train_x
     assert net <= table.f.nbytes + table.y.nbytes + 64 * _KIB
     # plus one ufunc buffer of the backbone's broadcast bias add at the peak
     assert peak <= table.f.nbytes + table.y.nbytes + 64 * _KIB + np.getbufsize() * 8
@@ -337,8 +356,7 @@ def test_step_table_allocates_only_its_labels_and_features():
 
 def test_feature_norms_make_no_table_sized_temporary():
     world = build_world(WorldSpec())
-    data = step_view(TaskSequence(), world, 1)
-    table = step_table(data, Backbone.single_relu(16, 16, SplitMix64(1)), {c: c for c in range(1, 11)})
+    table = step_view(TaskSequence(), world, 1, Backbone.single_relu(16, 16, SplitMix64(1)))
     assert table.f.shape[0] * table.f.shape[1] > 2 * _ROW_BLOCK
     norms, _, peak = _traced(lambda: table.f_norms)
     assert peak < table.f.nbytes / 4
@@ -354,39 +372,31 @@ def test_blocked_row_norms_equal_linalg_norm_bit_for_bit(rows):
     assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
 
 
-def _world_arrays(world):
-    """Every array of a world, by where it lives."""
-    arrays = {"prototypes": world.prototypes, "train_x": world.train_x}
-    for pool in ("train_pool", "test_pool"):
-        for i, img in enumerate(getattr(world, pool)):
-            arrays[f"{pool}[{i}].features"] = img.features
-            arrays[f"{pool}[{i}].full_labels"] = img.full_labels
-    return arrays
+_WORLD_ARRAYS = ("prototypes", "train_x", "train_y", "test_x", "test_y")
 
 
 @pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
 def test_world_pickle_round_trip_stays_read_only_and_shared(protocol):
+    # numpy loads arrays writable; a loaded world, which run_plan's
+    # workers share, is frozen again
     world = build_world(tiny_spec())
     loaded = pickle.loads(pickle.dumps(world, protocol=protocol))
-    before, after = _world_arrays(world), _world_arrays(loaded)
-    assert before.keys() == after.keys()
-    for key, a in after.items():
-        assert not a.flags.writeable, key
-        assert a.tobytes() == before[key].tobytes() and a.shape == before[key].shape, key
-    for i, img in enumerate(loaded.train_pool):
-        assert np.shares_memory(img.features, loaded.train_x[i])
+    for name in _WORLD_ARRAYS:
+        a, b = getattr(loaded, name), getattr(world, name)
+        assert not a.flags.writeable, name
+        assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.dtype == b.dtype, name
     assert loaded.spec == world.spec
 
 
 def test_world_pickle_holds_the_train_features_once():
     world = build_world(WorldSpec())
     size = len(pickle.dumps(world))
-    # the layout of a world whose train images each own their features
+    # the layout of a world whose images each own their arrays
     owned = dict(
         spec=world.spec,
         prototypes=world.prototypes,
-        train_pool=[LabeledImage(np.array(img.features), img.full_labels) for img in world.train_pool],
-        test_pool=world.test_pool,
+        train=[(np.array(x), np.array(y)) for x, y in zip(world.train_x, world.train_y)],
+        test=[(np.array(x), np.array(y)) for x, y in zip(world.test_x, world.test_y)],
     )
     assert size <= len(pickle.dumps(owned))
     assert size < world.train_x.nbytes * 3 / 2

@@ -78,7 +78,7 @@ def test_fix_old_classifiers_byte_identity():
     cfg = small_config(fix_old_classifiers=True, strategy="background")
     world = build_world(cfg.world)
     rng = SplitMix64(cfg.seed)
-    model, _, _ = train_base_step(cfg, world, rng)
+    model, _ = train_base_step(cfg, world, rng)
     old_cols = model.head.weights[:, 1:].copy()
     model, report, _ = run_step(model, cfg, world, 1, rng)
     # columns of previously learned classes must not move (bg may)
@@ -93,7 +93,7 @@ def test_backbone_moves_without_fixing():
     cfg = small_config(strategy="background")
     world = build_world(cfg.world)
     rng = SplitMix64(cfg.seed)
-    model, _, _ = train_base_step(cfg, world, rng)
+    model, _ = train_base_step(cfg, world, rng)
     w_before = model.backbone.layers[0][0].copy()
     model, report, _ = run_step(model, cfg, world, 1, rng)
     assert not np.array_equal(model.backbone.layers[0][0], w_before)
@@ -146,22 +146,15 @@ def test_permuted_class_orders_complete():
 def test_base_step_reaches_high_train_accuracy():
     # the S6-1 base problem is separable; accuracy > 90% within 30 epochs
     from nestlab.numerics import SplitMix64
-    from nestlab.synthdata import build_world, map_labels
-    from nestlab.trainer import _col_of_class, train_base_step
+    from nestlab.synthdata import build_world, label_columns
+    from nestlab.trainer import train_base_step
 
     cfg = ExperimentConfig(train=TrainConfig(base_epochs=30, base_lr=0.2), seed=1)
     world = build_world(cfg.world)
-    model, data, _ = train_base_step(cfg, world, SplitMix64(1))
-    col_of = _col_of_class(cfg.sequence)
-    hits = total = 0
-    for img in data.train_images:
-        h, w, d_in = img.features.shape
-        feats = model.backbone.forward(img.features.reshape(-1, d_in))
-        pred = np.argmax(model.head.logits(feats), axis=1)
-        truth = map_labels(img.full_labels, col_of)
-        hits += int((pred == truth).sum())
-        total += truth.size
-    assert hits / total > 0.9
+    model, _ = train_base_step(cfg, world, SplitMix64(1))
+    truth = label_columns(world.train_y, cfg.sequence.classes_at(0), 1)
+    pred = [np.argmax(model.head.logits(model.backbone.forward(x)), axis=1) for x in world.train_x]
+    assert (np.stack(pred) == truth).mean() > 0.9
 
 
 def test_step_columns_follow_class_order():
@@ -169,8 +162,7 @@ def test_step_columns_follow_class_order():
     # keep class_order order, and the table labels every class with the
     # head column formal training and evaluation use
     from nestlab.model import Backbone
-    from nestlab.synthdata import build_world, step_table, step_view
-    from nestlab.trainer import _col_of_class
+    from nestlab.synthdata import build_world, step_view
 
     spec = WorldSpec(
         num_classes=10,
@@ -184,16 +176,16 @@ def test_step_columns_follow_class_order():
     )
     seq = TaskSequence(class_order=(1, 2, 3, 4, 5, 6, 8, 7, 10, 9), base_count=6, increment=2)
     world = build_world(spec)
-    col_of = _col_of_class(seq)
+    col_of = {c: i + 1 for i, c in enumerate(seq.class_order)}
     for t in range(seq.num_steps):
-        data = step_view(seq, world, t)
-        assert data.class_set == seq.classes_at(t)
-        table = step_table(data, Backbone([], 4), col_of)
-        labels = np.stack([img.full_labels for img in data.train_images]).reshape(table.y.shape)
-        for c in data.class_set:
+        table = step_view(seq, world, t, Backbone([], 4))
+        assert table.classes == seq.classes_at(t)
+        labels = world.train_y
+        for c in table.classes:
             assert (labels == c).any()
             assert (table.y[labels == c] == col_of[c]).all()
-        assert (table.y[labels == 0] == 0).all()
+        others = ~np.isin(labels, table.classes)
+        assert others.any() and (table.y[others] == 0).all()
         for a in (table.x, table.y, table.f):
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -230,13 +222,16 @@ def test_world_and_base_reach_a_worker_read_only():
     base = train_base(small_config(), world)
     sent_world, sent_base = pickle.loads(ForkingPickler.dumps((world, base)))
     model = sent_base.model
-    arrays = [sent_world.prototypes, sent_world.train_x, model.head.weights]
-    arrays += [a for img in sent_world.train_pool + sent_world.test_pool for a in (img.features, img.full_labels)]
-    arrays += [a for layer in model.backbone.layers for a in layer]
+    arrays = [sent_world.prototypes, sent_world.train_x, sent_world.train_y, sent_world.test_x, sent_world.test_y]
+    arrays += [model.head.weights] + [a for layer in model.backbone.layers for a in layer]
     assert not any(a.flags.writeable for a in arrays)
-    assert all(np.shares_memory(img.features, sent_world.train_x) for img in sent_world.train_pool)
     cfg = small_config()
     assert _pinned(run_experiment(cfg, sent_world, sent_base)) == _pinned(run_experiment(cfg, world, base))
+    # the S6-1 world holds each pool once: at most the 8 718 065 bytes it
+    # pickled to when its train images were views into one array
+    from nestlab.synthdata import WorldSpec
+
+    assert len(ForkingPickler.dumps(build_world(WorldSpec()))) <= 8_718_065
 
 
 def test_train_config_has_no_seed_list():

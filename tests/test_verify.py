@@ -11,7 +11,7 @@ from nestlab import nest, verify
 from nestlab.losses import unbiased_ce, unbiased_kd
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
-from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_table
+from nestlab.synthdata import TaskSequence, WorldSpec, build_world
 from nestlab.trainer import ExperimentConfig, TrainConfig, train_base_step
 
 from fd_reference import scalar_finite_diff_grad
@@ -250,15 +250,15 @@ def test_training_and_pretuning_step_with_the_checked_helpers(monkeypatch):
     spec = WorldSpec(num_classes=2, feature_dim=3, mixture_classes=(), height=4, width=4, images_per_class=2)
     seq = TaskSequence(class_order=(1, 2), base_count=1)
     cfg = ExperimentConfig(world=spec, sequence=seq, train=TrainConfig(base_epochs=1, batch_size=1))
-    _, data, _ = train_base_step(cfg, build_world(spec), SplitMix64(1))
-    n_batches = len(data.train_images)  # one epoch, batch size 1
+    world = build_world(spec)
+    train_base_step(cfg, world, SplitMix64(1))
+    n_batches = len(world.train_x)  # one epoch over every image, batch size 1
     assert n_batches and calls == {"grads": n_batches}
 
     rng = SplitMix64(5)
     old = verify._random_model(rng, 4, 4, 3).snapshot()
-    data = verify._toy_step(rng)
-    table = step_table(data, old.backbone, {c: 3 + i for i, c in enumerate(data.class_set)})
+    table = verify._toy_step(rng, old.backbone, 3)
     tset = nest.similarity_init_transforms(table, old)
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=1, batch_size=2), rng)
     # two batches of the four toy images, one call per new class each
-    assert calls == {"grads": n_batches, "transform_grads": 2 * len(data.class_set)}
+    assert calls == {"grads": n_batches, "transform_grads": 2 * len(table.classes)}
