@@ -130,6 +130,8 @@ def load_config(path):
     resolved = {name: _merge_section(name, defaults[name], raw.get(name)) for name in _SECTIONS}
     resolved["strategy"] = raw.get("strategy", ExperimentConfig.strategy)
     resolved["report"] = _merge_section("report", _REPORT_DEFAULTS, raw.get("report"))
+    # the world first: the default class order is sized from it
+    _section(resolved, "world").validate()
     if resolved["sequence"]["class_order"] is None:
         resolved["sequence"]["class_order"] = list(range(1, resolved["world"]["num_classes"] + 1))
     if not resolved["train"]["seeds"]:
@@ -148,12 +150,15 @@ def load_config(path):
     return resolved
 
 
+def _section(resolved, name):
+    """The dataclass of a resolved experiment section, lists as tuples."""
+    cls = _SECTIONS[name]
+    values = {f.name: resolved[name][f.name] for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+
+
 def _experiment_config(resolved, strategy, seed=ExperimentConfig.seed):
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        values = {f.name: resolved[name][f.name] for f in dataclasses.fields(cls)}
-        sections[name] = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
-    return ExperimentConfig(strategy=strategy, seed=seed, **sections)
+    return ExperimentConfig(strategy=strategy, seed=seed, **{name: _section(resolved, name) for name in _SECTIONS})
 
 
 def _fmt(x):

@@ -74,21 +74,10 @@ def ce(logits, labels):
     return loss, np.divide(q, n, order="C")
 
 
-def unbiased_ce(logits, labels, n_old):
-    """Cross entropy where background absorbs all old-class probability.
-
-    For label 0 the modeled probability is sum of columns 0..n_old-1; for a
-    new-class label it is the plain softmax probability.  Labels in
-    1..n_old-1 are invalid: step labels must already be background-shifted.
-
-    `logits` may carry leading batch axes, `(..., n, C)`, with labels of
-    shape `(n,)` or `(..., n)`: the loss is then one mean per slice of n
-    rows and `dz` has the logits' shape, each slice bit for bit the call on
-    that slice alone.
-    """
-    logits, rows_shape = _rows(logits)
+def _checked_labels(labels, n_old, c, rows_shape):
+    """Background-shifted labels for `c` columns, the first `n_old` of them
+    old, as one flat label per row of the `rows_shape` table."""
     labels = np.asarray(labels, dtype=np.int64)
-    c = logits.shape[1]
     if n_old < 1 or n_old > c:
         raise ShapeError(f"n_old={n_old} incompatible with {c} columns")
     if labels.min() < 0 or labels.max() >= c:
@@ -96,48 +85,50 @@ def unbiased_ce(logits, labels, n_old):
     bad = (labels > 0) & (labels < n_old)
     if bad.any():
         raise DataError(f"label {labels[bad][0]} belongs to a previous step")
-    labels = _per_row("labels", labels, rows_shape)
+    return _per_row("labels", labels, rows_shape)
 
-    q = softmax(logits, axis=1)
+
+def _checked_targets(old_probs, c, rows_shape):
+    """The old model's probabilities, n_old <= `c` columns, as one
+    class-major row per row of the `rows_shape` table."""
+    old_probs = np.asarray(old_probs, dtype=np.float64)
+    if old_probs.ndim < 2 or old_probs.shape[-2] != rows_shape[-1]:
+        raise ShapeError("old_probs row count mismatch")
+    n_old = old_probs.shape[-1]
+    if n_old < 1 or n_old > c:
+        raise ShapeError(f"old model has {n_old} classes, current has {c}")
+    return class_major(_per_row("old_probs", old_probs, rows_shape, (n_old,)))
+
+
+def _unbiased_ce_core(q, labels, n_old, rows_shape, old_cols):
+    """The unbiased cross entropy of each slice from the softmax `q`, and,
+    in place in `q`, the gradient of the per-row losses: in the first
+    `old_cols` columns and the new ones; the other old columns keep `q`."""
     fold = rowsum(q[:, :n_old])
     rows = np.arange(len(q))
     is_bg = labels == 0
     modeled = np.where(is_bg, fold, q[rows, labels])
     loss = _slice_mean(-_safe_log(modeled), rows_shape)
 
-    # the gradient, in place in softmax's fresh output
     # background pixels: d(-log fold)/dz_k = q_k - q_k*[k<n_old]/fold, NaN
     # (quietly, for the callers' finite checks) where fold underflowed to 0; a
     # new-class pixel divides by inf, and q_k - q_k/inf == q_k for 0 <= q_k <= 1
-    old = q[:, :n_old]
-    with np.errstate(invalid="ignore"):
-        old -= old / np.where(is_bg, fold, np.inf)[:, None]
+    if old_cols:
+        old = q[:, :old_cols]
+        with np.errstate(invalid="ignore"):
+            old -= old / np.where(is_bg, fold, np.inf)[:, None]
     # new-class pixels: q - onehot(label), one label column at a time (a
     # background pixel's onehot would subtract 0.0 from q_0 >= +0)
-    for j in range(n_old, c):
+    for j in range(n_old, q.shape[1]):
         q[:, j] -= labels == j
-    return loss, _slice_grad(q, rows_shape)
+    return loss
 
 
-def unbiased_kd(logits, old_probs):
-    """Distillation toward the old model with new-class mass folded into bg.
-
-    `old_probs` has n_old columns and rows summing to 1.  The current
-    model's background probability is the sum over {bg} + new columns.
-    Leading batch axes work as in `unbiased_ce`: `(..., n, C)` logits with
-    `old_probs` of shape `(n, n_old)` or `(..., n, n_old)`.
-    """
-    logits, rows_shape = _rows(logits)
-    old_probs = np.asarray(old_probs, dtype=np.float64)
-    c = logits.shape[1]
-    if old_probs.ndim < 2 or old_probs.shape[-2] != rows_shape[-1]:
-        raise ShapeError("old_probs row count mismatch")
-    n_old = old_probs.shape[-1]
-    if n_old < 1 or n_old > c:
-        raise ShapeError(f"old model has {n_old} classes, current has {c}")
-    old_probs = class_major(_per_row("old_probs", old_probs, rows_shape, (n_old,)))
-
-    q = softmax(logits, axis=1)
+def _unbiased_kd_core(q, old_probs, rows_shape):
+    """The unbiased distillation loss of each slice from the softmax `q`
+    toward `old_probs`, and the gradient of the per-row losses; `q` is
+    written."""
+    n_old = old_probs.shape[1]
     s_new = q[:, 0] + rowsum(q[:, n_old:])
     t0 = old_probs[:, 0]
     per_pixel = t0 * _safe_log(s_new)
@@ -158,19 +149,80 @@ def unbiased_kd(logits, old_probs):
         # only from a row of q that is NaN already)
         if not s_new.all():
             old *= (1.0 - 0.0 / s_new)[:, None]
-    # + (1 - t0)*q_k, in place in softmax's fresh output, - per-old-class terms
+    # + (1 - t0)*q_k, in place in q, - per-old-class terms
     q *= (1.0 - t0)[:, None]
     dz += q
     if n_old > 1:
         dz[:, 1:n_old] -= old_probs[:, 1:n_old]
-    return loss, _slice_grad(dz, rows_shape)
+    return loss, dz
+
+
+def unbiased_ce(logits, labels, n_old, old_cols=None):
+    """Cross entropy where background absorbs all old-class probability.
+
+    For label 0 the modeled probability is sum of columns 0..n_old-1; for a
+    new-class label it is the plain softmax probability.  Labels in
+    1..n_old-1 are invalid: step labels must already be background-shifted.
+
+    `logits` may carry leading batch axes, `(..., n, C)`, with labels of
+    shape `(n,)` or `(..., n)`: the loss is then one mean per slice of n
+    rows and `dz` has the logits' shape, each slice bit for bit the call on
+    that slice alone.
+
+    `old_cols`, for a caller that reads only some columns of `dz`, returns
+    the gradient of only the first `old_cols` columns and the new ones,
+    side by side: `dz` is then `(..., n, old_cols + C - n_old)`, each entry
+    the bits of the full `dz`'s, and the other old columns cost nothing.
+    """
+    logits, rows_shape = _rows(logits)
+    c = logits.shape[1]
+    labels = _checked_labels(labels, n_old, c, rows_shape)
+    if old_cols is None:
+        old_cols = n_old
+    elif not 0 <= old_cols <= n_old:
+        raise ShapeError(f"old_cols={old_cols} outside 0..{n_old}")
+    q = softmax(logits, axis=1)
+    loss = _unbiased_ce_core(q, labels, n_old, rows_shape, old_cols)
+    if old_cols == n_old:
+        return loss, _slice_grad(q, rows_shape)
+    n = rows_shape[-1]
+    dz = np.empty((len(q), old_cols + c - n_old))
+    np.divide(q[:, :old_cols], n, out=dz[:, :old_cols])
+    np.divide(q[:, n_old:], n, out=dz[:, old_cols:])
+    return loss, dz.reshape(rows_shape + dz.shape[1:])
+
+
+def unbiased_kd(logits, old_probs):
+    """Distillation toward the old model with new-class mass folded into bg.
+
+    `old_probs` has n_old columns and rows summing to 1.  The current
+    model's background probability is the sum over {bg} + new columns.
+    Leading batch axes work as in `unbiased_ce`: `(..., n, C)` logits with
+    `old_probs` of shape `(n, n_old)` or `(..., n, n_old)`.
+    """
+    logits, rows_shape = _rows(logits)
+    old_probs = _checked_targets(old_probs, logits.shape[1], rows_shape)
+    loss, g = _unbiased_kd_core(softmax(logits, axis=1), old_probs, rows_shape)
+    return loss, _slice_grad(g, rows_shape)
 
 
 def incremental_loss(logits, labels, old_probs, n_old, lambda_kd):
-    """L_unce + lambda * L_unkd; returns (total, dlogits)."""
-    total, dz = unbiased_ce(logits, labels, n_old)
-    if lambda_kd > 0 and old_probs is not None:
-        l_kd, dz_kd = unbiased_kd(logits, old_probs)
-        total = total + lambda_kd * l_kd
-        dz = dz + lambda_kd * dz_kd
+    """L_unce + lambda * L_unkd; returns (total, dlogits), bit for bit the
+    sum of the two kernels' results.  Both terms read one softmax: the
+    distillation core gets a copy, as each core writes its gradient into
+    its probabilities, and `dz` is written once, as ce/n + lambda*(kd/n)."""
+    if not (lambda_kd > 0 and old_probs is not None):
+        return unbiased_ce(logits, labels, n_old)
+    logits, rows_shape = _rows(logits)
+    c = logits.shape[1]
+    labels = _checked_labels(labels, n_old, c, rows_shape)
+    old_probs = _checked_targets(old_probs, c, rows_shape)
+    q = softmax(logits, axis=1)
+    l_kd, g_kd = _unbiased_kd_core(q.copy(order="K"), old_probs, rows_shape)
+    total = _unbiased_ce_core(q, labels, n_old, rows_shape, n_old) + lambda_kd * l_kd
+    g_kd /= rows_shape[-1]
+    g_kd *= lambda_kd
+    dz = _slice_grad(q, rows_shape)
+    flat = dz.reshape(g_kd.shape)
+    flat += g_kd
     return total, dz

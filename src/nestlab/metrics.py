@@ -50,7 +50,7 @@ def miou_range(ious, class_ids):
 
 
 def _norms(rows, out):
-    """Per-row Euclidean norms into `out`, bit for bit
+    """Per-row Euclidean norms into `out` (a new vector if None), bit for bit
     np.linalg.norm(rows, axis=1): the square root of numpy's row sum of
     squares."""
     return np.sqrt(rowsum(rows * rows), out=out)
@@ -75,18 +75,18 @@ def cosine_stats(a_rows, b, b_norms):
     never hold all of it.  `b` is the second table, (pixels, d), and
     `b_norms` its per-pixel norms, computed once by a caller that compares
     many tables against the same `b`.  Zero-norm pixels contribute
-    similarity 0; std is the population std.  Norms and dots are per-row
-    results, filled `_ROW_BLOCK` rows at a time; the mean and std then run
-    over the whole vector, so neither depends on the block size.
+    similarity 0; std is the population std.  The similarities are per-row
+    results, filled `_ROW_BLOCK` rows at a time into one vector, the only
+    pixel-sized array held; the mean and std then run over the whole
+    vector, so neither depends on the block size.
     """
     n = b.shape[0]
-    na = np.empty(n)
-    dots = np.empty(n)
+    sims = np.empty(n)
     for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         blk = a_rows(rows)
-        _norms(blk, na[rows])
-        dots[rows] = np.einsum("ij,ij->i", blk, b[rows])
-    denom = na * b_norms
-    sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
+        denom = _norms(blk, None)
+        denom *= b_norms[rows]
+        dots = np.einsum("ij,ij->i", blk, b[rows])
+        sims[rows] = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
     return float(sims.mean()), float(sims.std())

@@ -99,9 +99,11 @@ class Head:
         return self.weights.shape[-2]
 
     def logits(self, feats):
+        """(..., P, C) logits; the biases are added in place in the fresh
+        array of the matmul."""
         z = feats @ self.weights
         if self.biases is not None:
-            z = z + self.biases[..., None, :]
+            z += self.biases[..., None, :]
         return z
 
     def copy(self):

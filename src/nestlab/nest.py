@@ -210,17 +210,18 @@ def apply_component_variant(tset, variant):
     return tset
 
 
-def tune_new_columns(table, head, n_old, cfg, rng, update):
+def tune_new_columns(table, head, n_old, cfg, rng, update, tune_bg=False):
     """The frozen-feature loop of pre-tuning and two-stage: SGD on the
     unbiased cross entropy of `head`, whose first `n_old` columns are the
     old classes', over the table's frozen features.  After each batch's
     loss, `update(x, dz)` steps its parameters from dloss/dlogits and
-    writes the head's tuned columns (and biases)."""
+    writes the head's tuned columns (and biases).  `dz` holds only the
+    columns an update reads: column 0 if `tune_bg`, then the new ones."""
     cfg.validate()
     for epoch, batches in enumerate(minibatches(len(table.f), cfg.epochs, cfg.batch_size, rng)):
         for b, batch in enumerate(batches):
             x = table.f[batch].reshape(-1, head.dim)
-            loss, dz = unbiased_ce(head.logits(x), table.y[batch].reshape(-1), n_old)
+            loss, dz = unbiased_ce(head.logits(x), table.y[batch].reshape(-1), n_old, old_cols=int(tune_bg))
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite tuning loss at epoch {epoch}, batch {b}")
             update(x, dz)
@@ -247,7 +248,7 @@ def pretune(table, old_model, tset, cfg, rng):
     head = assemble_pretune_head(old_model.head, tset)
 
     def update(x, dz):
-        g = x.T @ dz  # (d, n_old + n_new): grad w.r.t. head columns
+        g = x.T @ dz  # (d, 1 + n_new): grad w.r.t. head columns 0 and n_old..
         g0 = g[:, 0]
         d_m0 = (g0 * w0 * tset.bg_projection)[:, None]
         d_p0 = float(g0 @ (tset.bg_importance.ravel() * w0))
@@ -257,19 +258,19 @@ def pretune(table, old_model, tset, cfg, rng):
             tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
         for i, c in enumerate(new_classes):
             m, p = tset.importance[c], tset.projection[c]
-            d_m, d_p = transform_grads(g[:, n_old + i], m, p, w_old)
+            d_m, d_p = transform_grads(g[:, 1 + i], m, p, w_old)
             if tset.train_importance:
                 tset.importance[c] = m - cfg.lr * d_m
             if tset.train_projection:
                 tset.projection[c] = p - cfg.lr * d_p
             if tune_biases:
-                tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
+                tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, 1 + i].sum())
         head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
         head.weights[:, n_old:] = generate_columns(tset, w_old)
         if tune_biases:
             head.biases[n_old:] = [tset.biases[c] for c in new_classes]
 
-    tune_new_columns(table, head, n_old, cfg, rng, update)
+    tune_new_columns(table, head, n_old, cfg, rng, update, tune_bg=True)
     return head
 
 

@@ -71,10 +71,10 @@ def initialize_head(strategy, old_model, table, pretune_cfg, rng):
         # tune only the new columns (and biases) on the frozen features
         head = _background_head(old, n_new)
 
-        def update(x, dz):
-            head.weights[:, n_old:] -= pretune_cfg.lr * (x.T @ dz[:, n_old:])
+        def update(x, dz):  # dz: the new columns only
+            head.weights[:, n_old:] -= pretune_cfg.lr * (x.T @ dz)
             if head.biases is not None:
-                head.biases[n_old:] -= pretune_cfg.lr * dz[:, n_old:].sum(axis=0)
+                head.biases[n_old:] -= pretune_cfg.lr * dz.sum(axis=0)
 
         nest.tune_new_columns(table, head, n_old, pretune_cfg, rng, update)
         return head

@@ -118,6 +118,37 @@ def track_stability(live_model, table):
     return cosine_stats(lambda rows: live_model.backbone.forward(x[rows]), f, table.f_norms)
 
 
+def _sgd_step(model, table, batch, lr, loss_fn, frozen_cols):
+    """One SGD step of `model` on the table's images `batch`; returns the
+    loss.  Every batch-sized array is freed when it returns."""
+    x = table.x[batch].reshape(-1, table.x.shape[-1])
+    out, acts = model.backbone.forward_cache(x)
+    loss, dz = loss_fn(model.head.logits(out), table.y[batch].reshape(-1), batch)
+    if not np.isfinite(loss):
+        return loss
+    layer_grads, d_head, d_bias = model.grads(out, acts, dz)
+    if frozen_cols:
+        d_head[:, list(frozen_cols)] = 0.0
+    model.head.weights = model.head.weights - lr * d_head
+    if d_bias is not None:
+        if frozen_cols:
+            d_bias[list(frozen_cols)] = 0.0
+        model.head.biases = model.head.biases - lr * d_bias
+    for li, (gw, gb) in enumerate(layer_grads):
+        w, b = model.backbone.layers[li]
+        model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
+    return loss
+
+
+def _kd_targets(old_head, table):
+    """The old head's class probabilities over the step table's frozen
+    features, (n_img, H*W, n_old): one whole-table matmul, since a matmul
+    blocked by rows rounds differently at 9 or more columns, softmaxed in
+    place, so the table is the only table-sized array allocated."""
+    z = old_head.logits(table.f.reshape(-1, table.f.shape[-1]))
+    return softmax(z, axis=1, out=z).reshape(table.f.shape[:2] + (old_head.num_classes,))
+
+
 def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, frozen_cols=()):
     """Minibatch SGD over the table's images in the `minibatches` schedule,
     with the loss and stability stats of every epoch.  `lr_fn` takes the
@@ -127,26 +158,10 @@ def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, f
     for epoch, batches in enumerate(minibatches(len(table.x), epochs, batch_size, rng)):
         losses = []
         for it, batch in enumerate(batches):
-            x = table.x[batch].reshape(-1, table.x.shape[-1])
-            y = table.y[batch].reshape(-1)
-            out, acts = model.backbone.forward_cache(x)
-            z = model.head.logits(out)
-            loss, dz = loss_fn(z, y, batch)
+            loss = _sgd_step(model, table, batch, lr_fn(epoch * len(batches) + it), loss_fn, frozen_cols)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, batch {it}")
             losses.append(loss)
-            lr = lr_fn(epoch * len(batches) + it)
-            layer_grads, d_head, d_bias = model.grads(out, acts, dz)
-            if frozen_cols:
-                d_head[:, list(frozen_cols)] = 0.0
-            model.head.weights = model.head.weights - lr * d_head
-            if d_bias is not None:
-                if frozen_cols:
-                    d_bias[list(frozen_cols)] = 0.0
-                model.head.biases = model.head.biases - lr * d_bias
-            for li, (gw, gb) in enumerate(layer_grads):
-                w, b = model.backbone.layers[li]
-                model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
         # the loss is floored by a safe log, so only the parameters show a
         # gradient that went non-finite
         if not np.isfinite(model.flat_params()).all():
@@ -207,10 +222,7 @@ def run_step(model, cfg, world, t, rng):
     except NumericError as e:
         raise NumericError(f"step {t}: {e}") from e
 
-    old_probs = None
-    if train.lambda_kd > 0:
-        frozen = table.f.reshape(-1, table.f.shape[-1])
-        old_probs = softmax(snapshot.head.logits(frozen), axis=1).reshape(len(table.f), -1, n_old)
+    old_probs = _kd_targets(snapshot.head, table) if train.lambda_kd > 0 else None
 
     def loss_fn(z, y, batch):
         op = None if old_probs is None else old_probs[batch].reshape(-1, n_old)

@@ -690,3 +690,18 @@ def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config):
     assert models and all(np.isfinite(m.flat_params()).all() for m in models)
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, runtime
+
+
+@pytest.mark.parametrize(
+    "field", ["world.height", "world.width", "world.images_per_class", "world.test_images_per_class", "world.num_classes"]
+)
+def test_a_pool_past_numpys_size_limit_exits_2_with_one_line(tmp_path, capsys, field):
+    # 10**20 makes a pool dimension numpy rejects before allocating; the
+    # check runs before anything, the default class order included, is
+    # sized from the field
+    section, key = field.split(".")
+    path = write_config(tmp_path, {section: {key: 10**20}})
+    assert main(["gen-data", path, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: the ") and "exceed numpy's array size limit" in err[0], err
+    assert not (tmp_path / "o").exists()

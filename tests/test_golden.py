@@ -6,10 +6,18 @@ behaviour keeps them, and they are never regenerated to absorb a diff.
 One config covers all six strategy variants with biases, frozen old
 columns, poly decay and the pre-tuned background; the other covers the
 disjoint protocol without distillation or weight aligning.
+
+The bytes depend on the float environment as well as on the code: on
+`numerics.rowsum` matching numpy's pairwise summation order, and on the
+row counts at which OpenBLAS switches matmul kernels.  They were written
+with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31, and a mismatch
+names the versions it ran with.
 """
 
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nestlab.cli import main
@@ -17,8 +25,22 @@ from nestlab.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _environment():
+    """The Python, numpy and BLAS versions of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except Exception:  # numpy < 1.26 has no dict mode
+        blas = "unknown BLAS"
+    return f"Python {sys.version.split()[0]}, numpy {np.__version__}, {blas}"
+
+
 @pytest.mark.parametrize("name", ["mixed_strategies", "disjoint_nokd"])
 def test_golden_outputs(name, tmp_path):
     assert main(["ablate", str(GOLDEN / name / "config.json"), "-o", str(tmp_path)]) == 0
     for fname in ("results.csv", "curves.csv", "ablation.csv"):
-        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+        golden = GOLDEN / name / fname
+        assert (tmp_path / fname).read_bytes() == golden.read_bytes(), (
+            f"{golden} differs, run with {_environment()}; the goldens were written with "
+            "Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31"
+        )

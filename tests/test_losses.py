@@ -11,6 +11,7 @@ from nestlab.errors import DataError, ShapeError
 from nestlab.losses import ce, incremental_loss, unbiased_ce, unbiased_kd
 from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
 
+import loss_reference
 from fd_reference import per_point
 
 
@@ -402,3 +403,87 @@ def test_batched_kernels_reject_bad_labels_and_row_counts():
             unbiased_kd(z, probs)
     with pytest.raises(ShapeError):
         unbiased_ce(z[0, 0], y[0, 0], 3)  # one row without its row axis
+
+
+# incremental_loss shares one softmax between its two terms, and
+# unbiased_ce can return only the columns its caller reads; both against
+# the kernels that computed every column from a softmax of their own
+
+
+def _oracle_case(n, n_old, labels, finite, lead=()):
+    c = n_old + 2
+    rng = SplitMix64(10_000 * n + 100 * n_old + 10 * len(lead) + finite)
+    shape = lead + (n,)
+    z = 4.0 * rng.normal(shape + (c,))
+    if not finite:
+        z[..., ::5, 0] = np.inf
+        z[..., 1::7, c - 1] = -np.inf
+        z[..., 2::11, 1] = np.nan
+    new = n_old + rng.integers(c - n_old, size=shape)
+    y = {"all_background": np.zeros(shape, dtype=np.int64), "no_background": new, "mixed": np.where(rng.uniform(shape) < 0.6, 0, new)}[
+        labels
+    ]
+    return z, y, _oracle_softmax(rng.normal((int(np.prod(shape)), n_old))).reshape(shape + (n_old,))
+
+
+def _assert_same_bits(ours, ref):
+    """The same (loss, dz) bytes, signed zeros and NaN payloads included."""
+    assert np.float64(ours[0]).tobytes() == np.float64(ref[0]).tobytes()
+    assert ours[1].shape == ref[1].shape and ours[1].tobytes() == np.ascontiguousarray(ref[1]).tobytes()
+    assert ours[1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("finite", [True, False])
+@pytest.mark.parametrize("labels", ["all_background", "no_background", "mixed"])
+@pytest.mark.parametrize("n_old", [1, 2, 7, 10])
+@pytest.mark.parametrize("n", [16, 63, 64, 2048])
+def test_one_softmax_kernels_equal_the_two_softmax_references(n, n_old, labels, finite):
+    for lead in ((), (3,)):
+        z, y, old = _oracle_case(n, n_old, labels, finite, lead)
+        with np.errstate(all="ignore"):
+            for lam, probs in ((0.0, old), (0.5, old), (1.0, old), (1.0, None)):
+                _assert_same_bits(
+                    incremental_loss(z, y, probs, n_old, lam), loss_reference.incremental_loss(z, y, probs, n_old, lam)
+                )
+            _assert_same_bits(unbiased_kd(z, old), loss_reference.unbiased_kd(z, old))
+            full = loss_reference.unbiased_ce(z, y, n_old)
+            _assert_same_bits(unbiased_ce(z, y, n_old), full)
+            for k in sorted({0, 1, n_old}):
+                loss, dz = unbiased_ce(z, y, n_old, old_cols=k)
+                cols = np.r_[0:k, n_old : n_old + 2]
+                _assert_same_bits((loss, dz), (full[0], full[1][..., cols]))
+        # the logits are read, never written
+        assert np.array_equal(z, _oracle_case(n, n_old, labels, finite, lead)[0], equal_nan=True)
+
+
+def test_unbiased_ce_rejects_old_cols_outside_the_old_columns():
+    z, y, _ = _oracle_case(16, 3, "mixed", True)
+    for k in (-1, 4):
+        with pytest.raises(ShapeError):
+            unbiased_ce(z, y, 3, old_cols=k)
+
+
+@pytest.mark.parametrize("shape, axis", [((16, 5), 1), ((2048, 11), 1), ((2048, 11), 0), ((3, 64, 9), -1), ((7,), -1)])
+def test_softmax_in_place_has_the_bits_of_the_fresh_output(shape, axis):
+    x = 5.0 * SplitMix64(len(shape)).normal(shape)
+    before = x.copy()
+    ref = softmax(x, axis=axis)
+    np.testing.assert_array_equal(x, before)  # without `out`, x is never written
+    assert softmax(x, axis=axis, out=x) is x
+    assert x.tobytes() == ref.tobytes()
+    if x.ndim == 2:
+        fortran = np.asfortranarray(before)
+        ref = softmax(fortran, axis=axis)
+        assert softmax(fortran, axis=axis, out=fortran).tobytes(order="A") == np.asarray(ref, order="A").tobytes(order="A")
+
+
+def test_softmax_rejects_an_out_it_cannot_fill():
+    x = SplitMix64(3).normal((8, 4))
+    for out in (np.empty((4, 8)), np.empty((8, 4), dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            softmax(x, axis=1, out=out)
+    # rows that would need a copy to lie in one 2-D array
+    x = np.asfortranarray(SplitMix64(4).normal((3, 8, 4)))
+    with pytest.raises(ShapeError):
+        softmax(x, out=x)
+

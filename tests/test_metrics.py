@@ -187,3 +187,43 @@ def test_track_stability_equals_whole_table_probe_on_s61_base_table():
     (w, b), = frozen.layers
     live = SegModel(Backbone([(w + 0.05 * rng.normal(w.shape), b + 0.01)], d_in), Head(np.zeros((16, 2))))
     assert track_stability(live, table) == _probe_oracle(live, table)
+
+
+def _probe_peak(n=51_200, d=16):
+    """tracemalloc's peak over one `cosine_stats` call on n x d tables,
+    the first one forwarded a block at a time as `track_stability` does,
+    and the call's result."""
+    import tracemalloc
+
+    rng = SplitMix64(5)
+    x = rng.normal((n, d))
+    live, frozen = Backbone.single_relu(d, d, rng), Backbone.single_relu(d, d, rng)
+    b = frozen.forward(x)
+    norms = np.linalg.norm(b, axis=1)
+    tracemalloc.start()
+    try:
+        stats = cosine_stats(lambda rows: live.forward(x[rows]), b, norms)
+        return tracemalloc.get_traced_memory()[1], stats
+    finally:
+        tracemalloc.stop()
+
+
+def test_cosine_stats_holds_one_pixel_vector(monkeypatch):
+    # with small blocks the pixel-sized arrays set the peak: the similarity
+    # vector and the one temporary of its std, where norms, dots and their
+    # ratio each held their own vector before (about six at the peak)
+    n = 51_200
+    _, ref = _probe_peak(n)
+    monkeypatch.setattr("nestlab.metrics._ROW_BLOCK", 256)
+    peak, stats = _probe_peak(n)
+    assert peak < 2.25 * n * 8, peak
+    assert stats == pytest.approx(ref, rel=1e-12)
+
+
+def test_cosine_stats_peak_on_the_s61_table_size():
+    # at 4 096-row blocks the block's forward output, squares and partial
+    # sums add ~1.3 MiB to the two pixel vectors; the code that held five
+    # pixel vectors peaked at 2.25 MiB here
+    n = 51_200
+    peak, _ = _probe_peak(n)
+    assert peak < 2 * n * 8 + 2.5 * _ROW_BLOCK * 16 * 8, peak

@@ -391,3 +391,28 @@ def test_param_count_matches_formula():
             biases={c: 0.0 for c in classes},
         )
         assert tset.param_count() == nest.extra_param_count(n_new, n_old, d)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize(
+    "variant, frozen, trained", [("importance_only", "projection", "importance"), ("projection_only", "importance", "projection")]
+)
+def test_pretune_leaves_the_frozen_transform_family_byte_identical(variant, frozen, trained, use_bias):
+    import copy
+
+    rng = SplitMix64(50)
+    head = Head(rng.normal((4, 3)), rng.normal(3) if use_bias else None)
+    old = SegModel(Backbone.single_relu(4, 4, rng), head).snapshot()
+    table = _table(_toy_step(rng, images=6), old)
+    tset = nest.apply_component_variant(nest.similarity_init_transforms(table, old), variant)
+    before = copy.deepcopy(tset)
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=3, lr=0.5, batch_size=2), SplitMix64(7))
+
+    def family(t, name):
+        """The background transform's and each new class's matrix of one
+        family, as bytes."""
+        bg = t.bg_importance.tobytes() if name == "importance" else np.float64(t.bg_projection).tobytes()
+        return [bg] + [getattr(t, name)[c].tobytes() for c in t.new_classes]
+
+    assert family(tset, frozen) == family(before, frozen)
+    assert all(a != b for a, b in zip(family(tset, trained), family(before, trained)))

@@ -329,3 +329,87 @@ def test_plan_equals_each_run_alone(workers):
     ]
     results = run_plan(configs, workers=workers)
     assert [_pinned(r) for r in results] == [_pinned(run_experiment(cfg)) for cfg in configs]
+
+
+@pytest.mark.parametrize("strategy", ["background", "nest:similarity:both"])
+def test_fix_old_classifiers_freezes_exactly_the_old_class_columns(monkeypatch, strategy):
+    # through formal training, columns 1..n_old-1 and their biases keep
+    # their bytes; the background column and the new columns move
+    from nestlab import trainer
+    from nestlab.numerics import SplitMix64
+    from nestlab.synthdata import build_world
+
+    cfg = small_config(fix_old_classifiers=True, use_bias=True, strategy=strategy)
+    world = build_world(cfg.world)
+    rng = SplitMix64(cfg.seed)
+    model, _ = trainer.train_base_step(cfg, world, rng)
+    n_old = model.head.num_classes
+    initialized = []
+
+    def initialize_head(*args):
+        head = trainer_initialize_head(*args)
+        initialized.append(head.copy())
+        return head
+
+    trainer_initialize_head = trainer.initialize_head
+    monkeypatch.setattr(trainer, "initialize_head", initialize_head)
+    model, _, _ = trainer.run_step(model, cfg, world, 1, rng)
+    (start,) = initialized
+    end = model.head
+    assert end.weights[:, 1:n_old].tobytes() == start.weights[:, 1:n_old].tobytes()
+    assert end.biases[1:n_old].tobytes() == start.biases[1:n_old].tobytes()
+    for cols in (slice(0, 1), slice(n_old, None)):
+        assert not np.array_equal(end.weights[:, cols], start.weights[:, cols])
+        assert not np.array_equal(end.biases[cols], start.biases[cols])
+
+
+def test_no_batch_array_is_alive_when_the_stability_probe_runs(monkeypatch):
+    # the epoch's probe is its memory peak; the batch's pixels, features,
+    # logits and gradients are freed before it runs
+    import sys
+
+    from nestlab import trainer
+
+    cfg = small_config()
+    probes = []
+
+    def track_stability(model, table):
+        frame = sys._getframe(1)
+        assert frame.f_code is trainer._train_epochs.__code__
+        probes.append([(k, v.dtype, v.shape) for k, v in frame.f_locals.items() if isinstance(v, np.ndarray)])
+        return real(model, table)
+
+    real = trainer.track_stability
+    monkeypatch.setattr(trainer, "track_stability", track_stability)
+    run_experiment(cfg)
+    assert len(probes) == cfg.train.base_epochs + 2 * cfg.train.inc_epochs
+    # only the schedule's last batch of image indices is left
+    for arrays in probes:
+        assert [(k, dtype.kind) for k, dtype, shape in arrays] == [("batch", "i")]
+        assert arrays[0][2][0] <= cfg.train.batch_size
+
+
+def test_kd_targets_for_a_table_allocate_no_second_table():
+    # 51 200 x 10 probabilities with biases: the logits array is the one
+    # table allocated, softmaxed in place
+    import tracemalloc
+
+    from nestlab.model import Head
+    from nestlab.numerics import SplitMix64, softmax
+    from nestlab.synthdata import StepTable
+    from nestlab.trainer import _kd_targets
+
+    rng = SplitMix64(4)
+    f = np.abs(rng.normal((200, 256, 16)))
+    head = Head(rng.normal((16, 10)), rng.normal(10))
+    table = StepTable((), f, np.zeros(f.shape[:2], dtype=np.int64), f)
+    ref = softmax(f.reshape(-1, 16) @ head.weights + head.biases, axis=1)
+    tracemalloc.start()
+    try:
+        probs = _kd_targets(head, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = 51_200 * 10 * 8
+    assert probs.shape == (200, 256, 10) and probs.tobytes() == ref.tobytes()
+    assert peak < 1.5 * table_bytes, peak
