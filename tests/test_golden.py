@@ -1,11 +1,16 @@
-"""Golden outputs: two small ablations reproduce the committed CSVs byte
-for byte.
+"""Golden outputs: every small ablation under tests/golden/ reproduces
+its committed CSVs byte for byte.
 
 The files under tests/golden/ are the reference: a refactor that keeps
 behaviour keeps them, and they are never regenerated to absorb a diff.
-One config covers all six strategy variants with biases, frozen old
-columns, poly decay and the pre-tuned background; the other covers the
-disjoint protocol without distillation or weight aligning.
+Each directory there is one case, so none can be left out:
+`mixed_strategies` covers all six strategy variants with biases, frozen
+old columns, poly decay and the pre-tuned background; `disjoint_nokd`
+covers the disjoint protocol without distillation or weight aligning;
+`multi_class` adds two classes per step, with biases, weight aligning over
+both new columns and the pre-tuned background, for two_stage and the four
+nest arms that stack several transforms (both, random init,
+importance_only and projection_only).
 
 The bytes depend on the float environment as well as on the code: on
 `numerics.rowsum` matching numpy's pairwise summation order, and on the
@@ -35,7 +40,7 @@ def _environment():
     return f"Python {sys.version.split()[0]}, numpy {np.__version__}, {blas}"
 
 
-@pytest.mark.parametrize("name", ["mixed_strategies", "disjoint_nokd"])
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()))
 def test_golden_outputs(name, tmp_path):
     assert main(["ablate", str(GOLDEN / name / "config.json"), "-o", str(tmp_path)]) == 0
     for fname in ("results.csv", "curves.csv", "ablation.csv"):
