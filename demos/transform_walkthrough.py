@@ -49,8 +49,9 @@ def main():
           f"{len(table.x)} training images\n")
 
     tset = nest.similarity_init_transforms(table, old)
-    m = tset.importance[7]
-    p = tset.projection[7]
+    i = table.classes.index(7)  # the stacks follow the table's class order
+    m = tset.importance[i]
+    p = tset.projection[i]
     print("similarity init for class 7:")
     print(f"  importance matrix: shape {m.shape}, entries in "
           f"[{m.min():.3f}, {m.max():.3f}]")

@@ -2,14 +2,19 @@
 
 New-class weight columns are generated from the old head as
 ``w_c = (M_c * W_old) @ P_c`` with a per-class importance matrix M_c and
-projection column P_c.  Both are initialized from cross-task similarity
-scores computed by the frozen old model, then tuned on the unbiased cross
-entropy while everything else stays frozen, by `tune_new_columns`: the one
-frozen-feature SGD loop, which the `two_stage` baseline shares.  The bias
-mode follows the old head: new classes get biases exactly when it has them.
+projection column P_c, kept as one stack over the step's new classes.
+The generated background column ``m0 * w0 * p0`` is the same expression
+with W_old replaced by its one column w0, so the background pair is a
+one-element stack through the same `generate_new_weight` and chain rule
+`transform_grads`.  The matrices are initialized from cross-task
+similarity scores computed by the frozen old model, then tuned on the
+unbiased cross entropy while everything else stays frozen, by
+`tune_new_columns`: the one frozen-feature SGD loop, which the
+`two_stage` baseline shares.  The bias mode follows the old head: new
+classes get biases exactly when it has them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,29 +44,25 @@ class PretuneConfig:
 
 @dataclass
 class TransformSet:
-    """Learnable transforms for one incremental step.
+    """Learnable transforms for one incremental step, as stacks.
 
-    One (importance, projection) pair per new class plus the background
-    pair; optional per-new-class bias scalars.  The train_* flags let
-    ablations freeze either matrix family.
+    Entry i of `importance`, `projection` and `biases` belongs to head
+    column n_old + i, the i-th class of the step's table.  The background
+    pair is a one-element stack over the one column w0.  The train_* flags
+    let ablations freeze either matrix family, background pair included.
     """
 
-    new_classes: tuple
-    importance: dict  # class id -> (d, n_old)
-    projection: dict  # class id -> (n_old, 1)
-    bg_importance: np.ndarray  # (d, 1)
-    bg_projection: float
-    biases: dict = None  # class id -> float, or None
+    importance: np.ndarray  # (n_new, d, n_old)
+    projection: np.ndarray  # (n_new, n_old, 1)
+    bg_importance: np.ndarray  # (1, d, 1)
+    bg_projection: np.ndarray  # (1, 1, 1)
+    biases: np.ndarray = None  # (n_new,), or None
     train_importance: bool = True
     train_projection: bool = True
 
     def param_count(self):
-        n = sum(m.size for m in self.importance.values())
-        n += sum(p.size for p in self.projection.values())
-        n += self.bg_importance.size + 1
-        if self.biases is not None:
-            n += len(self.biases)
-        return n
+        arrays = (self.importance, self.projection, self.bg_importance, self.bg_projection, self.biases)
+        return sum(a.size for a in arrays if a is not None)
 
 
 def similarity_scores(p_u, w_old):
@@ -106,11 +107,6 @@ def init_projection(m):
     return softmax(m.sum(axis=0))[:, None]
 
 
-def init_background_transform(d):
-    """Identity transform: the generated bg column starts equal to w_0."""
-    return np.ones((d, 1)), 1.0
-
-
 def generate_new_weight(m, p, w_old):
     """The column `(M ⊙ W_old) P`.  (M, P) stacked over matching leading
     axes, `(..., d, n_old)` and `(..., n_old, 1)`, give one `(..., d)`
@@ -123,35 +119,31 @@ def generate_new_weight(m, p, w_old):
     return ((m * w_old) @ p)[..., 0]
 
 
-def transform_grads(gc, m, p, w_old):
-    """Chain rule through `generate_new_weight`: the gradients w.r.t. M
-    and P from `gc`, the gradient w.r.t. the generated column."""
-    d_m = gc[:, None] * w_old * p.ravel()[None, :]
-    d_p = ((m * w_old).T @ gc)[:, None]
+def transform_grads(g, m, p, w_old):
+    """Chain rule through `generate_new_weight` for a stack of k
+    transforms: the gradients w.r.t. M `(k, d, n_old)` and P
+    `(k, n_old, 1)` from `g` `(d, k)`, whose column i is the gradient
+    w.r.t. generated column i."""
+    gt = g.T[:, :, None]
+    d_m = gt * w_old * p.swapaxes(-1, -2)
+    d_p = (m * w_old).swapaxes(-1, -2) @ gt
     return d_m, d_p
-
-
-def generate_bg_weight(m0, p0, w0):
-    m0 = np.asarray(m0, dtype=np.float64).ravel()
-    w0 = np.asarray(w0, dtype=np.float64).ravel()
-    if m0.shape != w0.shape:
-        raise ShapeError(f"bg transform {m0.shape} vs column {w0.shape}")
-    return m0 * w0 * float(p0)
-
-
-def generate_columns(tset, w_old):
-    """New-class columns in head-column order, as a (d, n_new) block."""
-    cols = [generate_new_weight(tset.importance[c], tset.projection[c], w_old) for c in tset.new_classes]
-    return np.stack(cols, axis=1) if cols else np.zeros((w_old.shape[0], 0))
 
 
 def assemble_pretune_head(old_head, tset):
     """Head used during pre-tuning: generated bg, frozen old, generated new."""
     w_old = old_head.weights
-    new_b = [tset.biases[c] for c in tset.new_classes] if tset.biases else None
-    head = grow_head(old_head, generate_columns(tset, w_old), new_b)
-    head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w_old[:, 0])
+    head = grow_head(old_head, generate_new_weight(tset.importance, tset.projection, w_old).T, tset.biases)
+    head.weights[:, :1] = generate_new_weight(tset.bg_importance, tset.bg_projection, w_old[:, :1]).T
     return head
+
+
+def _transform_set(importance, projection, old_head):
+    """The TransformSet of the stacks, with the identity background pair
+    (the generated bg column starts equal to w0) and zero biases exactly
+    when `old_head` has biases."""
+    biases = None if old_head.biases is None else np.zeros(len(importance))
+    return TransformSet(importance, projection, np.ones((1, old_head.dim, 1)), np.ones((1, 1, 1)), biases)
 
 
 def similarity_init_transforms(table, old_model):
@@ -160,32 +152,26 @@ def similarity_init_transforms(table, old_model):
     d, n_old = w_old.shape
     all_feats = table.f.reshape(-1, d)
     all_labels = table.y.ravel()
-    new_classes = table.classes
-    importance, projection = {}, {}
-    for i, c in enumerate(new_classes):
+    importance = np.empty((len(table.classes), d, n_old))
+    projection = np.empty((len(table.classes), n_old, 1))
+    for i, c in enumerate(table.classes):
         pix = all_feats[all_labels == n_old + i]
         if pix.shape[0] == 0:
             raise DataError(f"no pixels of class {c} in the step's train split")
-        m = init_importance(pix, w_old)
-        importance[c] = m
-        projection[c] = init_projection(m)
-    m0, p0 = init_background_transform(d)
-    biases = {c: 0.0 for c in new_classes} if old_model.head.biases is not None else None
-    return TransformSet(new_classes, importance, projection, m0, p0, biases)
+        importance[i] = init_importance(pix, w_old)
+        projection[i] = init_projection(importance[i])
+    return _transform_set(importance, projection, old_model.head)
 
 
 def random_init_transforms(table, old_model, rng):
     """Ablation baseline: standard-normal matrices, projection re-normalized."""
-    w_old = old_model.head.weights
-    d, n_old = w_old.shape
-    new_classes = table.classes
-    importance, projection = {}, {}
-    for c in new_classes:
-        importance[c] = rng.normal((d, n_old))
-        projection[c] = softmax(rng.normal(n_old))[:, None]
-    m0, p0 = init_background_transform(d)
-    biases = {c: 0.0 for c in new_classes} if old_model.head.biases is not None else None
-    return TransformSet(new_classes, importance, projection, m0, p0, biases)
+    d, n_old = old_model.head.weights.shape
+    importance = np.empty((len(table.classes), d, n_old))
+    projection = np.empty((len(table.classes), n_old, 1))
+    for i in range(len(table.classes)):  # one class's pair at a time: the draw order
+        importance[i] = rng.normal((d, n_old))
+        projection[i] = softmax(rng.normal(n_old))[:, None]
+    return _transform_set(importance, projection, old_model.head)
 
 
 def apply_component_variant(tset, variant):
@@ -197,13 +183,10 @@ def apply_component_variant(tset, variant):
     if variant == "both":
         return tset
     if variant == "importance_only":
-        for c in tset.new_classes:
-            n_old = tset.projection[c].shape[0]
-            tset.projection[c] = np.full((n_old, 1), 1.0 / n_old)
+        tset.projection = np.full_like(tset.projection, 1.0 / tset.projection.shape[1])
         tset.train_projection = False
     elif variant == "projection_only":
-        for c in tset.new_classes:
-            tset.importance[c] = np.ones_like(tset.importance[c])
+        tset.importance = np.ones_like(tset.importance)
         tset.train_importance = False
     else:
         raise ValueError(f"unknown component variant {variant!r}")
@@ -241,34 +224,29 @@ def pretune(table, old_model, tset, cfg, rng):
     """
     w_old = old_model.head.weights
     n_old = w_old.shape[1]
-    w0 = w_old[:, 0]
-    new_classes = tset.new_classes
     tune_biases = old_model.head.biases is not None and tset.biases is not None
     # built once; each update rewrites only its generated columns and biases
     head = assemble_pretune_head(old_model.head, tset)
 
+    def step(g, m, p, w):
+        """(M, P) after one SGD step from `g`, the gradient w.r.t. the
+        columns they generate from `w`, and those columns, (d, k)."""
+        d_m, d_p = transform_grads(g, m, p, w)
+        m = m - cfg.lr * d_m if tset.train_importance else m
+        p = p - cfg.lr * d_p if tset.train_projection else p
+        return m, p, generate_new_weight(m, p, w).T
+
     def update(x, dz):
         g = x.T @ dz  # (d, 1 + n_new): grad w.r.t. head columns 0 and n_old..
-        g0 = g[:, 0]
-        d_m0 = (g0 * w0 * tset.bg_projection)[:, None]
-        d_p0 = float(g0 @ (tset.bg_importance.ravel() * w0))
-        if tset.train_importance:
-            tset.bg_importance = tset.bg_importance - cfg.lr * d_m0
-        if tset.train_projection:
-            tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
-        for i, c in enumerate(new_classes):
-            m, p = tset.importance[c], tset.projection[c]
-            d_m, d_p = transform_grads(g[:, 1 + i], m, p, w_old)
-            if tset.train_importance:
-                tset.importance[c] = m - cfg.lr * d_m
-            if tset.train_projection:
-                tset.projection[c] = p - cfg.lr * d_p
-            if tune_biases:
-                tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, 1 + i].sum())
-        head.weights[:, 0] = generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
-        head.weights[:, n_old:] = generate_columns(tset, w_old)
+        tset.bg_importance, tset.bg_projection, head.weights[:, :1] = step(
+            g[:, :1], tset.bg_importance, tset.bg_projection, w_old[:, :1]
+        )
+        tset.importance, tset.projection, head.weights[:, n_old:] = step(g[:, 1:], tset.importance, tset.projection, w_old)
         if tune_biases:
-            head.biases[n_old:] = [tset.biases[c] for c in new_classes]
+            # one contiguous row per column: each sum in the order of a
+            # single column's, which `dz.sum(axis=0)` does not keep
+            tset.biases = tset.biases - cfg.lr * np.ascontiguousarray(dz[:, 1:].T).sum(axis=1)
+            head.biases[n_old:] = tset.biases
 
     tune_new_columns(table, head, n_old, cfg, rng, update, tune_bg=True)
     return head

@@ -148,7 +148,7 @@ def check_gradients(instances=100, seed=13, h=1e-4):
         col = nest.generate_new_weight(m_c, p_c, w_old)
         w_full = np.concatenate([w_old, col[:, None], model.head.weights[:, n_old + 1 :]], axis=1)
         _, dz = unbiased_ce(feats @ w_full, y, n_old)
-        d_m, d_p = nest.transform_grads(feats.T @ dz[:, n_old], m_c, p_c, w_old)
+        d_m, d_p = nest.transform_grads((feats.T @ dz[:, n_old])[:, None], m_c[None], p_c[None], w_old)
         analytic = np.concatenate([d_m.ravel(), d_p.ravel()])
         numeric = finite_diff_grad(_mp_loss_fn(feats, model.head.weights, y, n_old), flat_mp, h=h)
         worst = max(worst, _rel_err(analytic, numeric))
@@ -202,14 +202,12 @@ def check_cost_formula(seed=23):
         n_new = 1 + rng.integers(5)
         n_old = 1 + rng.integers(30)
         d = 1 + rng.integers(64)
-        new_classes = tuple(range(n_old, n_old + n_new))
         tset = nest.TransformSet(
-            new_classes=new_classes,
-            importance={c: np.zeros((d, n_old)) for c in new_classes},
-            projection={c: np.zeros((n_old, 1)) for c in new_classes},
-            bg_importance=np.zeros((d, 1)),
-            bg_projection=1.0,
-            biases={c: 0.0 for c in new_classes},
+            importance=np.zeros((n_new, d, n_old)),
+            projection=np.zeros((n_new, n_old, 1)),
+            bg_importance=np.zeros((1, d, 1)),
+            bg_projection=np.ones((1, 1, 1)),
+            biases=np.zeros(n_new),
         )
         if tset.param_count() != nest.extra_param_count(n_new, n_old, d):
             return "cost_formula", False, f"mismatch at ({n_new}, {n_old}, {d})"

@@ -5,9 +5,11 @@ import pytest
 
 from nestlab import nest
 from nestlab.errors import DataError, NumericError, ShapeError
-from nestlab.model import Backbone, Head, SegModel
-from nestlab.numerics import SplitMix64, softmax
-from nestlab.synthdata import label_columns, step_table
+from nestlab.losses import unbiased_ce
+from nestlab.model import Backbone, Head, SegModel, grow_head
+from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
+
+import toys
 
 
 def test_similarity_scores_hand_computed():
@@ -100,46 +102,30 @@ def test_generate_new_weight_zero_importance():
 
 
 def test_generate_bg_weight():
-    w0 = np.array([1.0, 4.0])
-    np.testing.assert_array_equal(nest.generate_bg_weight(np.array([2.0, 1.0]), 0.5, w0), [1.0, 2.0])
-    np.testing.assert_array_equal(nest.generate_bg_weight(np.ones(2), 1.0, w0), w0)
-    np.testing.assert_array_equal(nest.generate_bg_weight(np.ones(2), 0.0, w0), [0.0, 0.0])
+    # the background column m0 * w0 * p0 is the generated column of the
+    # one-column head w0
+    w0 = np.array([[1.0], [4.0]])
+    np.testing.assert_array_equal(nest.generate_new_weight(np.array([[2.0], [1.0]]), np.array([[0.5]]), w0), [1.0, 2.0])
+    np.testing.assert_array_equal(nest.generate_new_weight(np.ones((2, 1)), np.ones((1, 1)), w0), w0[:, 0])
+    np.testing.assert_array_equal(nest.generate_new_weight(np.ones((2, 1)), np.zeros((1, 1)), w0), [0.0, 0.0])
 
 
 def test_identity_background_init_reproduces_w0():
     rng = SplitMix64(35)
     for _ in range(10):
         d = 2 + rng.integers(6)
-        w0 = rng.normal(d)
-        m0, p0 = nest.init_background_transform(d)
-        np.testing.assert_array_equal(nest.generate_bg_weight(m0, p0, w0), w0)
-
-
-def _toy_model(rng, d_in=4, d=4, n_old=3):
-    return SegModel(Backbone.single_relu(d_in, d, rng), Head(rng.normal((d, n_old)))).snapshot()
-
-
-def _toy_step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
-    """(classes, features, class-id labels) of random images of
-    `new_classes` and background."""
-    x, labels = np.empty((images, hw * hw, d_in)), np.empty((images, hw * hw), dtype=np.int64)
-    for i in range(images):
-        ids = rng.integers(len(new_classes) + 1, size=hw * hw)
-        labels[i] = np.where(ids > 0, np.asarray(new_classes)[ids - 1], 0)
-        x[i] = rng.normal((hw * hw, d_in))
-    return tuple(new_classes), x, labels
-
-
-def _table(step, old):
-    """The step's table, its classes in the head columns after `old`'s."""
-    classes, x, labels = step
-    return step_table(classes, x, label_columns(labels, classes, old.head.num_classes), old.backbone)
+        old = toys.old_model(rng, d=d)
+        table = toys.table(toys.step(rng), old)
+        w_old = old.head.weights
+        for tset in (nest.similarity_init_transforms(table, old), nest.random_init_transforms(table, old, rng)):
+            bg = nest.generate_new_weight(tset.bg_importance, tset.bg_projection, w_old[:, :1])
+            np.testing.assert_array_equal(bg, w_old[:, :1].T)
 
 
 def test_assemble_pretune_head_layout():
     rng = SplitMix64(36)
-    old = _toy_model(rng)
-    table = _table(_toy_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     tset = nest.similarity_init_transforms(table, old)
     head = nest.assemble_pretune_head(old.head, tset)
     assert head.num_classes == 5  # bg + 2 frozen old + 2 new
@@ -150,13 +136,13 @@ def test_assemble_pretune_head_layout():
 
 def test_assemble_no_new_classes():
     rng = SplitMix64(37)
-    old = _toy_model(rng)
+    old = toys.old_model(rng)
+    d, n_old = old.head.weights.shape
     tset = nest.TransformSet(
-        new_classes=(),
-        importance={},
-        projection={},
-        bg_importance=2.0 * np.ones((old.head.dim, 1)),
-        bg_projection=1.0,
+        importance=np.zeros((0, d, n_old)),
+        projection=np.zeros((0, n_old, 1)),
+        bg_importance=2.0 * np.ones((1, d, 1)),
+        bg_projection=np.ones((1, 1, 1)),
     )
     head = nest.assemble_pretune_head(old.head, tset)
     assert head.num_classes == old.head.num_classes
@@ -166,42 +152,39 @@ def test_assemble_no_new_classes():
 
 def test_similarity_init_requires_class_pixels():
     rng = SplitMix64(38)
-    old = _toy_model(rng)
-    classes, x, labels = _toy_step(rng)
+    old = toys.old_model(rng)
+    classes, x, labels = toys.step(rng)
     labels[labels == 4] = 0
     with pytest.raises(DataError):
-        nest.similarity_init_transforms(_table((classes, x, labels), old), old)
+        nest.similarity_init_transforms(toys.table((classes, x, labels), old), old)
 
 
 def test_pretune_zero_lr_equivalent():
     # lr -> 0 must leave the transforms (and generated weights) unchanged
     rng = SplitMix64(39)
-    old = _toy_model(rng)
-    table = _table(_toy_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     tset = nest.similarity_init_transforms(table, old)
-    before = {c: tset.importance[c].copy() for c in tset.new_classes}
+    before = tset.importance.copy()
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=2, lr=1e-300, batch_size=2), SplitMix64(1))
-    for c in tset.new_classes:
-        np.testing.assert_allclose(tset.importance[c], before[c], atol=1e-12)
+    np.testing.assert_allclose(tset.importance, before, atol=1e-12)
 
 
 def test_pretune_moves_bg_transform():
     rng = SplitMix64(40)
-    old = _toy_model(rng)
-    table = _table(_toy_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     tset = nest.similarity_init_transforms(table, old)
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=1, lr=0.1, batch_size=2), SplitMix64(1))
-    w0 = old.head.weights[:, 0]
-    moved = nest.generate_bg_weight(tset.bg_importance, tset.bg_projection, w0)
-    assert not np.array_equal(moved, w0)
+    w0 = old.head.weights[:, :1]
+    moved = nest.generate_new_weight(tset.bg_importance, tset.bg_projection, w0)
+    assert not np.array_equal(moved, w0.T)
 
 
 def test_pretune_improves_unce():
-    from nestlab.losses import unbiased_ce
-
     rng = SplitMix64(41)
-    old = _toy_model(rng)
-    table = _table(_toy_step(rng, images=8), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng, images=8), old)
 
     def loss_of(tset):
         head = nest.assemble_pretune_head(old.head, tset)
@@ -215,19 +198,28 @@ def test_pretune_improves_unce():
 
 def test_pretune_leaves_old_model_untouched():
     rng = SplitMix64(42)
-    old = _toy_model(rng)
+    old = toys.old_model(rng)
     before = old.param_bytes()
-    table = _table(_toy_step(rng), old)
+    table = toys.table(toys.step(rng), old)
     tset = nest.similarity_init_transforms(table, old)
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=3, lr=0.1, batch_size=2), SplitMix64(1))
     assert old.param_bytes() == before
 
 
+def _per_class_head(old_head, tset):
+    """Reference: the pre-tuning head built one generated column at a
+    time, with the background column m0 * w0 * p0 written out."""
+    w_old = old_head.weights
+    cols = [((m * w_old) @ p)[:, 0] for m, p in zip(tset.importance, tset.projection)]
+    head = grow_head(old_head, np.stack(cols, axis=1), tset.biases)
+    head.weights[:, 0] = tset.bg_importance[0, :, 0] * w_old[:, 0] * tset.bg_projection.item()
+    return head
+
+
 def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng):
     """Reference: the pre-tuning loop that assembled a fresh head for
-    every batch."""
-    from nestlab.losses import unbiased_ce
-
+    every batch and stepped each new class's transform, and the background
+    pair, by its own hand-written chain rule."""
     w_old = old_model.head.weights
     d, n_old = w_old.shape
     w0 = w_old[:, 0]
@@ -238,36 +230,34 @@ def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng):
             batch = order[start : start + cfg.batch_size]
             x = table.f[batch].reshape(-1, d)
             y = table.y[batch].reshape(-1)
-            _, dz = unbiased_ce(nest.assemble_pretune_head(old_model.head, tset).logits(x), y, n_old)
+            _, dz = unbiased_ce(_per_class_head(old_model.head, tset).logits(x), y, n_old)
             g = x.T @ dz
             g0 = g[:, 0]
-            d_m0 = (g0 * w0 * tset.bg_projection)[:, None]
-            d_p0 = float(g0 @ (tset.bg_importance.ravel() * w0))
+            d_m0 = (g0 * w0 * tset.bg_projection.item())[None, :, None]
+            d_p0 = float(g0 @ (tset.bg_importance[0, :, 0] * w0))
             if tset.train_importance:
                 tset.bg_importance = tset.bg_importance - cfg.lr * d_m0
             if tset.train_projection:
                 tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
-            for i, c in enumerate(tset.new_classes):
+            importance, projection = tset.importance.copy(), tset.projection.copy()
+            for i in range(len(importance)):
                 gc = g[:, n_old + i]
-                m, p = tset.importance[c], tset.projection[c]
+                m, p = tset.importance[i], tset.projection[i]
                 d_m = gc[:, None] * w_old * p.ravel()[None, :]
                 d_p = ((m * w_old).T @ gc)[:, None]
                 if tset.train_importance:
-                    tset.importance[c] = m - cfg.lr * d_m
+                    importance[i] = m - cfg.lr * d_m
                 if tset.train_projection:
-                    tset.projection[c] = p - cfg.lr * d_p
+                    projection[i] = p - cfg.lr * d_p
                 if use_bias and tset.biases is not None:
-                    tset.biases[c] = tset.biases[c] - cfg.lr * float(dz[:, n_old + i].sum())
+                    tset.biases[i] = tset.biases[i] - cfg.lr * float(dz[:, n_old + i].sum())
+            tset.importance, tset.projection = importance, projection
     return tset
 
 
 def _tset_bytes(tset):
-    parts = [tset.bg_importance.tobytes(), np.float64(tset.bg_projection).tobytes()]
-    for c in tset.new_classes:
-        parts += [tset.importance[c].tobytes(), tset.projection[c].tobytes()]
-        if tset.biases is not None:
-            parts.append(np.float64(tset.biases[c]).tobytes())
-    return b"".join(parts)
+    arrays = (tset.bg_importance, tset.bg_projection, tset.importance, tset.projection, tset.biases)
+    return b"".join(a.tobytes() for a in arrays if a is not None)
 
 
 # 4x4 images in batches of 2 give 32-row batches (C-ordered loss kernels),
@@ -280,7 +270,7 @@ def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw,
     d, n_old = 4, 3
     head = Head(rng.normal((d, n_old)), rng.normal(n_old) if use_bias else None)
     old = SegModel(Backbone.single_relu(4, d, rng), head).snapshot()
-    table = _table(_toy_step(rng, hw=hw, images=6), old)
+    table = toys.table(toys.step(rng, hw=hw, images=6), old)
     cfg = nest.PretuneConfig(epochs=3, lr=0.5, batch_size=batch_size)
 
     def fresh():
@@ -295,7 +285,8 @@ def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw,
     assert _tset_bytes(ours) == _tset_bytes(ref)
     assert ours_rng.next_u64() == ref_rng.next_u64()
     # the returned head is the tuned transforms' head, byte for byte
-    assembled = nest.assemble_pretune_head(old.head, ref)
+    assembled = _per_class_head(old.head, ref)
+    assert assembled.weights.tobytes() == nest.assemble_pretune_head(old.head, ref).weights.tobytes()
     assert tuned.weights.tobytes() == assembled.weights.tobytes()
     assert (tuned.biases is None) == (assembled.biases is None) == (not use_bias)
     if use_bias:
@@ -307,24 +298,23 @@ def test_transform_initializers_carry_biases_exactly_when_the_old_head_has_them(
     rng = SplitMix64(45)
     head = Head(rng.normal((4, 3)), rng.normal(3) if use_bias else None)
     old = SegModel(Backbone.single_relu(4, 4, rng), head).snapshot()
-    table = _table(_toy_step(rng), old)
-    expected = {3: 0.0, 4: 0.0} if use_bias else None
-    assert nest.similarity_init_transforms(table, old).biases == expected
-    assert nest.random_init_transforms(table, old, SplitMix64(1)).biases == expected
+    table = toys.table(toys.step(rng), old)
+    for tset in (nest.similarity_init_transforms(table, old), nest.random_init_transforms(table, old, SplitMix64(1))):
+        if use_bias:
+            assert tset.biases.dtype == np.float64 and tset.biases.tobytes() == np.zeros(2).tobytes()
+        else:
+            assert tset.biases is None
 
 
 def test_component_variants():
     rng = SplitMix64(43)
-    old = _toy_model(rng)
-    table = _table(_toy_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     t_imp = nest.apply_component_variant(nest.similarity_init_transforms(table, old), "importance_only")
-    for c in t_imp.new_classes:
-        n_old = t_imp.projection[c].shape[0]
-        np.testing.assert_array_equal(t_imp.projection[c], np.full((n_old, 1), 1.0 / n_old))
+    np.testing.assert_array_equal(t_imp.projection, np.full((2, 3, 1), 1.0 / 3))
     assert not t_imp.train_projection
     t_proj = nest.apply_component_variant(nest.similarity_init_transforms(table, old), "projection_only")
-    for c in t_proj.new_classes:
-        np.testing.assert_array_equal(t_proj.importance[c], np.ones_like(t_proj.importance[c]))
+    np.testing.assert_array_equal(t_proj.importance, np.ones((2, 4, 3)))
     assert not t_proj.train_importance
     with pytest.raises(ValueError):
         nest.apply_component_variant(t_proj, "bogus")
@@ -381,14 +371,12 @@ def test_param_count_matches_formula():
     rng = SplitMix64(47)
     for _ in range(10):
         n_new, n_old, d = 1 + rng.integers(4), 1 + rng.integers(10), 2 + rng.integers(12)
-        classes = tuple(range(n_old, n_old + n_new))
         tset = nest.TransformSet(
-            new_classes=classes,
-            importance={c: np.zeros((d, n_old)) for c in classes},
-            projection={c: np.zeros((n_old, 1)) for c in classes},
-            bg_importance=np.zeros((d, 1)),
-            bg_projection=1.0,
-            biases={c: 0.0 for c in classes},
+            importance=np.zeros((n_new, d, n_old)),
+            projection=np.zeros((n_new, n_old, 1)),
+            bg_importance=np.zeros((1, d, 1)),
+            bg_projection=np.ones((1, 1, 1)),
+            biases=np.zeros(n_new),
         )
         assert tset.param_count() == nest.extra_param_count(n_new, n_old, d)
 
@@ -403,7 +391,7 @@ def test_pretune_leaves_the_frozen_transform_family_byte_identical(variant, froz
     rng = SplitMix64(50)
     head = Head(rng.normal((4, 3)), rng.normal(3) if use_bias else None)
     old = SegModel(Backbone.single_relu(4, 4, rng), head).snapshot()
-    table = _table(_toy_step(rng, images=6), old)
+    table = toys.table(toys.step(rng, images=6), old)
     tset = nest.apply_component_variant(nest.similarity_init_transforms(table, old), variant)
     before = copy.deepcopy(tset)
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=3, lr=0.5, batch_size=2), SplitMix64(7))
@@ -411,8 +399,75 @@ def test_pretune_leaves_the_frozen_transform_family_byte_identical(variant, froz
     def family(t, name):
         """The background transform's and each new class's matrix of one
         family, as bytes."""
-        bg = t.bg_importance.tobytes() if name == "importance" else np.float64(t.bg_projection).tobytes()
-        return [bg] + [getattr(t, name)[c].tobytes() for c in t.new_classes]
+        return [m.tobytes() for m in (*getattr(t, f"bg_{name}"), *getattr(t, name))]
 
     assert family(tset, frozen) == family(before, frozen)
     assert all(a != b for a, b in zip(family(tset, trained), family(before, trained)))
+
+
+_FIELDS = ("bg_importance", "bg_projection", "importance", "projection", "biases")
+
+
+def _pretune_step_errors(variant, use_bias, lr=0.5):
+    """One pre-tuning batch over the whole toy table (two new classes):
+    for each array of the TransformSet, its move against `-lr` times the
+    central-difference gradient of the batch's unbiased CE over the
+    flattened TransformSet, as a relative error, or as the largest
+    absolute move for an array of the frozen family."""
+    rng = SplitMix64(51)
+    old = toys.old_model(rng, use_bias=use_bias)
+    table = toys.table(toys.step(rng, images=6), old)
+    tset = nest.apply_component_variant(nest.similarity_init_transforms(table, old), variant)
+    before = {name: getattr(tset, name).copy() for name in _FIELDS if getattr(tset, name) is not None}
+    sizes = [a.size for a in before.values()]
+    x, y, n_old = table.f.reshape(-1, old.head.dim), table.y.ravel(), old.head.num_classes
+    w_old, b_old = old.head.weights, old.head.biases
+
+    def loss(stack):
+        """One pre-tuning head per row of `stack`, all through one loss call."""
+        k = len(stack)
+        parts = np.split(stack, np.cumsum(sizes)[:-1], axis=1)
+        t = {name: part.reshape(k, *a.shape) for part, (name, a) in zip(parts, before.items())}
+        bg = nest.generate_new_weight(t["bg_importance"], t["bg_projection"], w_old[:, :1])
+        new = nest.generate_new_weight(t["importance"], t["projection"], w_old)
+        w = np.concatenate([bg, np.broadcast_to(w_old.T[1:], (k, n_old - 1, len(w_old))), new], axis=1)
+        b = None if b_old is None else np.concatenate([np.broadcast_to(b_old, (k, n_old)), t["biases"]], axis=1)
+        return unbiased_ce(Head(w.swapaxes(1, 2), b).logits(x), y, n_old)[0]
+
+    grad = finite_diff_grad(loss, np.concatenate([a.ravel() for a in before.values()]))
+    nest.pretune(table, old, tset, nest.PretuneConfig(epochs=1, lr=lr, batch_size=len(table.f)), SplitMix64(7))
+    frozen = {"importance_only": "projection", "projection_only": "importance"}.get(variant)
+    errors = {}
+    for (name, a), g in zip(before.items(), np.split(grad, np.cumsum(sizes)[:-1])):
+        move = (getattr(tset, name) - a).ravel()
+        if name in (frozen, f"bg_{frozen}"):
+            errors[name] = np.abs(move).max()
+        else:
+            errors[name] = np.linalg.norm(move + lr * g) / np.linalg.norm(lr * g)
+    return errors, frozen
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("variant", ["both", "importance_only", "projection_only"])
+def test_pretune_steps_every_transform_by_the_finite_difference_gradient(variant, use_bias):
+    # the background pair, the stack and the biases each move by -lr times
+    # the derivative of the batch's loss; the frozen family moves not at all
+    errors, frozen = _pretune_step_errors(variant, use_bias)
+    assert ("biases" in errors) == use_bias
+    for name, err in errors.items():
+        if name in (frozen, f"bg_{frozen}"):
+            assert err == 0.0, name
+        else:
+            assert err <= 1e-4, (name, err)
+
+
+def test_pretune_step_check_detects_a_scaled_transform_gradient(monkeypatch):
+    transform_grads = nest.transform_grads
+
+    def scaled(*args):
+        d_m, d_p = transform_grads(*args)
+        return d_m * (1 + 1e-3), d_p * (1 + 1e-3)
+
+    monkeypatch.setattr(nest, "transform_grads", scaled)
+    errors, _ = _pretune_step_errors("both", True)
+    assert max(errors.values()) > 1e-4

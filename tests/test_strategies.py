@@ -5,10 +5,10 @@ import pytest
 
 from nestlab import nest
 from nestlab.errors import ConfigError, NumericError
-from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
 from nestlab.strategies import initialize_head, parse_strategy
-from nestlab.synthdata import label_columns, step_table
+
+import toys
 
 
 def test_parse_simple_strategies():
@@ -36,38 +36,14 @@ def test_parse_rejects_a_fourth_part():
             parse_strategy(bad)
 
 
-def _old_model(rng, d_in=4, d=4, n_old=3, use_bias=False):
-    head_b = rng.normal(n_old) if use_bias else None
-    return SegModel(
-        Backbone.single_relu(d_in, d, rng), Head(rng.normal((d, n_old)), head_b)
-    ).snapshot()
-
-
-def _step(rng, d_in=4, hw=4, new_classes=(3, 4), images=4):
-    """(classes, features, class-id labels) of random images of
-    `new_classes` and background."""
-    x, labels = np.empty((images, hw * hw, d_in)), np.empty((images, hw * hw), dtype=np.int64)
-    for i in range(images):
-        ids = rng.integers(len(new_classes) + 1, size=hw * hw)
-        labels[i] = np.where(ids > 0, np.asarray(new_classes)[ids - 1], 0)
-        x[i] = rng.normal((hw * hw, d_in))
-    return tuple(new_classes), x, labels
-
-
-def _table(step, old):
-    """The step's table, its classes in the head columns after `old`'s."""
-    classes, x, labels = step
-    return step_table(classes, x, label_columns(labels, classes, old.head.num_classes), old.backbone)
-
-
 @pytest.mark.parametrize("strategy", ["two_stage", "nest"])
 def test_tuning_that_overflows_the_new_columns_raises(strategy):
     # one batch, whose loss is taken before its update overflows, so only
     # the end-of-tuning check can see the non-finite result
     rng = SplitMix64(48)
-    old = _old_model(rng)
-    classes, x, labels = _step(rng, images=1)
-    table = _table((classes, 100.0 * x, labels), old)
+    old = toys.old_model(rng)
+    classes, x, labels = toys.step(rng, images=1)
+    table = toys.table((classes, 100.0 * x, labels), old)
     cfg = nest.PretuneConfig(epochs=1, lr=1e308, batch_size=1)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 0"):
         initialize_head(parse_strategy(strategy), old, table, cfg, SplitMix64(1))
@@ -75,8 +51,8 @@ def test_tuning_that_overflows_the_new_columns_raises(strategy):
 
 def test_background_copy_columns():
     rng = SplitMix64(61)
-    old = _old_model(rng)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     head = initialize_head(parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1))
     w0 = old.head.weights[:, 0]
     np.testing.assert_array_equal(head.weights[:, 3], w0)
@@ -87,8 +63,8 @@ def test_background_copy_columns():
 
 def test_background_copy_bias_split():
     rng = SplitMix64(62)
-    old = _old_model(rng, use_bias=True)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng, use_bias=True)
+    table = toys.table(toys.step(rng), old)
     head = initialize_head(parse_strategy("background"), old, table, nest.PretuneConfig(), SplitMix64(1))
     expected = old.head.biases[0] - np.log(3.0)  # n_new + 1 = 3
     np.testing.assert_allclose(head.biases[3:], expected, atol=1e-12)
@@ -96,8 +72,8 @@ def test_background_copy_bias_split():
 
 def test_random_strategy_shape_and_determinism():
     rng = SplitMix64(63)
-    old = _old_model(rng)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     head_a = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
     head_b = initialize_head(parse_strategy("random"), old, table, nest.PretuneConfig(), SplitMix64(5))
     assert head_a.weights[:, 3:].shape == (4, 2)
@@ -106,8 +82,8 @@ def test_random_strategy_shape_and_determinism():
 
 def test_two_stage_changes_background_copy():
     rng = SplitMix64(64)
-    old = _old_model(rng)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     cfg = nest.PretuneConfig(epochs=3, lr=0.1, batch_size=2)
     ts_head = initialize_head(parse_strategy("two_stage"), old, table, cfg, SplitMix64(1))
     bg_head = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
@@ -116,9 +92,9 @@ def test_two_stage_changes_background_copy():
 
 def test_nest_strategy_column_count_and_frozen_old():
     rng = SplitMix64(65)
-    old = _old_model(rng)
+    old = toys.old_model(rng)
     before = old.param_bytes()
-    table = _table(_step(rng), old)
+    table = toys.table(toys.step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.05, batch_size=2)
     head = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1))
     assert head.weights[:, 3:].shape == (4, 2)
@@ -129,8 +105,8 @@ def test_nest_strategy_column_count_and_frozen_old():
 
 def test_nest_weight_align_postcondition():
     rng = SplitMix64(66)
-    old = _old_model(rng)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.05, batch_size=2, weight_align=True)
     cols = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1)).weights[:, 3:]
     assert abs(
@@ -140,8 +116,8 @@ def test_nest_weight_align_postcondition():
 
 def test_nest_use_pretuned_bg_returns_column():
     rng = SplitMix64(67)
-    old = _old_model(rng)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.1, batch_size=2, use_pretuned_bg=True)
     bg = initialize_head(parse_strategy("nest"), old, table, cfg, SplitMix64(1)).weights[:, 0]
     assert bg.shape == (4,)
@@ -150,8 +126,8 @@ def test_nest_use_pretuned_bg_returns_column():
 
 def test_nest_random_matrix_init_differs():
     rng = SplitMix64(68)
-    old = _old_model(rng)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
     cfg = nest.PretuneConfig(epochs=1, lr=0.01, batch_size=2, weight_align=False)
     sim = initialize_head(parse_strategy("nest:similarity:both"), old, table, cfg, SplitMix64(1))
     rnd = initialize_head(parse_strategy("nest:random:both"), old, table, cfg, SplitMix64(1))
@@ -174,8 +150,8 @@ GOLDEN_STRATEGIES = (
 @pytest.mark.parametrize("strategy", GOLDEN_STRATEGIES)
 def test_initialized_head_keeps_the_old_columns(strategy, use_bias, use_pretuned_bg):
     rng = SplitMix64(69)
-    old = _old_model(rng, use_bias=use_bias)
-    table = _table(_step(rng), old)
+    old = toys.old_model(rng, use_bias=use_bias)
+    table = toys.table(toys.step(rng), old)
     cfg = nest.PretuneConfig(epochs=2, lr=0.1, batch_size=2, use_pretuned_bg=use_pretuned_bg)
     head = initialize_head(parse_strategy(strategy), old, table, cfg, SplitMix64(1))
     assert head.num_classes == 3 + 2
@@ -220,8 +196,8 @@ def _two_stage_concatenating_every_batch(table, old_model, cols, biases, cfg, rn
 @pytest.mark.parametrize("use_bias", [False, True])
 def test_two_stage_equals_concatenating_the_head_every_batch(use_bias, hw, batch_size):
     rng = SplitMix64(49)
-    old = _old_model(rng, use_bias=use_bias)
-    table = _table(_step(rng, hw=hw, images=6), old)
+    old = toys.old_model(rng, use_bias=use_bias)
+    table = toys.table(toys.step(rng, hw=hw, images=6), old)
     cfg = nest.PretuneConfig(epochs=3, lr=0.3, batch_size=batch_size)
     start = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))
     start_cols = start.weights[:, 3:]

@@ -260,5 +260,6 @@ def test_training_and_pretuning_step_with_the_checked_helpers(monkeypatch):
     table = verify._toy_step(rng, old.backbone, 3)
     tset = nest.similarity_init_transforms(table, old)
     nest.pretune(table, old, tset, nest.PretuneConfig(epochs=1, batch_size=2), rng)
-    # two batches of the four toy images, one call per new class each
-    assert calls == {"grads": n_batches, "transform_grads": 2 * len(table.classes)}
+    # two batches of the four toy images, two `transform_grads` calls per
+    # batch (background and stack)
+    assert calls == {"grads": n_batches, "transform_grads": 2 * 2}
