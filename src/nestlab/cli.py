@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+import warnings
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .nest import PretuneConfig
@@ -130,8 +131,8 @@ def load_config(path):
     resolved = {name: _merge_section(name, defaults[name], raw.get(name)) for name in _SECTIONS}
     resolved["strategy"] = raw.get("strategy", ExperimentConfig.strategy)
     resolved["report"] = _merge_section("report", _REPORT_DEFAULTS, raw.get("report"))
-    # the world first: the default class order is sized from it
-    _section(resolved, "world").validate()
+    # the world first: building it checks it, and the default class order is sized from it
+    _section(resolved, "world")
     if resolved["sequence"]["class_order"] is None:
         resolved["sequence"]["class_order"] = list(range(1, resolved["world"]["num_classes"] + 1))
     if not resolved["train"]["seeds"]:
@@ -146,7 +147,7 @@ def load_config(path):
         if repeated:
             raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
     for text in strategies:
-        _experiment_config(resolved, text).validate()
+        _experiment_config(resolved, text)  # building it checks every section
     return resolved
 
 
@@ -305,24 +306,29 @@ def main(argv=None):
     p_rep.add_argument("-o", "--out", default="merged.csv")
 
     args = parser.parse_args(argv)
-    try:
-        if args.verb == "run":
-            return cmd_run(args.config, args.out_dir)
-        if args.verb == "ablate":
-            return cmd_run(args.config, args.out_dir, aggregate=True)
-        if args.verb == "gen-data":
-            return cmd_gen_data(args.config, args.out_dir)
-        if args.verb == "verify":
-            return cmd_verify()
-        if args.verb == "report":
-            return cmd_report(args.inputs, args.out)
-    except (ConfigError, DataError, ShapeError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
-    return 0
+    verbs = {
+        "run": lambda: cmd_run(args.config, args.out_dir),
+        "ablate": lambda: cmd_run(args.config, args.out_dir, aggregate=True),
+        "gen-data": lambda: cmd_gen_data(args.config, args.out_dir),
+        "verify": cmd_verify,
+        "report": lambda: cmd_report(args.inputs, args.out),
+    }
+    # a failed verb prints one line: the warnings raised on the way to it,
+    # such as numpy's overflows before a numeric failure, are held and
+    # shown only when the verb ends in 0 or 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            rc = verbs[args.verb]()
+        except (ConfigError, DataError, ShapeError, OSError) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            rc = 2
+        except NumericError as e:
+            print(f"numeric failure: {e}", file=sys.stderr)
+            rc = 3
+    if rc < 2:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return rc
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ def ce(logits, labels):
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise DataError("label outside class range")
-    q = softmax(logits, axis=1)
+    q = softmax(logits)
     rows = np.arange(n)
     # the sum over n, ndarray.mean()'s bits without its Python-level wrapper
     loss = -np.add.reduce(_safe_log(q[rows, labels])) / n
@@ -181,7 +181,7 @@ def unbiased_ce(logits, labels, n_old, old_cols=None):
         old_cols = n_old
     elif not 0 <= old_cols <= n_old:
         raise ShapeError(f"old_cols={old_cols} outside 0..{n_old}")
-    q = softmax(logits, axis=1)
+    q = softmax(logits)
     loss = _unbiased_ce_core(q, labels, n_old, rows_shape, old_cols)
     if old_cols == n_old:
         return loss, _slice_grad(q, rows_shape)
@@ -202,7 +202,7 @@ def unbiased_kd(logits, old_probs):
     """
     logits, rows_shape = _rows(logits)
     old_probs = _checked_targets(old_probs, logits.shape[1], rows_shape)
-    loss, g = _unbiased_kd_core(softmax(logits, axis=1), old_probs, rows_shape)
+    loss, g = _unbiased_kd_core(softmax(logits), old_probs, rows_shape)
     return loss, _slice_grad(g, rows_shape)
 
 
@@ -217,7 +217,7 @@ def incremental_loss(logits, labels, old_probs, n_old, lambda_kd):
     c = logits.shape[1]
     labels = _checked_labels(labels, n_old, c, rows_shape)
     old_probs = _checked_targets(old_probs, c, rows_shape)
-    q = softmax(logits, axis=1)
+    q = softmax(logits)
     l_kd, g_kd = _unbiased_kd_core(q.copy(order="K"), old_probs, rows_shape)
     total = _unbiased_ce_core(q, labels, n_old, rows_shape, n_old) + lambda_kd * l_kd
     g_kd /= rows_shape[-1]

@@ -41,10 +41,8 @@ class Backbone:
         self.output_dim = dim
 
     @classmethod
-    def single_relu(cls, input_dim, output_dim, rng, scale=None):
-        if scale is None:
-            scale = 1.0 / np.sqrt(input_dim)
-        w = rng.normal((output_dim, input_dim), std=scale)
+    def single_relu(cls, input_dim, output_dim, rng):
+        w = rng.normal((output_dim, input_dim), std=1.0 / np.sqrt(input_dim))
         b = np.zeros(output_dim)
         return cls([(w, b)], input_dim)
 

@@ -25,7 +25,7 @@ from .numerics import softmax
 from .synthdata import minibatches
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretuneConfig:
     epochs: int = 30
     lr: float = 0.3
@@ -33,7 +33,7 @@ class PretuneConfig:
     weight_align: bool = True
     use_pretuned_bg: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("pretune.epochs must be >= 1")
         if self.batch_size < 1:
@@ -96,7 +96,7 @@ def init_importance(pixels, w_old):
         raise DataError("need at least one pixel embedding")
     w_old = np.asarray(w_old, dtype=np.float64)
     h_all = pixels[:, :, None] * w_old[None, :, :]  # (N, d, n_old)
-    s_all = softmax(pixels @ w_old, axis=1)  # (N, n_old)
+    s_all = softmax(pixels @ w_old)  # (N, n_old)
     contrib = (h_all > 0) * s_all[:, None, :]
     return contrib.mean(axis=0)
 
@@ -200,7 +200,6 @@ def tune_new_columns(table, head, n_old, cfg, rng, update, tune_bg=False):
     loss, `update(x, dz)` steps its parameters from dloss/dlogits and
     writes the head's tuned columns (and biases).  `dz` holds only the
     columns an update reads: column 0 if `tune_bg`, then the new ones."""
-    cfg.validate()
     for epoch, batches in enumerate(minibatches(len(table.f), cfg.epochs, cfg.batch_size, rng)):
         for b, batch in enumerate(batches):
             x = table.f[batch].reshape(-1, head.dim)

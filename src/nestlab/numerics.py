@@ -154,34 +154,33 @@ def class_major(x):
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-def softmax(x, axis=-1, out=None):
-    """Stable softmax along an axis; rows sum to 1.
+def softmax(x, out=None):
+    """Stable softmax over the last axis; rows sum to 1.
 
     The exp and the divide run in place in the one fresh array of the
     max-subtraction, so the only allocations beyond the output are
     per-row vectors; `x` is never written.  With `out`, a float64 array
     of `x`'s shape and memory layout (`x` itself included) whose rows
-    along `axis` reshape to one 2-D view, the same operations run in
-    `out`, which is returned: no table is allocated.
+    reshape to one 2-D view, the same operations run in `out`, which is
+    returned: no table is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of empty input")
-    rows = x.swapaxes(axis, -1)
-    flat = rows.reshape(-1, rows.shape[-1])
+    flat = x.reshape(-1, x.shape[-1])
     m = rowmax(flat)[:, None]
     if out is None:
         e = flat - m
     else:
         if out.shape != x.shape or out.dtype != np.float64:
             raise ShapeError(f"softmax out of shape {out.shape} for input {x.shape}")
-        e = out.swapaxes(axis, -1).reshape(flat.shape)
+        e = out.reshape(flat.shape)
         if not np.may_share_memory(e, out):
             raise ShapeError("softmax out has no 2-D view of its rows")
         np.subtract(flat, m, out=e)
     np.exp(e, out=e)
     e /= rowsum(e)[:, None]
-    return out if out is not None else e.reshape(rows.shape).swapaxes(axis, -1)
+    return out if out is not None else e.reshape(x.shape)
 
 
 def finite_diff_grad(f, x, h=1e-4):

@@ -24,9 +24,9 @@ from .metrics import row_norms
 from .numerics import SplitMix64
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldSpec:
-    """A synthetic world; the defaults are the S6-1 benchmark's."""
+    """A synthetic world, checked when built; the defaults are the S6-1 benchmark's."""
 
     num_classes: int = 10
     feature_dim: int = 16
@@ -42,7 +42,7 @@ class WorldSpec:
     test_images_per_class: int = 5
     seed: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.feature_dim < 2:
@@ -96,9 +96,10 @@ class World:
         _freeze(self.prototypes, self.train_x, self.train_y, self.test_x, self.test_y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskSequence:
-    """The order classes arrive in; the defaults are S6-1: 6 base, 1 per step."""
+    """The order classes arrive in; the defaults are S6-1: 6 base, 1 per step.
+    It is valid only against a world's class count: see `validate`."""
 
     class_order: tuple = tuple(range(1, 11))
     base_count: int = 6
@@ -208,7 +209,6 @@ def _render_pool(spec, protos, per_class, rng):
 def build_world(spec):
     """Deterministically generate prototypes plus the train and test
     pools, each rendered into a features array and a labels array."""
-    spec.validate()
     rng = SplitMix64(spec.seed)
     protos = _make_prototypes(spec, rng)
     _freeze(protos)

@@ -11,7 +11,7 @@ building each world once and training each base step once.
 import contextlib
 import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .strategies import initialize_head, parse_strategy
 from .synthdata import TaskSequence, WorldSpec, build_world, label_columns, minibatches, step_view
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Base and incremental training of one run."""
+    """Base and incremental training of one run; checked when built."""
 
     backbone_dim: int = 16
     base_epochs: int = 60
@@ -40,7 +40,7 @@ class TrainConfig:
     poly_power: float = 0.0
     use_bias: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         for key in ("backbone_dim", "batch_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"train.{key} must be >= 1")
@@ -52,9 +52,11 @@ class TrainConfig:
                 raise ConfigError(f"train.{key} must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One run; `ExperimentConfig()` is the S6-1 benchmark run."""
+    """One run; `ExperimentConfig()` is the S6-1 benchmark run.  Each
+    section checks itself when built; this checks the sequence against the
+    world, then the strategy string, so a config that exists is valid."""
 
     world: WorldSpec = field(default_factory=WorldSpec)
     sequence: TaskSequence = field(default_factory=TaskSequence)
@@ -63,13 +65,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 1
 
-    def validate(self):
-        """Check every section: the world, the sequence against the world,
-        pre-tuning, training, then the strategy string."""
-        self.world.validate()
+    def __post_init__(self):
         self.sequence.validate(self.world.num_classes)
-        self.pretune.validate()
-        self.train.validate()
         parse_strategy(self.strategy)
 
 
@@ -146,7 +143,7 @@ def _kd_targets(old_head, table):
     blocked by rows rounds differently at 9 or more columns, softmaxed in
     place, so the table is the only table-sized array allocated."""
     z = old_head.logits(table.f.reshape(-1, table.f.shape[-1]))
-    return softmax(z, axis=1, out=z).reshape(table.f.shape[:2] + (old_head.num_classes,))
+    return softmax(z, out=z).reshape(table.f.shape[:2] + (old_head.num_classes,))
 
 
 def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, frozen_cols=()):
@@ -257,7 +254,6 @@ def train_base(cfg, world):
 def run_experiment(cfg, world=None, base=None):
     """Run all steps of the sequence; returns a RunResult.  Steps after
     the base continue from copies of the base's model and generator."""
-    cfg.validate()
     if world is None:
         world = build_world(cfg.world)
     if base is None:
@@ -279,12 +275,13 @@ def run_experiment(cfg, world=None, base=None):
 
 
 def _base_key(cfg):
-    """What `train_base` may read of `cfg`: the config with only the
-    fields it never reads blanked out.  A field added later then gives
-    its own base, trained again, instead of sharing one trained for
-    another config."""
-    train = replace(cfg.train, inc_epochs=None, inc_lr=None, lambda_kd=None, fix_old_classifiers=None, poly_power=None)
-    return repr(replace(cfg, strategy=None, pretune=None, train=train))
+    """What `train_base` may read of `cfg`: its fields, with only those
+    it never reads blanked out.  A field added later then gives its own
+    base, trained again, instead of sharing one trained for another
+    config."""
+    unread = dict.fromkeys(("inc_epochs", "inc_lr", "lambda_kd", "fix_old_classifiers", "poly_power"))
+    train = dict(vars(cfg.train), **unread)
+    return repr(dict(vars(cfg), strategy=None, pretune=None, train=train))
 
 
 def run_plan(configs, workers=1):
@@ -296,8 +293,6 @@ def run_plan(configs, workers=1):
     With `workers` > 1 the bases, then the runs, are mapped over that many
     worker processes.
     """
-    for cfg in configs:
-        cfg.validate()
     worlds = {repr(cfg.world): cfg.world for cfg in configs}
     worlds = {key: build_world(spec) for key, spec in worlds.items()}
     base_cfgs = {}  # base key -> the first config with that key

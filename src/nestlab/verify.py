@@ -126,7 +126,7 @@ def check_gradients(instances=100, seed=13, h=1e-4):
                 break
         y = rng.integers(n_new + 1, size=n_pix)
         y = np.where(y > 0, y + n_old - 1, 0)  # labels in {0} | new cols
-        old_probs = softmax(rng.normal((n_pix, n_old)), axis=1)
+        old_probs = softmax(rng.normal((n_pix, n_old)))
 
         # model-parameter gradients of L_unce and L_unkd
         for loss in (lambda z: unbiased_ce(z, y, n_old), lambda z: unbiased_kd(z, old_probs)):
@@ -155,15 +155,15 @@ def check_gradients(instances=100, seed=13, h=1e-4):
     return "gradient_correctness", worst <= 1e-4, f"max relative error {worst:.2e}"
 
 
-def _toy_step(rng, backbone, n_old, d_in=4, hw=4, new_classes=(3, 4)):
-    """The table of four random images whose pixels are background or one
-    of `new_classes`, which take the head columns from `n_old`."""
-    x, y = np.empty((4, hw * hw, d_in)), np.empty((4, hw * hw), dtype=np.int64)
+def _toy_step(rng, backbone, n_old, d_in=4):
+    """The table of four random 4x4 images whose pixels are background or
+    new class 3 or 4, which take the head columns from `n_old`."""
+    x, y = np.empty((4, 16, d_in)), np.empty((4, 16), dtype=np.int64)
     for i in range(4):
-        k = rng.integers(len(new_classes) + 1, size=hw * hw)  # 0 = background, else new class k
+        k = rng.integers(3, size=16)  # 0 = background, else new class k
         y[i] = np.where(k > 0, n_old - 1 + k, 0)
-        x[i] = rng.normal((hw * hw, d_in))
-    return step_table(new_classes, x, y, backbone)
+        x[i] = rng.normal((16, d_in))
+    return step_table((3, 4), x, y, backbone)
 
 
 def check_frozen_contract(seed=17):

@@ -40,7 +40,7 @@ def unbiased_ce(logits, labels, n_old):
     logits, rows_shape = _rows(logits)
     labels = _per_row(np.asarray(labels, dtype=np.int64), rows_shape)
     c = logits.shape[1]
-    q = softmax(logits, axis=1)
+    q = softmax(logits)
     fold = rowsum(q[:, :n_old])
     rows = np.arange(len(q))
     is_bg = labels == 0
@@ -60,7 +60,7 @@ def unbiased_kd(logits, old_probs):
     old_probs = np.asarray(old_probs, dtype=np.float64)
     n_old = old_probs.shape[-1]
     old_probs = class_major(_per_row(old_probs, rows_shape, (n_old,)))
-    q = softmax(logits, axis=1)
+    q = softmax(logits)
     s_new = q[:, 0] + rowsum(q[:, n_old:])
     t0 = old_probs[:, 0]
     per_pixel = t0 * _safe_log(s_new)

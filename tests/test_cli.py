@@ -158,12 +158,11 @@ def test_load_config_gives_a_valid_config_or_a_config_error(raw):
             resolved = load_config(path)
         except ConfigError:
             return
-        # valid: every experiment it describes can be set up, and the echo
-        # of the resolved config loads back to itself
+        # valid: every experiment it describes can be built, which checks
+        # it, and the echo of the resolved config loads back to itself
         for strategy in _strategies(resolved):
             for seed in resolved["train"]["seeds"]:
-                cfg = _experiment_config(resolved, strategy, seed)
-                cfg.world.validate()
+                _experiment_config(resolved, strategy, seed)
         with open(path, "w") as fh:
             json.dump(resolved, fh)
         assert load_config(path) == resolved
@@ -572,21 +571,80 @@ def test_numeric_blowup_exits_3_with_one_line(tmp_path, capsys):
     assert err == ["numeric failure: non-finite parameters at step 1, epoch 0"], err
 
 
-def test_numeric_blowup_prints_one_line_from_the_command_line(tmp_path):
-    # outside pytest nothing captures numpy's RuntimeWarnings, so the
-    # zero-probability fold of unbiased_kd must not raise any
-    path = tmp_path / "blowup.json"
-    path.write_text(json.dumps(BLOWUP_CONFIG))
+def _cli(*argv):
+    """`python -m nestlab.cli *argv` on this checkout's sources."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nestlab.cli", "run", str(path), "-o", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "nestlab.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_numeric_blowup_prints_one_line_from_the_command_line(tmp_path):
+    # outside pytest nothing captures numpy's RuntimeWarnings but `main`,
+    # which drops them on a failure (test_losses keeps unbiased_kd's
+    # zero-probability fold free of them)
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_CONFIG))
+    proc = _cli("run", str(path), "-o", str(tmp_path / "o"))
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == ["numeric failure: non-finite parameters at step 1, epoch 0"], proc.stderr
+
+
+# a 4-class 4x4 world in which numpy overflows on the way to the failure
+_OVERFLOWING = {
+    "world": dict(SMALL_CONFIG["world"], height=4, width=4),
+    "sequence": SMALL_CONFIG["sequence"],
+    "train": {"base_epochs": 1, "inc_epochs": 1, "batch_size": 4},
+}
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"pretune": {"lr": 1e300}}, "numeric failure: step 1: non-finite tuning loss at epoch 0, batch "),
+        ({"world": {"noise_sigma": 1e308}}, "numeric failure: non-finite loss at step 0, epoch 0, batch 0"),
+    ],
+    ids=["pretune.lr", "world.noise_sigma"],
+)
+def test_a_numeric_failure_that_numpy_warns_about_prints_one_line(tmp_path, extra, message):
+    # numpy's RuntimeWarnings on the way to the failure are not printed
+    config = json.loads(json.dumps(_OVERFLOWING))
+    for name, values in extra.items():
+        config.setdefault(name, {}).update(values)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    proc = _cli("run", str(path), "-o", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+
+
+@pytest.mark.parametrize("ok, rc", [(True, 0), (False, 1)])
+def test_warnings_of_a_verb_that_ends_in_0_or_1_are_shown(monkeypatch, ok, rc):
+    from nestlab import verify as verify_mod
+
+    def run_all():
+        warnings.warn("overflow in a check", RuntimeWarning)
+        return ok
+
+    monkeypatch.setattr(verify_mod, "run_all", run_all)
+    with pytest.warns(RuntimeWarning, match="overflow in a check"):
+        assert main(["verify"]) == rc
+
+
+def test_warnings_of_a_verb_that_fails_are_dropped(monkeypatch, capsys):
+    from nestlab import verify as verify_mod
+    from nestlab.errors import NumericError
+
+    def run_all():
+        warnings.warn("overflow in a check", RuntimeWarning)
+        raise NumericError("a check blew up")
+
+    monkeypatch.setattr(verify_mod, "run_all", run_all)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify"]) == 3
+    assert not caught
+    assert capsys.readouterr().err.splitlines() == ["numeric failure: a check blew up"]
 
 
 _FUZZ_STRATEGIES = (
@@ -656,8 +714,8 @@ def _tiny_configs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_tiny_configs())
-def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config):
+@given(_tiny_configs(), st.sampled_from(["run", "ablate"]))
+def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config, verb):
     models = []
 
     def keep(fn, model_of):
@@ -679,7 +737,7 @@ def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config):
         stderr = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         caught = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
-        rc = main(["ablate", path, "-o", os.path.join(tmp, "out")])
+        rc = main([verb, path, "-o", os.path.join(tmp, "out")])
 
     assert rc in (0, 2, 3), rc
     lines = stderr.getvalue().splitlines()
@@ -690,6 +748,43 @@ def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config):
     assert models and all(np.isfinite(m.flat_params()).all() for m in models)
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, runtime
+
+
+# world fields from out of range to tiny; 10**20 only for the pool
+# dimensions, which numpy rejects before allocating anything
+_SIZE = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 10**20])
+_WORLD = st.fixed_dictionaries(
+    {},
+    optional={
+        "num_classes": _SIZE,
+        "feature_dim": _SIZE,
+        "height": _SIZE,
+        "width": _SIZE,
+        "images_per_class": _SIZE,
+        "test_images_per_class": _SIZE,
+        "blobs_min": st.integers(-1, 3),
+        "blobs_max": st.integers(-1, 3),
+        "mixture_classes": st.lists(st.integers(-1, 5), max_size=3),
+        "mixture_beta": st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
+        "noise_sigma": st.sampled_from([-1.0, 0.0, 0.3]),
+        "prototype_rule": st.sampled_from(["independent", "mixture", "fractal"]),
+        "seed": st.integers(-3, 50),
+    },
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WORLD)
+def test_fuzzed_worlds_dump_or_exit_2_with_one_line(world):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            # one base class, so the sequence fits every class count
+            json.dump({"world": world, "sequence": {"base_count": 1}}, fh)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["gen-data", path, "-o", os.path.join(tmp, "out")])
+    lines = err.getvalue().splitlines()
+    assert (rc, lines) == (0, []) or (rc == 2 and len(lines) == 1 and lines[0].startswith("config error: ")), (rc, lines)
 
 
 @pytest.mark.parametrize(

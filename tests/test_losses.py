@@ -58,7 +58,7 @@ def test_unbiased_ce_fold_then_ce_reference():
         z = rng.normal((n, c))
         y = rng.integers(c - n_old + 1, size=n)
         y = np.where(y > 0, y + n_old - 1, 0)
-        q = softmax(z, axis=1)
+        q = softmax(z)
         folded = np.concatenate([q[:, :n_old].sum(axis=1, keepdims=True), q[:, n_old:]], axis=1)
         y_f = np.where(y > 0, y - n_old + 1, 0)
         ref = -np.log(folded[np.arange(n), y_f]).mean()
@@ -120,8 +120,8 @@ def test_unbiased_kd_fold_then_cross_entropy_reference():
     for _ in range(25):
         n, n_old, n_new = 5, 3, 2
         z = rng.normal((n, n_old + n_new))
-        old = softmax(rng.normal((n, n_old)), axis=1)
-        q = softmax(z, axis=1)
+        old = softmax(rng.normal((n, n_old)))
+        q = softmax(z)
         q_hat = np.concatenate(
             [(q[:, 0] + q[:, n_old:].sum(axis=1))[:, None], q[:, 1:n_old]], axis=1
         )
@@ -144,7 +144,7 @@ def _random_instance(rng, n=4, c=5, n_old=3):
     z = rng.normal((n, c))
     y = rng.integers(c - n_old + 1, size=n)
     y = np.where(y > 0, y + n_old - 1, 0)
-    old = softmax(rng.normal((n, n_old)), axis=1)
+    old = softmax(rng.normal((n, n_old)))
     return z, y, old
 
 
@@ -265,7 +265,7 @@ def test_kernels_match_row_wise_oracles_bit_for_bit(n, labels, n_old, c):
     ]
     old = _oracle_softmax(rng.normal((n, n_old)))
 
-    np.testing.assert_array_equal(softmax(z, axis=1), _oracle_softmax(z))
+    np.testing.assert_array_equal(softmax(z), _oracle_softmax(z))
     refs = (_oracle_ce(z, y), _oracle_unbiased_ce(z, y, n_old), _oracle_unbiased_kd(z, old))
     olds = _layouts(old)
     for layout, zl in _layouts(z).items():
@@ -333,7 +333,7 @@ def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
 def _batched_instance(rng, k, n, c=6, n_old=3, special=None):
     z = 4.0 * rng.normal((k, n, c))
     y = np.where(rng.uniform((k, n)) < 0.6, 0, n_old + rng.integers(c - n_old, size=(k, n)))
-    old = softmax(rng.normal((k, n, n_old)), axis=-1)
+    old = softmax(rng.normal((k, n, n_old)))
     if special == "empty_fold":
         # an old-class logit 1000 above the rest underflows unbiased_kd's
         # folded mass to 0 in every third row of the first slice
@@ -465,23 +465,25 @@ def test_unbiased_ce_rejects_old_cols_outside_the_old_columns():
 
 @pytest.mark.parametrize("shape, axis", [((16, 5), 1), ((2048, 11), 1), ((2048, 11), 0), ((3, 64, 9), -1), ((7,), -1)])
 def test_softmax_in_place_has_the_bits_of_the_fresh_output(shape, axis):
-    x = 5.0 * SplitMix64(len(shape)).normal(shape)
+    # softmax runs over the last axis; `axis` is moved there in a view, so
+    # axis 0 of a C-ordered table is the last axis of its transpose
+    x = np.moveaxis(5.0 * SplitMix64(len(shape)).normal(shape), axis, -1)
     before = x.copy()
-    ref = softmax(x, axis=axis)
+    ref = softmax(x)
     np.testing.assert_array_equal(x, before)  # without `out`, x is never written
-    assert softmax(x, axis=axis, out=x) is x
+    assert softmax(x, out=x) is x
     assert x.tobytes() == ref.tobytes()
     if x.ndim == 2:
         fortran = np.asfortranarray(before)
-        ref = softmax(fortran, axis=axis)
-        assert softmax(fortran, axis=axis, out=fortran).tobytes(order="A") == np.asarray(ref, order="A").tobytes(order="A")
+        ref = softmax(fortran)
+        assert softmax(fortran, out=fortran).tobytes(order="A") == np.asarray(ref, order="A").tobytes(order="A")
 
 
 def test_softmax_rejects_an_out_it_cannot_fill():
     x = SplitMix64(3).normal((8, 4))
     for out in (np.empty((4, 8)), np.empty((8, 4), dtype=np.float32)):
         with pytest.raises(ShapeError):
-            softmax(x, axis=1, out=out)
+            softmax(x, out=out)
     # rows that would need a copy to lie in one 2-D array
     x = np.asfortranarray(SplitMix64(4).normal((3, 8, 4)))
     with pytest.raises(ShapeError):

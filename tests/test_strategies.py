@@ -216,3 +216,65 @@ def test_two_stage_equals_concatenating_the_head_every_batch(use_bias, hw, batch
     else:
         assert biases is None and ref_biases is None
     assert ours_rng.next_u64() == ref_rng.next_u64()
+
+
+def _two_stage_step_errors(use_bias, lr=0.5):
+    """One two_stage batch over the whole toy table (two new classes): the
+    move of the new columns and of their biases against `-lr` times the
+    central-difference gradient of the batch's unbiased CE, as relative
+    errors, and the head as it came out."""
+    from nestlab.losses import unbiased_ce
+    from nestlab.model import Head
+    from nestlab.numerics import finite_diff_grad
+
+    rng = SplitMix64(52)
+    old = toys.old_model(rng, use_bias=use_bias)
+    table = toys.table(toys.step(rng, images=6), old)
+    cfg = nest.PretuneConfig(epochs=1, lr=lr, batch_size=len(table.f))
+    start = initialize_head(parse_strategy("background"), old, table, cfg, SplitMix64(1))  # two_stage's start
+    x, y, n_old = table.f.reshape(-1, old.head.dim), table.y.ravel(), old.head.num_classes
+    d, n_new = old.head.dim, len(table.classes)
+    tuned = {"weights": start.weights[:, n_old:]}
+    if use_bias:
+        tuned["biases"] = start.biases[n_old:]
+
+    def loss(stack):
+        """One head per row of `stack`, all through one loss call."""
+        k = len(stack)
+        new = stack[:, : d * n_new].reshape(k, d, n_new)
+        w = np.concatenate([np.broadcast_to(old.head.weights, (k, d, n_old)), new], axis=2)
+        b = None
+        if use_bias:
+            b = np.concatenate([np.broadcast_to(old.head.biases, (k, n_old)), stack[:, d * n_new :]], axis=1)
+        return unbiased_ce(Head(w, b).logits(x), y, n_old)[0]
+
+    grad = finite_diff_grad(loss, np.concatenate([a.ravel() for a in tuned.values()]))
+    head = initialize_head(parse_strategy("two_stage"), old, table, cfg, SplitMix64(7))
+    errors = {}
+    for (name, a), g in zip(tuned.items(), np.split(grad, [d * n_new])):
+        move = (getattr(head, name)[..., n_old:] - a).ravel()
+        errors[name] = np.linalg.norm(move + lr * g) / np.linalg.norm(lr * g)
+    return errors, head, old
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_two_stage_steps_the_new_columns_by_the_finite_difference_gradient(use_bias):
+    # the new columns and biases move by -lr times the derivative of the
+    # batch's loss; column 0 and the old columns keep their bytes
+    errors, head, old = _two_stage_step_errors(use_bias)
+    assert sorted(errors) == (["biases", "weights"] if use_bias else ["weights"])
+    assert all(err <= 1e-4 for err in errors.values()), errors
+    assert head.weights[:, :3].tobytes() == old.head.weights.tobytes()
+    if use_bias:
+        assert head.biases[:3].tobytes() == old.head.biases.tobytes()
+
+
+def test_two_stage_step_check_detects_a_scaled_dz(monkeypatch):
+    tune_new_columns = nest.tune_new_columns
+
+    def scaled(table, head, n_old, cfg, rng, update, **kwargs):
+        return tune_new_columns(table, head, n_old, cfg, rng, lambda x, dz: update(x, dz * (1 + 1e-3)), **kwargs)
+
+    monkeypatch.setattr(nest, "tune_new_columns", scaled)
+    errors, _, _ = _two_stage_step_errors(True)
+    assert min(errors.values()) > 1e-4, errors

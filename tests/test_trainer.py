@@ -304,7 +304,7 @@ def test_plan_shares_the_base_across_fields_the_base_step_never_reads(monkeypatc
 def test_plan_key_splits_on_a_train_field_it_does_not_know(monkeypatch):
     # a TrainConfig field added later gives its own base: the key blanks
     # the fields the base step never reads and keeps everything else
-    extended = dataclasses.make_dataclass("Extended", [("warmup", int, 0)], bases=(TrainConfig,))
+    extended = dataclasses.make_dataclass("Extended", [("warmup", int, 0)], bases=(TrainConfig,), frozen=True)
     a = dataclasses.replace(small_config(), train=extended(**vars(small_config().train)))
     b = dataclasses.replace(a, train=dataclasses.replace(a.train, warmup=5))
     (_, base_a), (_, base_b) = _plan_wiring(monkeypatch, [a, b])[0]
@@ -403,7 +403,7 @@ def test_kd_targets_for_a_table_allocate_no_second_table():
     f = np.abs(rng.normal((200, 256, 16)))
     head = Head(rng.normal((16, 10)), rng.normal(10))
     table = StepTable((), f, np.zeros(f.shape[:2], dtype=np.int64), f)
-    ref = softmax(f.reshape(-1, 16) @ head.weights + head.biases, axis=1)
+    ref = softmax(f.reshape(-1, 16) @ head.weights + head.biases)
     tracemalloc.start()
     try:
         probs = _kd_targets(head, table)

@@ -63,7 +63,7 @@ def _instance(seed):
     x = rng.normal((16, d_in))
     y = rng.integers(n_new + 1, size=16)
     y = np.where(y > 0, y + n_old - 1, 0)
-    old_probs = softmax(rng.normal((16, n_old)), axis=1)
+    old_probs = softmax(rng.normal((16, n_old)))
     m_c = rng.uniform((d, n_old))
     p_c = softmax(rng.normal(n_old))[:, None]
     return model, x, y, n_old, old_probs, np.concatenate([m_c.ravel(), p_c.ravel()])
@@ -204,7 +204,7 @@ def _bias_gradient_error(instances=3, seed=29, h=1e-4):
         model.head = Head(model.head.weights, rng.normal(n_old + n_new))
         y = rng.integers(n_new + 1, size=16)
         y = np.where(y > 0, y + n_old - 1, 0)
-        old_probs = softmax(rng.normal((16, n_old)), axis=1)
+        old_probs = softmax(rng.normal((16, n_old)))
         for loss in (lambda z: unbiased_ce(z, y, n_old), lambda z: unbiased_kd(z, old_probs)):
             out, acts = model.backbone.forward_cache(x)
             _, dz = loss(model.head.logits(out))
