@@ -6,7 +6,8 @@ everything; unknown keys are hard errors.  Outputs are plain CSV plus a
 fully resolved config echo that reproduces the run when fed back in.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid config, bad
-data or a file that cannot be read or written, 3 numeric failure.
+data, a file that cannot be read or written or too little memory, 3
+numeric failure.
 """
 
 import argparse
@@ -29,7 +30,6 @@ _TOP_KEYS = ("world", "sequence", "strategy", "pretune", "train", "report")
 
 # the sections that configure an experiment, each with its dataclass
 _SECTIONS = {"world": WorldSpec, "sequence": TaskSequence, "pretune": PretuneConfig, "train": TrainConfig}
-_REPORT_DEFAULTS = {"out_dir": "out", "run_id": "run", "timing": False}
 
 _DECIMAL_INT = re.compile(r"-?[0-9]+")
 _DECIMAL_FLOAT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
@@ -48,6 +48,16 @@ def _finite_float(text):
     if text != "nan" and not (_DECIMAL_FLOAT.fullmatch(text) and math.isfinite(float(text))):
         raise ValueError(f"{text!r} is not a finite decimal number or nan")
     return float(text)
+
+
+@dataclasses.dataclass(frozen=True)
+class ReportConfig:
+    """The `report` section: the default output directory, the prefix of
+    every run id, and whether results.csv records wall times."""
+
+    out_dir: str = "out"
+    run_id: str = "run"
+    timing: bool = False
 
 
 RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new", "miou_all", "wall_seconds")
@@ -130,7 +140,7 @@ def load_config(path):
     defaults["train"]["seeds"] = [ExperimentConfig.seed]  # the run plan's, not a TrainConfig field
     resolved = {name: _merge_section(name, defaults[name], raw.get(name)) for name in _SECTIONS}
     resolved["strategy"] = raw.get("strategy", ExperimentConfig.strategy)
-    resolved["report"] = _merge_section("report", _REPORT_DEFAULTS, raw.get("report"))
+    resolved["report"] = _merge_section("report", _defaults(ReportConfig), raw.get("report"))
     # the world first: building it checks it, and the default class order is sized from it
     _section(resolved, "world")
     if resolved["sequence"]["class_order"] is None:
@@ -175,10 +185,10 @@ def _write_csv(path, columns, rows):
 
 def _run_rows(report, cfg, result, result_rows, curve_rows):
     """Append the results.csv and curves.csv rows of the run of `cfg`;
-    `report` is the config's resolved `report` section."""
-    run_id = f"{report['run_id']}-{cfg.strategy.replace(':', '_')}-s{cfg.seed}"
+    `report` is the config's ReportConfig."""
+    run_id = f"{report.run_id}-{cfg.strategy.replace(':', '_')}-s{cfg.seed}"
     for rep in result.reports:
-        wall = rep.wall_seconds if report["timing"] else 0.0
+        wall = rep.wall_seconds if report.timing else 0.0
         miou = (_fmt(rep.miou_base), _fmt(rep.miou_new), _fmt(rep.miou_all))
         result_rows.append((run_id, cfg.strategy, cfg.seed, rep.step, *miou, _fmt(wall)))
         for e, st in enumerate(rep.epochs):
@@ -202,14 +212,15 @@ def cmd_run(config_path, out_dir, aggregate=False):
     import statistics
 
     resolved = load_config(config_path)
-    out_dir = out_dir or resolved["report"]["out_dir"]
+    report = ReportConfig(**resolved["report"])
+    out_dir = out_dir or report.out_dir
     os.makedirs(out_dir, exist_ok=True)
     # (strategy x seed) runs, strategy-major; the plan trains one base step per seed
     seeds = resolved["train"]["seeds"]
     configs = [_experiment_config(resolved, strat, seed) for strat in _strategies(resolved) for seed in seeds]
     result_rows, curve_rows = [], []
     for cfg, result in zip(configs, run_plan(configs, _worker_count(len(configs)))):
-        _run_rows(resolved["report"], cfg, result, result_rows, curve_rows)
+        _run_rows(report, cfg, result, result_rows, curve_rows)
     _write_csv(os.path.join(out_dir, "results.csv"), RESULT_COLUMNS, result_rows)
     _write_csv(os.path.join(out_dir, "curves.csv"), CURVE_COLUMNS, curve_rows)
 
@@ -244,9 +255,9 @@ def cmd_run(config_path, out_dir, aggregate=False):
 
 def cmd_gen_data(config_path, out_dir):
     resolved = load_config(config_path)
-    out_dir = out_dir or resolved["report"]["out_dir"]
+    out_dir = out_dir or ReportConfig(**resolved["report"]).out_dir
     os.makedirs(out_dir, exist_ok=True)
-    world = build_world(_experiment_config(resolved, "background").world)
+    world = build_world(_section(resolved, "world"))
     dump_images(world.train_x, world.train_y, world.spec.height, os.path.join(out_dir, "train.jsonl"))
     dump_images(world.test_x, world.test_y, world.spec.height, os.path.join(out_dir, "test.jsonl"))
     return 0
@@ -319,8 +330,8 @@ def main(argv=None):
     with warnings.catch_warnings(record=True) as caught:
         try:
             rc = verbs[args.verb]()
-        except (ConfigError, DataError, ShapeError, OSError) as e:
-            print(f"config error: {e}", file=sys.stderr)
+        except (ConfigError, DataError, ShapeError, OSError, MemoryError) as e:
+            print(f"config error: {str(e) or type(e).__name__}", file=sys.stderr)
             rc = 2
         except NumericError as e:
             print(f"numeric failure: {e}", file=sys.stderr)

@@ -38,7 +38,6 @@ class Backbone:
             if w.shape[-1] != dim or b.shape[-1] != w.shape[-2]:
                 raise ShapeError(f"layer shape {w.shape} does not chain from dim {dim}")
             dim = w.shape[-2]
-        self.output_dim = dim
 
     @classmethod
     def single_relu(cls, input_dim, output_dim, rng):
@@ -48,13 +47,10 @@ class Backbone:
 
     def forward(self, x):
         """x: (P, d_in) -> (P, d)."""
-        if x.shape[1] != self.input_dim:
-            raise ShapeError(f"input dim {x.shape[1]} != {self.input_dim}")
-        for w, b in self.layers:
-            x = _affine_relu(x, w, b)
-        return x
+        return self.forward_cache(x)[0]
 
     def forward_cache(self, x):
+        """The output and every layer's input and output, for `backward`."""
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"input dim {x.shape[1]} != {self.input_dim}")
         acts = [x]
@@ -111,10 +107,8 @@ class Head:
 def grow_head(head, new_columns, new_biases=None):
     """Append columns (and biases) without touching existing ones."""
     new_columns = np.asarray(new_columns, dtype=np.float64)
-    if new_columns.size and new_columns.shape[0] != head.dim:
+    if new_columns.shape[0] != head.dim:
         raise ShapeError(f"new columns have {new_columns.shape[0]} rows, head dim is {head.dim}")
-    if new_columns.size == 0:
-        return head.copy()
     weights = np.concatenate([head.weights, new_columns], axis=1)
     biases = None
     if head.biases is not None:
@@ -134,6 +128,8 @@ class SegModel:
         return SegModel(copy.deepcopy(self.backbone), self.head.copy())
 
     def _arrays(self):
+        """The parameter arrays in `flat_params` order: each layer's
+        weight and bias, then the head's weights and biases, if any."""
         arrays = [a for layer in self.backbone.layers for a in layer] + [self.head.weights, self.head.biases]
         return [a for a in arrays if a is not None]
 
@@ -168,18 +164,10 @@ class SegModel:
         return layer_grads, d_head, d_bias
 
     def param_bytes(self):
-        parts = [w.tobytes() + b.tobytes() for w, b in self.backbone.layers]
-        parts.append(self.head.weights.tobytes())
-        if self.head.biases is not None:
-            parts.append(self.head.biases.tobytes())
-        return b"".join(parts)
+        return b"".join(a.tobytes() for a in self._arrays())
 
     def flat_params(self):
-        parts = [p.ravel() for w, b in self.backbone.layers for p in (w, b)]
-        parts.append(self.head.weights.ravel())
-        if self.head.biases is not None:
-            parts.append(self.head.biases.ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate([a.ravel() for a in self._arrays()])
 
     def unflatten(self, flat):
         """The model of this one's shapes whose parameters are read from
@@ -188,13 +176,10 @@ class SegModel:
         `flat`, whose forward pass and logits carry the same axes."""
         flat = np.asarray(flat, dtype=np.float64)
         lead = flat.shape[:-1]
-        i = 0
-        layers = []
-        for w, b in self.backbone.layers:
-            nw, nb = w.size, b.size
-            layers.append((flat[..., i : i + nw].reshape(lead + w.shape), flat[..., i + nw : i + nw + nb]))
-            i += nw + nb
-        hw, hb = self.head.weights, self.head.biases
-        weights = flat[..., i : i + hw.size].reshape(lead + hw.shape)
-        biases = None if hb is None else flat[..., i + hw.size : i + hw.size + hb.size]
-        return SegModel(Backbone(layers, self.backbone.input_dim), Head(weights, biases))
+        views, i = [], 0
+        for a in self._arrays():
+            views.append(flat[..., i : i + a.size].reshape(lead + a.shape))
+            i += a.size
+        n = 2 * len(self.backbone.layers)
+        layers = list(zip(views[0:n:2], views[1:n:2]))
+        return SegModel(Backbone(layers, self.backbone.input_dim), Head(*views[n:]))

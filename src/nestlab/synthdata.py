@@ -55,8 +55,10 @@ class WorldSpec:
             raise ConfigError("mixture_beta must lie in [0, 1]")
         if self.prototype_rule not in ("independent", "mixture"):
             raise ConfigError(f"unknown prototype_rule {self.prototype_rule!r}")
-        if not (1 <= self.blobs_min <= self.blobs_max):
-            raise ConfigError("blob count range must satisfy 1 <= min <= max")
+        # no image has more blobs than pixels, so the rendering work stays
+        # bounded by the pool size, which is checked below
+        if not (1 <= self.blobs_min <= self.blobs_max <= self.height * self.width):
+            raise ConfigError("blob count range must satisfy 1 <= min <= max <= height * width")
         for c in self.mixture_classes:
             if not (2 <= c <= self.num_classes):
                 raise ConfigError(f"mixture class {c} out of range")

@@ -93,13 +93,11 @@ class BaseStep:
     model: SegModel  # frozen snapshot
     rng: SplitMix64  # the generator after base training
     report: StepReport
-    ious: np.ndarray
 
 
 @dataclass
 class RunResult:
     reports: list
-    per_class_iou: dict  # class id -> IoU at the final step
 
 
 def track_stability(live_model, table):
@@ -169,20 +167,20 @@ def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, f
 
 
 def _step_report(model, world, sequence, step, stats, t0):
-    """The StepReport of `step`, timed from `t0`, and the IoU of every head
-    column, from evaluating `model` on the world's test images."""
+    """The StepReport of `step`, timed from `t0`, from evaluating `model`
+    on the world's test images."""
     seen = sequence.seen_classes(step)
     # one forward per image: a matmul's rounding depends on its row count
     pred = [np.argmax(model.head.logits(model.backbone.forward(x)), axis=1) for x in world.test_x]
     cm = ConfusionMatrix(model.head.num_classes)
     cm.add(label_columns(world.test_y, seen, 1), np.stack(pred))
-    ious = iou_per_class(cm)
+    iou = iou_per_class(cm)
     n_base = sequence.base_count
     new_ids = range(n_base + 1, len(seen) + 1)
-    miou_new = miou_range(ious, new_ids) if new_ids else float("nan")
-    miou_base = miou_range(ious, range(n_base + 1))
-    miou_all = miou_range(ious, range(len(seen) + 1))
-    return StepReport(step, miou_base, miou_new, miou_all, stats, time.perf_counter() - t0), ious
+    miou_new = miou_range(iou, new_ids) if new_ids else float("nan")
+    miou_base = miou_range(iou, range(n_base + 1))
+    miou_all = miou_range(iou, range(len(seen) + 1))
+    return StepReport(step, miou_base, miou_new, miou_all, stats, time.perf_counter() - t0)
 
 
 def train_base_step(cfg, world, rng):
@@ -205,7 +203,8 @@ def train_base_step(cfg, world, rng):
 
 
 def run_step(model, cfg, world, t, rng):
-    """One incremental step: the strategy's head, then formal training."""
+    """One incremental step of `model`, trained in place: the strategy's
+    head, then formal training; returns the step's StepReport."""
     t0 = time.perf_counter()
     train = cfg.train
     snapshot = model.snapshot()
@@ -238,8 +237,7 @@ def run_step(model, cfg, world, t, rng):
     if snapshot.param_bytes() != snapshot_bytes:
         raise NumericError("old-model snapshot was mutated during the step")
 
-    report, ious = _step_report(model, world, cfg.sequence, t, stats, t0)
-    return model, report, ious
+    return _step_report(model, world, cfg.sequence, t, stats, t0)
 
 
 def train_base(cfg, world):
@@ -247,8 +245,8 @@ def train_base(cfg, world):
     rng = SplitMix64(cfg.seed)
     t0 = time.perf_counter()
     model, base_stats = train_base_step(cfg, world, rng)
-    report, ious = _step_report(model, world, cfg.sequence, 0, base_stats, t0)
-    return BaseStep(model.snapshot(), rng, report, ious)
+    report = _step_report(model, world, cfg.sequence, 0, base_stats, t0)
+    return BaseStep(model.snapshot(), rng, report)
 
 
 def run_experiment(cfg, world=None, base=None):
@@ -260,18 +258,8 @@ def run_experiment(cfg, world=None, base=None):
         base = train_base(cfg, world)
     model = base.model.copy()
     rng = copy.copy(base.rng)
-    reports = [base.report]
-    ious = base.ious
-
-    for t in range(1, cfg.sequence.num_steps):
-        model, report, ious = run_step(model, cfg, world, t, rng)
-        reports.append(report)
-
-    # head column i + 1 is the i-th class of the order
-    per_class = {0: float(ious[0])}
-    for col, c in enumerate(cfg.sequence.class_order[: len(ious) - 1], 1):
-        per_class[c] = float(ious[col])
-    return RunResult(reports=reports, per_class_iou=per_class)
+    reports = [base.report] + [run_step(model, cfg, world, t, rng) for t in range(1, cfg.sequence.num_steps)]
+    return RunResult(reports)
 
 
 def _base_key(cfg):

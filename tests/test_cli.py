@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -571,11 +572,48 @@ def test_numeric_blowup_exits_3_with_one_line(tmp_path, capsys):
     assert err == ["numeric failure: non-finite parameters at step 1, epoch 0"], err
 
 
-def _cli(*argv):
-    """`python -m nestlab.cli *argv` on this checkout's sources."""
+def _cli(*argv, **kwargs):
+    """`python -m nestlab.cli *argv` on this checkout's sources; `kwargs`
+    go to `subprocess.run`."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "nestlab.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "nestlab.cli", *argv], capture_output=True, text=True, env=env, **kwargs)
+
+
+def _limit_address_space():
+    # 2 GiB, enough to import numpy; an allocation past it fails at once
+    # instead of being over-committed and then written into RAM
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # the world passes its checks, but its train pool needs 38.1 GiB;
+    # never run this config without the address-space limit
+    world = {
+        "height": 4000,
+        "width": 4000,
+        "num_classes": 2,
+        "mixture_classes": [],
+        "images_per_class": 10,
+        "test_images_per_class": 1,
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"world": world, "sequence": {"base_count": 1}}))
+    proc = _cli("gen-data", str(path), "-o", str(tmp_path / "o"), preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: Unable to allocate 38.1 GiB"), proc.stderr
+
+
+def test_a_memory_error_without_a_message_is_named(tmp_path, monkeypatch, capsys):
+    def build_world(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_world", build_world)
+    assert main(["gen-data", write_config(tmp_path), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: MemoryError"]
 
 
 def test_numeric_blowup_prints_one_line_from_the_command_line(tmp_path):
@@ -721,7 +759,7 @@ def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config, verb
     def keep(fn, model_of):
         def wrapper(*args):
             out = fn(*args)
-            models.append(model_of(out))
+            models.append(model_of(args, out))
             return out
 
         return wrapper
@@ -732,8 +770,8 @@ def test_fuzzed_ablations_exit_cleanly_and_healthy_runs_stay_finite(config, verb
             json.dump(config, fh)
         # in-process runs, so that every trained model can be recorded
         stack.enter_context(mock.patch.dict(os.environ, {"NEST_LAB_THREADS": "1"}))
-        stack.enter_context(mock.patch.object(trainer, "train_base", keep(trainer.train_base, lambda base: base.model)))
-        stack.enter_context(mock.patch.object(trainer, "run_step", keep(trainer.run_step, lambda out: out[0])))
+        stack.enter_context(mock.patch.object(trainer, "train_base", keep(trainer.train_base, lambda args, base: base.model)))
+        stack.enter_context(mock.patch.object(trainer, "run_step", keep(trainer.run_step, lambda args, report: args[0])))
         stderr = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         caught = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
@@ -763,7 +801,8 @@ _WORLD = st.fixed_dictionaries(
         "images_per_class": _SIZE,
         "test_images_per_class": _SIZE,
         "blobs_min": st.integers(-1, 3),
-        "blobs_max": st.integers(-1, 3),
+        # 10**9 blobs would hang the renderer; it must exit 2 at once
+        "blobs_max": st.one_of(st.integers(-1, 3), st.just(10**9)),
         "mixture_classes": st.lists(st.integers(-1, 5), max_size=3),
         "mixture_beta": st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
         "noise_sigma": st.sampled_from([-1.0, 0.0, 0.3]),

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from nestlab.cli import ReportConfig
 from nestlab.errors import ConfigError
 from nestlab.nest import PretuneConfig
 from nestlab.synthdata import TaskSequence, WorldSpec, build_world
@@ -22,8 +23,10 @@ _REJECTED = [
     (WorldSpec, {"mixture_beta": -0.1}, "mixture_beta must lie in [0, 1]"),
     (WorldSpec, {"mixture_beta": 1.5}, "mixture_beta must lie in [0, 1]"),
     (WorldSpec, {"prototype_rule": "fractal"}, "unknown prototype_rule 'fractal'"),
-    (WorldSpec, {"blobs_min": 0}, "blob count range must satisfy 1 <= min <= max"),
-    (WorldSpec, {"blobs_min": 3, "blobs_max": 2}, "blob count range must satisfy 1 <= min <= max"),
+    (WorldSpec, {"blobs_min": 0}, "blob count range must satisfy 1 <= min <= max <= height * width"),
+    (WorldSpec, {"blobs_min": 3, "blobs_max": 2}, "blob count range must satisfy 1 <= min <= max <= height * width"),
+    (WorldSpec, {"blobs_max": 257}, "blob count range must satisfy 1 <= min <= max <= height * width"),
+    (WorldSpec, {"height": 4, "width": 5, "blobs_max": 21}, "blob count range must satisfy 1 <= min <= max <= height * width"),
     (WorldSpec, {"mixture_classes": (1,)}, "mixture class 1 out of range"),
     (WorldSpec, {"mixture_classes": (7, 11)}, "mixture class 11 out of range"),
     (WorldSpec, {"images_per_class": 0}, "need at least one image per class in each pool"),
@@ -75,7 +78,7 @@ def test_a_section_with_a_bad_value_cannot_be_built(cls, fields, message):
     assert str(e.value) == message
 
 
-@pytest.mark.parametrize("cls", [WorldSpec, TaskSequence, PretuneConfig, TrainConfig, ExperimentConfig])
+@pytest.mark.parametrize("cls", [WorldSpec, TaskSequence, PretuneConfig, TrainConfig, ExperimentConfig, ReportConfig])
 def test_every_section_is_frozen(cls):
     cfg = cls()
     for f in dataclasses.fields(cls):

@@ -190,6 +190,14 @@ def _two_layer_biased_model(rng):
     return SegModel(backbone, Head(rng.normal((4, 6)), rng.normal(6)))
 
 
+def test_param_bytes_are_the_flat_params():
+    # both read the one parameter order, biases included
+    model = _two_layer_biased_model(SplitMix64(13))
+    flat = model.flat_params()
+    assert flat.size == 5 * 3 + 5 + 4 * 5 + 4 + 4 * 6 + 6
+    assert model.param_bytes() == flat.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_unflattened_stack_runs_each_model_bit_for_bit(k):
     rng = SplitMix64(14 + k)
