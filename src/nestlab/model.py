@@ -155,13 +155,12 @@ class SegModel:
 
     def grads(self, out, acts, dz):
         """Backprop of the logit gradient `dz` through head and backbone,
-        from `out, acts = self.backbone.forward_cache(x)`: the per-layer
-        (dW, db), the head's weight gradient and its bias gradient (None
-        without biases), in `flat_params` order."""
-        d_head = out.T @ dz
+        from `out, acts = self.backbone.forward_cache(x)`: one gradient per
+        array of `_arrays()`, in its order (each layer's dW and db, then
+        the head's weights and biases, if any)."""
         layer_grads = self.backbone.backward(dz @ self.head.weights.T, acts)
-        d_bias = None if self.head.biases is None else dz.sum(axis=0)
-        return layer_grads, d_head, d_bias
+        head_grads = [out.T @ dz] + ([] if self.head.biases is None else [dz.sum(axis=0)])
+        return [g for layer in layer_grads for g in layer] + head_grads
 
     def param_bytes(self):
         return b"".join(a.tobytes() for a in self._arrays())

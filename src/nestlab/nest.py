@@ -8,10 +8,11 @@ with W_old replaced by its one column w0, so the background pair is a
 one-element stack through the same `generate_new_weight` and chain rule
 `transform_grads`.  The matrices are initialized from cross-task
 similarity scores computed by the frozen old model, then tuned on the
-unbiased cross entropy while everything else stays frozen, by
-`tune_new_columns`: the one frozen-feature SGD loop, which the
-`two_stage` baseline shares.  The bias mode follows the old head: new
-classes get biases exactly when it has them.
+unbiased cross entropy while everything else stays frozen, through
+`tune_new_columns`: the frozen-feature step, shared with the `two_stage`
+baseline, that the one SGD loop `synthdata.sgd_epochs` runs.  The bias
+mode follows the old head: new classes get biases exactly when it has
+them.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import unbiased_ce
 from .model import grow_head
 from .numerics import softmax
-from .synthdata import minibatches
+from .synthdata import sgd_epochs
 
 
 @dataclass(frozen=True)
@@ -193,62 +194,56 @@ def apply_component_variant(tset, variant):
     return tset
 
 
-def tune_new_columns(table, head, n_old, cfg, rng, update, tune_bg=False):
-    """The frozen-feature loop of pre-tuning and two-stage: SGD on the
-    unbiased cross entropy of `head`, whose first `n_old` columns are the
-    old classes', over the table's frozen features.  After each batch's
-    loss, `update(x, dz)` steps its parameters from dloss/dlogits and
-    writes the head's tuned columns (and biases).  `dz` holds only the
-    columns an update reads: column 0 if `tune_bg`, then the new ones."""
-    for epoch, batches in enumerate(minibatches(len(table.f), cfg.epochs, cfg.batch_size, rng)):
-        for b, batch in enumerate(batches):
-            x = table.f[batch].reshape(-1, head.dim)
-            loss, dz = unbiased_ce(head.logits(x), table.y[batch].reshape(-1), n_old, old_cols=int(tune_bg))
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite tuning loss at epoch {epoch}, batch {b}")
-            update(x, dz)
-    # the loss is floored by a safe log, so only the head shows a gradient
-    # that went non-finite
-    if not (np.isfinite(head.weights).all() and (head.biases is None or np.isfinite(head.biases).all())):
-        raise NumericError(f"non-finite new columns after tuning epoch {cfg.epochs - 1}")
+def tune_new_columns(table, head_fn, n_old, cfg, rng, params, grads, tune_bg=False):
+    """Pre-tuning's and two_stage's `sgd_epochs` of `params` on the
+    unbiased cross entropy of each batch's head `head_fn()`, whose first
+    `n_old` columns are the old classes', over the table's frozen features.
+    `grads(x, dz)` gives their gradients from the batch's features and the
+    dloss/dlogits of column 0 if `tune_bg`, then of the new columns."""
+
+    def batch_grads(batch):
+        x = table.f[batch].reshape(-1, table.f.shape[-1])
+        loss, dz = unbiased_ce(head_fn().logits(x), table.y[batch].reshape(-1), n_old, old_cols=int(tune_bg))
+        return loss, grads(x, dz)
+
+    for _ in sgd_epochs(len(table.f), cfg.epochs, cfg.batch_size, rng, params, batch_grads, lambda _: cfg.lr, "tuning "):
+        pass
 
 
 def pretune(table, old_model, tset, cfg, rng):
     """Tune the transforms by SGD on unbiased cross entropy.
 
     The old model is never written to; only importance/projection matrices
-    (and optional new-class biases) move, in `tset` itself.  The backbone
-    is frozen, so its features come from the table.  Returns the tuned
-    head, byte-equal to `assemble_pretune_head(old_model.head, tset)`.
+    (and optional new-class biases) move, in place in `tset`'s arrays.
+    The backbone is frozen, so its features come from the table.  Returns
+    the tuned head, `assemble_pretune_head(old_model.head, tset)`.
     """
     w_old = old_model.head.weights
     n_old = w_old.shape[1]
     tune_biases = old_model.head.biases is not None and tset.biases is not None
-    # built once; each update rewrites only its generated columns and biases
-    head = assemble_pretune_head(old_model.head, tset)
+    params = [tset.bg_importance, tset.bg_projection, tset.importance, tset.projection]
+    if tune_biases:
+        params.append(tset.biases)
+    # an ablation's frozen family, background pair included, never steps
+    trained = (tset.train_importance, tset.train_projection) * 2
 
-    def step(g, m, p, w):
-        """(M, P) after one SGD step from `g`, the gradient w.r.t. the
-        columns they generate from `w`, and those columns, (d, k)."""
-        d_m, d_p = transform_grads(g, m, p, w)
-        m = m - cfg.lr * d_m if tset.train_importance else m
-        p = p - cfg.lr * d_p if tset.train_projection else p
-        return m, p, generate_new_weight(m, p, w).T
-
-    def update(x, dz):
+    def grads(x, dz):
         g = x.T @ dz  # (d, 1 + n_new): grad w.r.t. head columns 0 and n_old..
-        tset.bg_importance, tset.bg_projection, head.weights[:, :1] = step(
-            g[:, :1], tset.bg_importance, tset.bg_projection, w_old[:, :1]
-        )
-        tset.importance, tset.projection, head.weights[:, n_old:] = step(g[:, 1:], tset.importance, tset.projection, w_old)
+        d_bg = transform_grads(g[:, :1], tset.bg_importance, tset.bg_projection, w_old[:, :1])
+        d_new = transform_grads(g[:, 1:], tset.importance, tset.projection, w_old)
+        out = [d if train else None for d, train in zip(d_bg + d_new, trained)]
         if tune_biases:
             # one contiguous row per column: each sum in the order of a
             # single column's, which `dz.sum(axis=0)` does not keep
-            tset.biases = tset.biases - cfg.lr * np.ascontiguousarray(dz[:, 1:].T).sum(axis=1)
-            head.biases[n_old:] = tset.biases
+            out.append(np.ascontiguousarray(dz[:, 1:].T).sum(axis=1))
+        return out
 
-    tune_new_columns(table, head, n_old, cfg, rng, update, tune_bg=True)
-    return head
+    tune_new_columns(table, lambda: assemble_pretune_head(old_model.head, tset), n_old, cfg, rng, params, grads, tune_bg=True)
+    tuned = assemble_pretune_head(old_model.head, tset)
+    # finite transforms can still generate an overflowing column
+    if not np.isfinite(tuned.weights).all():
+        raise NumericError(f"non-finite new columns after tuning epoch {cfg.epochs - 1}")
+    return tuned
 
 
 def weight_align(old_cols, new_cols):

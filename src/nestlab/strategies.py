@@ -6,8 +6,9 @@ and components in {both, importance_only, projection_only}.
 Every strategy returns the step's head: the old columns, then one new
 column per class, grown by `model.grow_head`; only nest with
 `use_pretuned_bg` also replaces column 0.  New-class biases exist exactly
-when the old head has biases.  `two_stage` only supplies its update to
-`nest.tune_new_columns`, the frozen-feature loop of pre-tuning.
+when the old head has biases.  `two_stage` tunes views of its new
+columns (and biases) through `nest.tune_new_columns`, the frozen-feature
+step of pre-tuning, which `synthdata.sgd_epochs` runs.
 """
 
 from dataclasses import dataclass
@@ -70,13 +71,12 @@ def initialize_head(strategy, old_model, table, pretune_cfg, rng):
     if strategy.kind == "two_stage":
         # tune only the new columns (and biases) on the frozen features
         head = _background_head(old, n_new)
+        params = [head.weights[:, n_old:]] + ([] if head.biases is None else [head.biases[n_old:]])
 
-        def update(x, dz):  # dz: the new columns only
-            head.weights[:, n_old:] -= pretune_cfg.lr * (x.T @ dz)
-            if head.biases is not None:
-                head.biases[n_old:] -= pretune_cfg.lr * dz.sum(axis=0)
+        def grads(x, dz):  # dz: the new columns only
+            return [x.T @ dz] + ([] if head.biases is None else [dz.sum(axis=0)])
 
-        nest.tune_new_columns(table, head, n_old, pretune_cfg, rng, update)
+        nest.tune_new_columns(table, lambda: head, n_old, pretune_cfg, rng, params, grads)
         return head
     if strategy.kind == "nest":
         if strategy.matrix_init == "similarity":

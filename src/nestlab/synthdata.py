@@ -8,8 +8,8 @@ train pixels, labelled by `label_columns` with every class outside the
 step as background (background shift under the overlapped and disjoint
 protocols), plus the frozen backbone's features.  The table's features
 are the world's array itself, except that the disjoint protocol gathers
-the images it keeps once per step.  `minibatches` is the one schedule in
-which every SGD loop visits its images.
+the images it keeps once per step.  `sgd_epochs` is every trainer's one
+SGD loop, over the `minibatches` schedule.
 """
 
 import json
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import row_norms
 from .numerics import SplitMix64
 
@@ -268,6 +268,32 @@ def minibatches(n, epochs, batch_size, rng):
     for _ in range(epochs):
         order = rng.permutation(n)
         yield [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+def sgd_epochs(n, epochs, batch_size, rng, params, batch_grads, lr_fn, where):
+    """The one SGD loop: minibatch SGD of the arrays `params`, in place,
+    over `n` images in the `minibatches` schedule, yielding each epoch's
+    batch losses once its parameters are checked finite.
+    `batch_grads(batch)` returns the batch's loss and one gradient per
+    array, None for one held fixed; `lr_fn` takes the iteration count of
+    the whole run.  A non-finite loss raises before any array moves; each
+    `NumericError` names `where`, the epoch and, for a loss, the batch."""
+    for epoch, batches in enumerate(minibatches(n, epochs, batch_size, rng)):
+        losses = []
+        for b, batch in enumerate(batches):
+            loss, grads = batch_grads(batch)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at {where}epoch {epoch}, batch {b}")
+            lr = lr_fn(epoch * len(batches) + b)
+            for p, g in zip(params, grads, strict=True):
+                if g is not None:
+                    p -= lr * g
+            losses.append(loss)
+        # the loss is floored by a safe log, so only the parameters show a
+        # gradient that went non-finite
+        if not all(np.isfinite(p).all() for p in params):
+            raise NumericError(f"non-finite parameters at {where}epoch {epoch}")
+        yield losses
 
 
 def dump_images(x, y, height, path):

@@ -1,8 +1,8 @@
 """End-to-end incremental training: base step, per-step classifier
 initialization, formal training with the unbiased losses, and
 stability instrumentation (per-epoch loss and feature-similarity stats).
-Base and formal training are one SGD loop, `_train_epochs`, over the
-`synthdata.minibatches` schedule and the step's table from
+Base and formal training step the whole model through
+`synthdata.sgd_epochs`, the one SGD loop, over the step's table from
 `synthdata.step_view`; evaluation maps the world's test labels to head
 columns with `synthdata.label_columns`.  `run_plan` runs a list of configs,
 building each world once and training each base step once.
@@ -11,7 +11,9 @@ building each world once and training each base step once.
 import contextlib
 import copy
 import time
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .model import Backbone, Head, SegModel
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
-from .synthdata import TaskSequence, WorldSpec, build_world, label_columns, minibatches, step_view
+from .synthdata import TaskSequence, WorldSpec, build_world, label_columns, sgd_epochs, step_view
 
 
 @dataclass(frozen=True)
@@ -113,28 +115,6 @@ def track_stability(live_model, table):
     return cosine_stats(lambda rows: live_model.backbone.forward(x[rows]), f, table.f_norms)
 
 
-def _sgd_step(model, table, batch, lr, loss_fn, frozen_cols):
-    """One SGD step of `model` on the table's images `batch`; returns the
-    loss.  Every batch-sized array is freed when it returns."""
-    x = table.x[batch].reshape(-1, table.x.shape[-1])
-    out, acts = model.backbone.forward_cache(x)
-    loss, dz = loss_fn(model.head.logits(out), table.y[batch].reshape(-1), batch)
-    if not np.isfinite(loss):
-        return loss
-    layer_grads, d_head, d_bias = model.grads(out, acts, dz)
-    if frozen_cols:
-        d_head[:, list(frozen_cols)] = 0.0
-    model.head.weights = model.head.weights - lr * d_head
-    if d_bias is not None:
-        if frozen_cols:
-            d_bias[list(frozen_cols)] = 0.0
-        model.head.biases = model.head.biases - lr * d_bias
-    for li, (gw, gb) in enumerate(layer_grads):
-        w, b = model.backbone.layers[li]
-        model.backbone.layers[li] = (w - lr * gw, b - lr * gb)
-    return loss
-
-
 def _kd_targets(old_head, table):
     """The old head's class probabilities over the step table's frozen
     features, (n_img, H*W, n_old): one whole-table matmul, since a matmul
@@ -145,24 +125,25 @@ def _kd_targets(old_head, table):
 
 
 def _train_epochs(model, table, epochs, batch_size, rng, lr_fn, loss_fn, step, frozen_cols=()):
-    """Minibatch SGD over the table's images in the `minibatches` schedule,
-    with the loss and stability stats of every epoch.  `lr_fn` takes the
-    iteration count of the whole run of epochs, `loss_fn(z, y, batch)`
-    returns (loss, dloss/dz)."""
+    """Minibatch SGD of the whole model over the table's images through
+    `sgd_epochs`, with the loss and stability stats of every epoch.
+    `loss_fn(z, y, batch)` returns (loss, dloss/dz); the head columns
+    `frozen_cols` (and their biases) keep their values."""
+
+    def batch_grads(batch):
+        # every batch-sized array is freed when this returns
+        x = table.x[batch].reshape(-1, table.x.shape[-1])
+        out, acts = model.backbone.forward_cache(x)
+        loss, dz = loss_fn(model.head.logits(out), table.y[batch].reshape(-1), batch)
+        grads = model.grads(out, acts, dz)
+        for g in grads[2 * len(model.backbone.layers) :]:  # the head's weights and biases
+            g[..., frozen_cols] = 0.0
+        return loss, grads
+
     stats = []
-    for epoch, batches in enumerate(minibatches(len(table.x), epochs, batch_size, rng)):
-        losses = []
-        for it, batch in enumerate(batches):
-            loss = _sgd_step(model, table, batch, lr_fn(epoch * len(batches) + it), loss_fn, frozen_cols)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, batch {it}")
-            losses.append(loss)
-        # the loss is floored by a safe log, so only the parameters show a
-        # gradient that went non-finite
-        if not np.isfinite(model.flat_params()).all():
-            raise NumericError(f"non-finite parameters at step {step}, epoch {epoch}")
-        sim_mean, sim_std = track_stability(model, table)
-        stats.append(EpochStats(float(np.mean(losses)), float(np.std(losses)), sim_mean, sim_std))
+    params = model._arrays()
+    for losses in sgd_epochs(len(table.x), epochs, batch_size, rng, params, batch_grads, lr_fn, f"step {step}, "):
+        stats.append(EpochStats(float(np.mean(losses)), float(np.std(losses)), *track_stability(model, table)))
     return stats
 
 
@@ -272,6 +253,15 @@ def _base_key(cfg):
     return repr(dict(vars(cfg), strategy=None, pretune=None, train=train))
 
 
+def _recording_warnings(fn, *args):
+    """`fn(*args)` and the warnings it raised, in order, as the arguments
+    of `warnings.showwarning`: a worker process cannot show its own, since
+    it is forked inside `cli.main`'s hold on warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def run_plan(configs, workers=1):
     """Run every config; returns their RunResults in input order.
 
@@ -279,7 +269,8 @@ def run_plan(configs, workers=1):
     per distinct `_base_key`; every run continues from its key's base, so
     each result is byte-identical to `run_experiment(cfg)` run alone.
     With `workers` > 1 the bases, then the runs, are mapped over that many
-    worker processes.
+    worker processes.  Serial or not, each task's warnings are recorded
+    and shown again here once every task is done, in task order.
     """
     worlds = {repr(cfg.world): cfg.world for cfg in configs}
     worlds = {key: build_world(spec) for key, spec in worlds.items()}
@@ -294,6 +285,12 @@ def run_plan(configs, workers=1):
     with pool as executor:
         map_fn = executor.map if executor else map
         base_worlds = [worlds[repr(cfg.world)] for cfg in base_cfgs.values()]
-        bases = dict(zip(base_cfgs, map_fn(train_base, base_cfgs.values(), base_worlds)))
+        base_tasks = list(map_fn(partial(_recording_warnings, train_base), base_cfgs.values(), base_worlds))
+        bases = dict(zip(base_cfgs, (base for base, _ in base_tasks)))
         run_worlds = [worlds[repr(cfg.world)] for cfg in configs]
-        return list(map_fn(run_experiment, configs, run_worlds, [bases[_base_key(cfg)] for cfg in configs]))
+        run_bases = [bases[_base_key(cfg)] for cfg in configs]
+        run_tasks = list(map_fn(partial(_recording_warnings, run_experiment), configs, run_worlds, run_bases))
+    for _, caught in base_tasks + run_tasks:
+        for args in caught:
+            warnings.showwarning(*args)
+    return [result for result, _ in run_tasks]

@@ -638,7 +638,7 @@ _OVERFLOWING = {
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ({"pretune": {"lr": 1e300}}, "numeric failure: step 1: non-finite tuning loss at epoch 0, batch "),
+        ({"pretune": {"lr": 1e300}}, "numeric failure: step 1: non-finite loss at tuning epoch 0, batch "),
         ({"world": {"noise_sigma": 1e308}}, "numeric failure: non-finite loss at step 0, epoch 0, batch 0"),
     ],
     ids=["pretune.lr", "world.noise_sigma"],
@@ -683,6 +683,41 @@ def test_warnings_of_a_verb_that_fails_are_dropped(monkeypatch, capsys):
         assert main(["verify"]) == 3
     assert not caught
     assert capsys.readouterr().err.splitlines() == ["numeric failure: a check blew up"]
+
+
+def _warning_base(cfg, world):
+    warnings.warn(f"base warning seed {cfg.seed}")
+    return _TRAIN_BASE(cfg, world)
+
+
+def _warning_run(cfg, world, base):
+    warnings.warn(f"run warning seed {cfg.seed}")
+    return _RUN_EXPERIMENT(cfg, world, base)
+
+
+# module level, so that a worker process can unpickle the patched tasks
+_TRAIN_BASE, _RUN_EXPERIMENT = trainer.train_base, trainer.run_experiment
+
+
+def test_worker_warnings_are_shown_as_serial_ones_are(tmp_path, monkeypatch, capsys):
+    # a warning in each base and each run: on exit 0, two workers show the
+    # serial run's warnings in its order; on exit 3, neither shows any
+    monkeypatch.setattr(trainer, "train_base", _warning_base)
+    monkeypatch.setattr(trainer, "run_experiment", _warning_run)
+    for extra, rc in (({}, 0), ({"pretune": {"lr": 1e300}}, 3)):
+        cfg = write_config(tmp_path, dict(extra, train={"seeds": [1, 2]}))
+        shown = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NEST_LAB_THREADS", threads)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                assert main(["run", cfg, "-o", str(tmp_path / threads)]) == rc
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == rc // 3, err
+            shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        assert shown[0] == shown[1]
+        expected = ["base warning seed 1", "base warning seed 2", "run warning seed 1", "run warning seed 2"]
+        assert [message for message, *_ in shown[0]] == (expected if rc == 0 else [])
 
 
 _FUZZ_STRATEGIES = (

@@ -206,6 +206,23 @@ def test_pretune_leaves_old_model_untouched():
     assert old.param_bytes() == before
 
 
+def test_pretune_that_generates_an_overflowing_column_from_finite_transforms_raises():
+    # one batch: its step leaves every transform finite (~1e198), but each
+    # generated column multiplies two of them, past float64's range
+    rng = SplitMix64(48)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng, images=1), old)
+    tset = nest.similarity_init_transforms(table, old)
+    cfg = nest.PretuneConfig(epochs=1, lr=1e200, batch_size=1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="non-finite new columns after tuning epoch 0"):
+            nest.pretune(table, old, tset, cfg, SplitMix64(1))
+        head = nest.assemble_pretune_head(old.head, tset)
+    arrays = (tset.bg_importance, tset.bg_projection, tset.importance, tset.projection)
+    assert all(np.isfinite(a).all() for a in arrays)
+    assert not np.isfinite(head.weights).all()
+
+
 def _per_class_head(old_head, tset):
     """Reference: the pre-tuning head built one generated column at a
     time, with the background column m0 * w0 * p0 written out."""

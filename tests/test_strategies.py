@@ -39,7 +39,7 @@ def test_parse_rejects_a_fourth_part():
 @pytest.mark.parametrize("strategy", ["two_stage", "nest"])
 def test_tuning_that_overflows_the_new_columns_raises(strategy):
     # one batch, whose loss is taken before its update overflows, so only
-    # the end-of-tuning check can see the non-finite result
+    # the epoch's parameter check can see the non-finite result
     rng = SplitMix64(48)
     old = toys.old_model(rng)
     classes, x, labels = toys.step(rng, images=1)
@@ -272,8 +272,8 @@ def test_two_stage_steps_the_new_columns_by_the_finite_difference_gradient(use_b
 def test_two_stage_step_check_detects_a_scaled_dz(monkeypatch):
     tune_new_columns = nest.tune_new_columns
 
-    def scaled(table, head, n_old, cfg, rng, update, **kwargs):
-        return tune_new_columns(table, head, n_old, cfg, rng, lambda x, dz: update(x, dz * (1 + 1e-3)), **kwargs)
+    def scaled(table, head_fn, n_old, cfg, rng, params, grads, *args):
+        return tune_new_columns(table, head_fn, n_old, cfg, rng, params, lambda x, dz: grads(x, dz * (1 + 1e-3)), *args)
 
     monkeypatch.setattr(nest, "tune_new_columns", scaled)
     errors, _, _ = _two_stage_step_errors(True)

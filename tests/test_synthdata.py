@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestlab.errors import ConfigError
+from nestlab.errors import ConfigError, NumericError
 from nestlab.metrics import _ROW_BLOCK, row_norms
 from nestlab.model import Backbone
 from nestlab.numerics import SplitMix64
@@ -21,6 +21,7 @@ from nestlab.synthdata import (
     dump_images,
     label_columns,
     minibatches,
+    sgd_epochs,
     step_table,
     step_view,
 )
@@ -218,6 +219,111 @@ def test_minibatches_draw_each_epoch_when_it_starts():
     next(schedule)
     ref.permutation(6)
     assert rng.next_u64() == ref.next_u64()
+
+
+def _toy_grads(batch):
+    """A batch's loss and gradients for `_toy_params`: a deterministic
+    function of its image indices."""
+    rng = SplitMix64(int(batch.sum()) + 100 * len(batch))
+    return float(batch.sum()), [rng.normal((2, 3)), rng.normal(4)]
+
+
+def _toy_params():
+    rng = SplitMix64(73)
+    return [rng.normal((2, 3)), rng.normal(4)]
+
+
+def test_sgd_epochs_steps_each_array_by_the_bits_of_p_minus_lr_g_in_the_minibatches_schedule():
+    rng, ref_rng = SplitMix64(72), SplitMix64(72)
+    params, ref = _toy_params(), _toy_params()
+    views = list(params)
+    seen = []
+
+    def lr_fn(it):
+        seen.append(it)
+        return 0.1 / (1 + it)
+
+    yielded = list(sgd_epochs(7, 3, 3, rng, params, _toy_grads, lr_fn, ""))
+    it = 0
+    for epoch, batches in enumerate(minibatches(7, 3, 3, ref_rng)):
+        assert yielded[epoch] == [_toy_grads(b)[0] for b in batches]
+        for batch in batches:
+            ref = [p - (0.1 / (1 + it)) * g for p, g in zip(ref, _toy_grads(batch)[1])]
+            it += 1
+    assert [p.tobytes() for p in params] == [p.tobytes() for p in ref]
+    assert all(p is v for p, v in zip(params, views))  # stepped in place
+    assert seen == list(range(9))  # across epochs: 3 batches each
+    # the loop drew one permutation per epoch, as `minibatches` does
+    assert rng.next_u64() == ref_rng.next_u64()
+
+
+def test_sgd_epochs_holds_an_array_with_a_none_gradient():
+    params = _toy_params()
+    fixed = params[1].tobytes()
+
+    def batch_grads(batch):
+        loss, (g, _) = _toy_grads(batch)
+        return loss, [g, None]
+
+    for _ in sgd_epochs(5, 2, 2, SplitMix64(74), params, batch_grads, lambda it: 0.5, ""):
+        pass
+    assert params[1].tobytes() == fixed
+    assert params[0].tobytes() != _toy_params()[0].tobytes()
+
+
+def test_sgd_epochs_raises_on_a_non_finite_loss_before_any_array_moves():
+    params, calls = _toy_params(), []
+
+    def batch_grads(batch):
+        calls.append(batch)
+        loss, grads = _toy_grads(batch)
+        return (float("nan") if len(calls) == 5 else loss), grads
+
+    # 5 images in batches of 2: the fifth batch is epoch 1's second
+    with pytest.raises(NumericError, match=r"^non-finite loss at tuning epoch 1, batch 1$"):
+        for _ in sgd_epochs(5, 3, 2, SplitMix64(75), params, batch_grads, lambda it: 0.5, "tuning "):
+            pass
+    ref = _toy_params()
+    for batch in calls[:4]:
+        ref = [p - 0.5 * g for p, g in zip(ref, _toy_grads(batch)[1])]
+    assert [p.tobytes() for p in params] == [p.tobytes() for p in ref]
+
+
+def test_sgd_epochs_raises_on_a_non_finite_parameter_at_the_end_of_its_epoch():
+    params, calls = _toy_params(), []
+
+    def batch_grads(batch):
+        calls.append(batch)
+        loss, (g, gb) = _toy_grads(batch)
+        return loss, [g, np.full(4, np.inf) if len(calls) == 4 else gb]
+
+    yielded = []
+    # 5 images in batches of 2: the fourth batch is epoch 1's first
+    with pytest.raises(NumericError, match=r"^non-finite parameters at step 2, epoch 1$"):
+        for losses in sgd_epochs(5, 3, 2, SplitMix64(76), params, batch_grads, lambda it: 0.5, "step 2, "):
+            yielded.append(losses)
+    assert len(yielded) == 1 and len(calls) == 6  # epoch 1 ran to its end
+
+
+def test_minibatches_is_called_only_by_sgd_epochs():
+    # every SGD loop is `sgd_epochs`: no other function walks the schedule
+    import ast
+    import pathlib
+
+    import nestlab
+
+    callers = []
+    for path in sorted(pathlib.Path(nestlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    name = getattr(node, "id", getattr(node, "attr", None))
+                    if isinstance(node, (ast.Name, ast.Attribute)) and name == "minibatches":
+                        callers.append((path.stem, fn.name))
+            elif isinstance(fn, ast.ImportFrom) and any(a.name == "minibatches" for a in fn.names):
+                callers.append((path.stem, "import"))
+    assert callers == [("synthdata", "sgd_epochs")]
 
 
 def _relabel(labels, keep):

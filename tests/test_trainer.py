@@ -369,22 +369,34 @@ def test_no_batch_array_is_alive_when_the_stability_probe_runs(monkeypatch):
     from nestlab import trainer
 
     cfg = small_config()
-    probes = []
+    loops, probes = [], []
+
+    def sgd_epochs(*args):
+        loops.append(real_loop(*args))
+        return loops[-1]
 
     def track_stability(model, table):
         frame = sys._getframe(1)
         assert frame.f_code is trainer._train_epochs.__code__
-        probes.append([(k, v.dtype, v.shape) for k, v in frame.f_locals.items() if isinstance(v, np.ndarray)])
+        assert not [k for k, v in frame.f_locals.items() if isinstance(v, np.ndarray)]
+        arrays = [(k, v) for k, v in loops[-1].gi_frame.f_locals.items() if isinstance(v, np.ndarray)]
+        probes.append((arrays, {a.shape for a in model._arrays()}))
         return real(model, table)
 
-    real = trainer.track_stability
+    real, real_loop = trainer.track_stability, trainer.sgd_epochs
     monkeypatch.setattr(trainer, "track_stability", track_stability)
+    monkeypatch.setattr(trainer, "sgd_epochs", sgd_epochs)
     run_experiment(cfg)
     assert len(probes) == cfg.train.base_epochs + 2 * cfg.train.inc_epochs
-    # only the schedule's last batch of image indices is left
-    for arrays in probes:
-        assert [(k, dtype.kind) for k, dtype, shape in arrays] == [("batch", "i")]
-        assert arrays[0][2][0] <= cfg.train.batch_size
+    # the loop keeps the schedule's last batch of image indices, and the
+    # last parameter it stepped with that parameter's gradient
+    for arrays, param_shapes in probes:
+        assert sorted(k for k, _ in arrays) == ["batch", "g", "p"]
+        for k, v in arrays:
+            if k == "batch":
+                assert v.dtype.kind == "i" and len(v) <= cfg.train.batch_size
+            else:
+                assert v.shape in param_shapes
 
 
 def test_kd_targets_for_a_table_allocate_no_second_table():
