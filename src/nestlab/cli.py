@@ -52,12 +52,23 @@ def _finite_float(text):
 
 @dataclasses.dataclass(frozen=True)
 class ReportConfig:
-    """The `report` section: the default output directory, the prefix of
-    every run id, and whether results.csv records wall times."""
+    """The `report` section, checked when built: the default output
+    directory, the prefix of every run id, and whether results.csv records
+    wall times."""
 
     out_dir: str = "out"
     run_id: str = "run"
     timing: bool = False
+
+    def __post_init__(self):
+        # a run id fills CSV cells and the out dir names a file, both in UTF-8
+        for key in ("out_dir", "run_id"):
+            try:
+                getattr(self, key).encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ConfigError(f"report.{key} does not encode as UTF-8: {e.reason} at {e.start}")
+        if "\0" in self.out_dir:
+            raise ConfigError("report.out_dir contains a NUL character")
 
 
 RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new", "miou_all", "wall_seconds")
@@ -141,6 +152,7 @@ def load_config(path):
     resolved = {name: _merge_section(name, defaults[name], raw.get(name)) for name in _SECTIONS}
     resolved["strategy"] = raw.get("strategy", ExperimentConfig.strategy)
     resolved["report"] = _merge_section("report", _defaults(ReportConfig), raw.get("report"))
+    ReportConfig(**resolved["report"])  # building it checks it
     # the world first: building it checks it, and the default class order is sized from it
     _section(resolved, "world")
     if resolved["sequence"]["class_order"] is None:
@@ -234,12 +246,8 @@ def cmd_run(config_path, out_dir, aggregate=False):
             for idx in (4, 5, 6):  # miou_base, miou_new, miou_all
                 vals = [float(r[idx]) for r in finals]
                 mean = statistics.fmean(vals)
-                if len(vals) < 2:
-                    std = 0.0
-                elif any(map(math.isnan, vals)):
-                    std = math.nan  # an mIoU over no present class; pstdev raises on NaN
-                else:
-                    std = statistics.pstdev(vals)
+                # NaN for an mIoU over no present class, one seed's too; pstdev raises on NaN
+                std = math.nan if any(map(math.isnan, vals)) else statistics.pstdev(vals)
                 cols.extend([_fmt(mean), _fmt(std)])
             agg_rows.append((strat, *cols))
         _write_csv(

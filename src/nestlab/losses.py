@@ -3,7 +3,9 @@
 Class indices here are head column indices: column 0 is background,
 columns 1..n_old-1 are previously learned classes, columns n_old.. are the
 current step's classes.  The unbiased variants fold probability mass
-across that split to model background shift.
+across that split to model background shift.  `_unbiased_ce_core` is the
+one cross-entropy formula: plain `ce`, for base training, is the unbiased
+cross entropy with background as the only old column.
 """
 
 import numpy as np
@@ -56,22 +58,6 @@ def _slice_grad(g, rows_shape):
     """The `(rows, C)` gradient of the per-row losses as the gradient of
     each slice's mean, C-ordered in the logits' shape."""
     return np.divide(g, rows_shape[-1], order="C").reshape(rows_shape + g.shape[1:])
-
-
-def ce(logits, labels):
-    """Mean cross entropy over pixels; returns (loss, dloss/dlogits)."""
-    logits = class_major(logits)
-    labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise DataError("label outside class range")
-    q = softmax(logits)
-    rows = np.arange(n)
-    # the sum over n, ndarray.mean()'s bits without its Python-level wrapper
-    loss = -np.add.reduce(_safe_log(q[rows, labels])) / n
-    # q - onehot(label), in place in softmax's fresh output
-    q[rows, labels] -= 1.0
-    return loss, np.divide(q, n, order="C")
 
 
 def _checked_labels(labels, n_old, c, rows_shape):
@@ -190,6 +176,11 @@ def unbiased_ce(logits, labels, n_old, old_cols=None):
     np.divide(q[:, :old_cols], n, out=dz[:, :old_cols])
     np.divide(q[:, n_old:], n, out=dz[:, old_cols:])
     return loss, dz.reshape(rows_shape + dz.shape[1:])
+
+
+def ce(logits, labels):
+    """Mean cross entropy: `unbiased_ce` with background the only old column."""
+    return unbiased_ce(logits, labels, 1)
 
 
 def unbiased_kd(logits, old_probs):

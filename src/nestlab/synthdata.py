@@ -64,12 +64,16 @@ class WorldSpec:
                 raise ConfigError(f"mixture class {c} out of range")
         if self.images_per_class < 1 or self.test_images_per_class < 1:
             raise ConfigError("need at least one image per class in each pool")
-        # numpy indexes an array's bytes with np.intp, so a larger pool
-        # cannot be allocated at all
         for pool, per_class in (("train", self.images_per_class), ("test", self.test_images_per_class)):
             shape = (self.num_classes * per_class, self.height * self.width, self.feature_dim)
-            if math.prod(shape) * 8 > np.iinfo(np.intp).max:
-                raise ConfigError(f"the {pool} pool's features {shape} exceed numpy's array size limit")
+            check_array_size(f"the {pool} pool's features", shape)
+
+
+def check_array_size(what, shape):
+    """Reject a configured float64 array of `shape`: numpy indexes an
+    array's bytes with np.intp, so a larger one cannot be allocated at all."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} {shape} exceed numpy's array size limit")
 
 
 def _freeze(*arrays):

@@ -24,7 +24,7 @@ from .model import Backbone, Head, SegModel
 from .nest import PretuneConfig
 from .numerics import SplitMix64, softmax
 from .strategies import initialize_head, parse_strategy
-from .synthdata import TaskSequence, WorldSpec, build_world, label_columns, sgd_epochs, step_view
+from .synthdata import TaskSequence, WorldSpec, build_world, check_array_size, label_columns, sgd_epochs, step_view
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class TrainConfig:
 class ExperimentConfig:
     """One run; `ExperimentConfig()` is the S6-1 benchmark run.  Each
     section checks itself when built; this checks the sequence against the
-    world, then the strategy string, so a config that exists is valid."""
+    world, then the strategy string, then the base step table's size
+    against `backbone_dim`, so a config that exists is valid."""
 
     world: WorldSpec = field(default_factory=WorldSpec)
     sequence: TaskSequence = field(default_factory=TaskSequence)
@@ -70,6 +71,10 @@ class ExperimentConfig:
     def __post_init__(self):
         self.sequence.validate(self.world.num_classes)
         parse_strategy(self.strategy)
+        # the base step's table of backbone features is train-pool sized
+        w = self.world
+        shape = (w.num_classes * w.images_per_class, w.height * w.width, self.train.backbone_dim)
+        check_array_size("the base step table's features", shape)
 
 
 @dataclass

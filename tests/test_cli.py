@@ -121,9 +121,13 @@ def _default_keys():
 
 
 _KEYS = _default_keys()
+# any code point, lone surrogates (category Cs) included, and NUL and a
+# surrogate often: neither encodes into a file name, and a surrogate not
+# into a UTF-8 CSV cell
+_CHAR = st.characters(exclude_categories=()) | st.sampled_from(["\x00", "\ud800"])
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(_CHAR, max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(_CHAR, max_size=4), inner, max_size=3),
     max_leaves=6,
 )
 # mostly well-typed values, so that checks past the type check run too
@@ -132,7 +136,7 @@ _STRATEGY = st.sampled_from(["random", "two_stage", "nest", "nest:random:project
 
 
 def _section(keys):
-    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=4), _VALUE, max_size=4) | _JSON
+    return st.dictionaries(st.sampled_from(keys) | st.text(_CHAR, max_size=4), _VALUE, max_size=4) | _JSON
 
 
 _CONFIG = (
@@ -243,6 +247,43 @@ def test_ablate_single_arm_matches_run(tmp_path):
         os.path.join(out_a, "results.csv"), "rb"
     ) as fb:
         assert fa.read() == fb.read()
+
+
+# two classes, one base class and one step: at seed 1 no test pixel of the
+# final step is, or is predicted as, background or the base class, so its
+# miou_base is NaN
+_NAN_BASE_CONFIG = {
+    "world": {
+        "num_classes": 2,
+        "feature_dim": 4,
+        "prototype_rule": "independent",
+        "mixture_classes": [],
+        "height": 4,
+        "width": 4,
+        "blobs_min": 1,
+        "blobs_max": 3,
+        "images_per_class": 3,
+        "test_images_per_class": 1,
+        "seed": 1,
+    },
+    "sequence": {"base_count": 1, "increment": 1},
+    "strategy": ["background"],
+    "pretune": {"epochs": 1, "batch_size": 2},
+    "train": {"base_epochs": 2, "inc_epochs": 1, "batch_size": 2},
+}
+
+
+@pytest.mark.parametrize("seeds", [[1], [1, 2]])
+def test_ablate_gives_a_nan_mean_a_nan_std_at_any_seed_count(tmp_path, seeds):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_NAN_BASE_CONFIG, "train": {**_NAN_BASE_CONFIG["train"], "seeds": seeds}}))
+    out = tmp_path / "o"
+    assert main(["ablate", str(path), "-o", str(out)]) == 0
+    row = (out / "ablation.csv").read_text().splitlines()[1].split(",")
+    assert row[:3] == ["background", "nan", "nan"], row
+    # a finite single-seed mean keeps its std of 0
+    if len(seeds) == 1:
+        assert row[3:] == ["1.000000", "0.000000", "1.000000", "0.000000"], row
 
 
 def test_gen_data_round_trip(tmp_path):
@@ -404,6 +445,23 @@ def test_float_field_given_an_int_past_float64_exits_2_with_one_line(tmp_path, c
     (section, fields), = extra.items()
     assert len(err) == 1 and err[0].startswith(f"config error: {section}.{next(iter(fields))} must be a finite float64"), err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"run_id": "\ud800"}, "report.run_id does not encode as UTF-8"),
+        ({"out_dir": "a\u0000b"}, "report.out_dir contains a NUL character"),
+    ],
+    ids=["run_id_surrogate", "out_dir_nul"],
+)
+def test_a_report_string_that_cannot_fill_a_cell_or_name_a_file_exits_2(tmp_path, capsys, report, message):
+    # both are rejected while the config loads, not after the run trains
+    path = write_config(tmp_path, {"report": report})
+    assert main(["run", path, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_integer_past_the_parsers_digit_limit_exits_2_with_one_line(tmp_path, capsys):
@@ -862,12 +920,20 @@ def test_fuzzed_worlds_dump_or_exit_2_with_one_line(world):
 
 
 @pytest.mark.parametrize(
-    "field", ["world.height", "world.width", "world.images_per_class", "world.test_images_per_class", "world.num_classes"]
+    "field",
+    [
+        "world.height",
+        "world.width",
+        "world.images_per_class",
+        "world.test_images_per_class",
+        "world.num_classes",
+        "train.backbone_dim",
+    ],
 )
 def test_a_pool_past_numpys_size_limit_exits_2_with_one_line(tmp_path, capsys, field):
-    # 10**20 makes a pool dimension numpy rejects before allocating; the
-    # check runs before anything, the default class order included, is
-    # sized from the field
+    # 10**20 makes a pool dimension, or the base step table's feature
+    # dimension, numpy rejects before allocating; the check runs before
+    # anything, the default class order included, is sized from the field
     section, key = field.split(".")
     path = write_config(tmp_path, {section: {key: 10**20}})
     assert main(["gen-data", path, "-o", str(tmp_path / "o")]) == 2

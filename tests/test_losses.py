@@ -302,20 +302,42 @@ def test_unbiased_ce_with_an_underflowed_fold_is_the_oracle_and_quiet(n):
     # a new-class logit 1000 above the rest underflows the background fold
     # to 0 in every third row, all background; the old-class gradient there
     # is NaN, as in the oracle, the new-class columns stay finite and no
-    # RuntimeWarning escapes the kernel
+    # RuntimeWarning escapes the kernel.  With background the only old
+    # column the call is base training's `ce`, whose column 0 goes NaN
     rng = SplitMix64(n + 1)
     z = rng.normal((n, 5))
     z[::3, 4] = 1000.0
     labels = rng.integers(2, size=n) * 4  # background or class 4
     labels[::3] = 0
-    with np.errstate(all="ignore"):
-        ref = _oracle_unbiased_ce(z, labels, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        loss, dz = unbiased_ce(z, labels, 3)
-    assert loss == ref[0]
-    assert np.isnan(dz[::3, :3]).all() and np.isfinite(dz[:, 3:]).all()
-    np.testing.assert_array_equal(dz, ref[1])
+    for n_old, kernel in ((3, lambda: unbiased_ce(z, labels, 3)), (1, lambda: ce(z, labels))):
+        with np.errstate(all="ignore"):
+            ref = _oracle_unbiased_ce(z, labels, n_old)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, dz = kernel()
+        assert loss == ref[0]
+        assert np.isnan(dz[::3, :n_old]).all() and np.isfinite(dz[:, n_old:]).all()
+        np.testing.assert_array_equal(dz, ref[1])
+
+
+def test_only_the_unbiased_kernels_call_softmax_in_losses():
+    # one cross-entropy formula: `ce` hands off to `unbiased_ce`, and only
+    # the unbiased kernels and `incremental_loss`, which shares one softmax
+    # between their cores, take a softmax in `losses`
+    import ast
+    import pathlib
+
+    from nestlab import losses
+
+    tree = ast.parse(pathlib.Path(losses.__file__).read_text())
+    callers = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and name == "softmax":
+                    callers.append(fn.name)
+    assert sorted(set(callers)) == ["incremental_loss", "unbiased_ce", "unbiased_kd"]
 
 
 def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
