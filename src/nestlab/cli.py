@@ -50,6 +50,17 @@ def _finite_float(text):
     return float(text)
 
 
+def _check_text(name, text, is_path=False):
+    """Raise ConfigError unless `text`, a CSV cell or, with `is_path`, a file
+    name, encodes as UTF-8 and, as a file name, holds no NUL."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ConfigError(f"{name} does not encode as UTF-8: {e.reason} at {e.start}")
+    if is_path and "\0" in text:
+        raise ConfigError(f"{name} contains a NUL character")
+
+
 @dataclasses.dataclass(frozen=True)
 class ReportConfig:
     """The `report` section, checked when built: the default output
@@ -61,14 +72,8 @@ class ReportConfig:
     timing: bool = False
 
     def __post_init__(self):
-        # a run id fills CSV cells and the out dir names a file, both in UTF-8
-        for key in ("out_dir", "run_id"):
-            try:
-                getattr(self, key).encode("utf-8")
-            except UnicodeEncodeError as e:
-                raise ConfigError(f"report.{key} does not encode as UTF-8: {e.reason} at {e.start}")
-        if "\0" in self.out_dir:
-            raise ConfigError("report.out_dir contains a NUL character")
+        _check_text("report.out_dir", self.out_dir, is_path=True)
+        _check_text("report.run_id", self.run_id)
 
 
 RESULT_COLUMNS = ("run_id", "strategy", "seed", "step", "miou_base", "miou_new", "miou_all", "wall_seconds")
@@ -209,6 +214,13 @@ def _run_rows(report, cfg, result, result_rows, curve_rows):
             )
 
 
+def _report(resolved, out_dir):
+    """The config's ReportConfig, with `out_dir` (`-o`) as its output
+    directory when given; replacing it checks it again."""
+    report = ReportConfig(**resolved["report"])
+    return dataclasses.replace(report, out_dir=out_dir) if out_dir else report
+
+
 def _worker_count(n_jobs):
     """NEST_LAB_THREADS, clamped to the job count and the CPU count."""
     text = os.environ.get("NEST_LAB_THREADS", "1")
@@ -224,8 +236,8 @@ def cmd_run(config_path, out_dir, aggregate=False):
     import statistics
 
     resolved = load_config(config_path)
-    report = ReportConfig(**resolved["report"])
-    out_dir = out_dir or report.out_dir
+    report = _report(resolved, out_dir)
+    out_dir = report.out_dir
     os.makedirs(out_dir, exist_ok=True)
     # (strategy x seed) runs, strategy-major; the plan trains one base step per seed
     seeds = resolved["train"]["seeds"]
@@ -263,7 +275,7 @@ def cmd_run(config_path, out_dir, aggregate=False):
 
 def cmd_gen_data(config_path, out_dir):
     resolved = load_config(config_path)
-    out_dir = out_dir or ReportConfig(**resolved["report"]).out_dir
+    out_dir = _report(resolved, out_dir).out_dir
     os.makedirs(out_dir, exist_ok=True)
     world = build_world(_section(resolved, "world"))
     dump_images(world.train_x, world.train_y, world.spec.height, os.path.join(out_dir, "train.jsonl"))
@@ -281,6 +293,9 @@ def cmd_verify():
 
 
 def cmd_report(inputs, out_path):
+    for path in inputs:
+        _check_text("report input", path, is_path=True)
+    _check_text("report -o", out_path, is_path=True)
     rows = []
     for path in inputs:
         candidate = path if path.endswith(".csv") else os.path.join(path, "results.csv")

@@ -1,9 +1,9 @@
 """Deterministic dense numerics.
 
 Everything downstream runs on float64 numpy arrays.  This module owns the
-portable PRNG (SplitMix64, identical streams on every platform), exact
-per-row reductions over the class axis, the numerically stable softmax
-built on them and a central finite-difference gradient oracle.
+portable PRNG (SplitMix64, identical streams on every platform), an exact
+per-row sum over the class axis, the numerically stable softmax built on
+it and a central finite-difference gradient oracle.
 """
 
 import numpy as np
@@ -55,10 +55,9 @@ class SplitMix64:
         out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return out.reshape(size)
 
-    def normal(self, size=None, mean=0.0, std=1.0):
-        """Standard Box-Muller normals from the uniform stream."""
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
+    def normal(self, size, mean=0.0, std=1.0):
+        """Box-Muller normals of shape `size` from the uniform stream."""
+        n = int(np.prod(size))
         m = (n + 1) // 2
         # shift into (0, 1] so the log is finite
         u1 = ((self._raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
@@ -66,8 +65,7 @@ class SplitMix64:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        z = mean + std * z
-        return float(z[0]) if scalar else z.reshape(size)
+        return (mean + std * z).reshape(size)
 
     def integers(self, high, size=None):
         """Integers uniform on [0, high)."""
@@ -87,47 +85,30 @@ class SplitMix64:
         return np.array(perm, dtype=np.int64)
 
 
-# Below this many rows numpy's own row reductions are the faster call.
+# Below this many rows numpy's own row sum is the faster call, so
+# `class_major` keeps C order there.
 _FEW_ROWS = 64
 # numpy's pairwise summation sums rows up to this length in one block.
 _PW_BLOCK = 128
 
 
-def rowmax(a):
-    """Per-row maximum of a 2-D array: np.max(a, axis=1).
-
-    numpy reduces a short row with one inner-loop call per row, which on
-    a 2048 x 7 array costs ten times the arithmetic; sweeping the columns
-    with whole-column operations does not.  A row whose maximum is zero
-    may come back as either signed zero, as it may from numpy, whose own
-    choice depends on its SIMD dispatch; any NaN comes back as a NaN.
-    """
-    n, c = a.shape
-    if n < _FEW_ROWS:
-        return np.maximum.reduce(a, axis=1)
-    out = a[:, 0].copy()
-    for j in range(1, c):
-        np.maximum(out, a[:, j], out=out)
-    return out
-
-
 def rowsum(a):
     """Per-row sum of a 2-D array, bit for bit np.sum(a, axis=1).
 
-    The columns are added in numpy's pairwise-summation order: fewer than
-    8 in sequence, up to 128 as eight running partial sums combined in a
+    numpy sums a C-ordered row of 8 to 128 columns pairwise, with one
+    inner-loop call per row, but a Fortran array's columns in sequence.
+    From `_FEW_ROWS` rows on, such rows are added here as whole-column
+    operations in the C order: eight running partial sums combined in a
     fixed tree, then the leftover columns, all added to +0.0 (so a row of
-    -0.0 sums to +0.0, as in numpy).  NaN signs and payloads, which numpy
-    leaves to the compiler, are not part of the contract.
+    -0.0 sums to +0.0, as in numpy).  A class-major table thus sums as its
+    C copy does, in less time than numpy takes on that copy.  Every other
+    shape goes to numpy, which adds fewer than 8 columns in sequence from
+    +0.0 in either layout.  NaN signs and payloads, which numpy leaves to
+    the compiler, are not part of the contract.
     """
     n, c = a.shape
-    if n < _FEW_ROWS or not 0 < c <= _PW_BLOCK:
+    if n < _FEW_ROWS or not 8 <= c <= _PW_BLOCK:
         return np.add.reduce(a, axis=1)
-    if c < 8:
-        out = a[:, 0] + 0.0
-        for j in range(1, c):
-            out += a[:, j]
-        return out
     k = c - c % 8
     r = [a[:, j] for j in range(8)]
     for i in range(8, k, 8):
@@ -143,9 +124,9 @@ def class_major(x):
     """2-D float64 logits in the layout the loss kernels work in.
 
     From `_FEW_ROWS` rows on, Fortran order: each class is then one
-    contiguous n-vector, and `softmax`, `rowmax` and `rowsum` keep that
-    layout and sweep it column by column.  Below, C order: there `rowsum`
-    hands off to numpy's row reduction, which sums a Fortran array of 8 or
+    contiguous n-vector, which `softmax` keeps and `rowsum` sweeps column
+    by column at 8 to 128 columns.  Below, C order: there `rowsum` hands
+    off to numpy's row reduction, which sums a Fortran array of 8 or
     more columns in a different order.  Either way a kernel's result
     depends only on the values, not on the caller's layout.
     """
@@ -168,7 +149,7 @@ def softmax(x, out=None):
     if x.size == 0:
         raise ShapeError("softmax of empty input")
     flat = x.reshape(-1, x.shape[-1])
-    m = rowmax(flat)[:, None]
+    m = np.maximum.reduce(flat, axis=1)[:, None]
     if out is None:
         e = flat - m
     else:

@@ -464,6 +464,27 @@ def test_a_report_string_that_cannot_fill_a_cell_or_name_a_file_exits_2(tmp_path
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["a\x00b", "\ud800"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("arg", ["run", "ablate", "gen-data", "report_input", "report_out"])
+def test_a_path_argument_that_cannot_name_a_file_exits_2_with_one_line(tmp_path, capsys, monkeypatch, arg, bad):
+    # checked before anything is read or written; a shell's argv cannot
+    # carry NUL, but a library caller's can
+    cfg = write_config(tmp_path)
+    good = tmp_path / "results.csv"
+    good.write_text(_HEADER)
+    argv = {
+        "report_input": ["report", bad, "-o", "merged.csv"],
+        "report_out": ["report", str(good), "-o", bad],
+    }.get(arg, [arg, cfg, "-o", bad])
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    message = "contains a NUL character" if bad == "a\x00b" else "does not encode as UTF-8"
+    assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0], err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_integer_past_the_parsers_digit_limit_exits_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"world": {"noise_sigma": 1' + "0" * 5000 + "}}")

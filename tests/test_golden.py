@@ -10,7 +10,14 @@ covers the disjoint protocol without distillation or weight aligning;
 `multi_class` adds two classes per step, with biases, weight aligning over
 both new columns and the pre-tuned background, for two_stage and the four
 nest arms that stack several transforms (both, random init,
-importance_only and projection_only).
+importance_only and projection_only).  None has more than 7 head
+columns, so `test_s61_run_matches_the_benchmark_digests` also pins the
+default S6-1 run (11 columns at its last step) to the benchmark's stored
+digests: of the end-to-end runs, it alone reaches the 8-128-column sums
+of `numerics.rowsum` and the matmuls of 9 or more columns.  Its CSVs are
+rounded to six decimals, and a last-bit change in those sums (their
+pairwise tree reassociated) leaves both digests as they are, so
+`tests/test_numerics.py` holds those bits.
 
 The bytes depend on the float environment as well as on the code: on
 `numerics.rowsum` matching numpy's pairwise summation order, and on the
@@ -19,6 +26,8 @@ with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31, and a mismatch
 names the versions it ran with.
 """
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -28,6 +37,8 @@ import pytest
 from nestlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# the benchmark's seed-1 S6-1 digests, read and never written here
+S61_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 
 
 def _environment():
@@ -48,4 +59,18 @@ def test_golden_outputs(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == golden.read_bytes(), (
             f"{golden} differs, run with {_environment()}; the goldens were written with "
             "Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31"
+        )
+
+
+def test_s61_run_matches_the_benchmark_digests(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "-o", str(out)]) == 0
+    want = json.loads(S61_REFERENCE.read_text())["s61_nest"]["1"]["files"]
+    for fname, digest in sorted(want.items()):
+        got = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+        assert got == digest, (
+            f"S6-1 {fname} has sha256 {got}, not {S61_REFERENCE.name}'s {digest}, run with {_environment()}; "
+            "the digests were written with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31"
         )
