@@ -6,6 +6,8 @@ per-row sum over the class axis, the numerically stable softmax built on
 it and a central finite-difference gradient oracle.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericError, ShapeError
@@ -15,6 +17,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+# the same constants as numpy scalars, for the vector path
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix(z):
@@ -23,12 +28,18 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
+def _count(size):
+    """The number of entries of an array of shape `size`."""
+    return math.prod(size) if np.iterable(size) else int(size)
+
+
 class SplitMix64:
     """Counter-based 64-bit generator with a fixed update rule.
 
     The state advances by a fixed odd constant per draw and the output is a
     bijective mix of the state, so blocks of draws can be produced
-    vectorized without changing the stream.
+    vectorized without changing the stream.  Each vector call takes one
+    block, mixed in place in one array with one scratch array beside it.
     """
 
     def __init__(self, seed):
@@ -39,33 +50,55 @@ class SplitMix64:
         return _mix(self._state)
 
     def _raw(self, n):
-        # identical to n sequential next_u64 calls
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
+        # identical to n sequential next_u64 calls; uint64 arithmetic wraps
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        t = np.empty_like(z)
+        for shift, mult in ((_U30, _U_MIX1), (_U27, _U_MIX2)):
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= mult
+        np.right_shift(z, _U31, out=t)
+        z ^= t
+        return z
+
+    def _unit(self, n):
+        """The top 53 bits of the next n draws as float64 integers; times
+        2**-53 they are the uniforms of `uniform`."""
+        z = self._raw(n)
+        z >>= _U11
+        return z.astype(np.float64)
 
     def uniform(self, size=None):
         """Uniform floats in [0, 1)."""
         if size is None:
             return (self.next_u64() >> 11) * _INV_2_53
-        n = int(np.prod(size))
-        out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        out = self._unit(_count(size))
+        out *= _INV_2_53
         return out.reshape(size)
 
     def normal(self, size, mean=0.0, std=1.0):
-        """Box-Muller normals of shape `size` from the uniform stream."""
-        n = int(np.prod(size))
+        """Box-Muller normals of shape `size` from the uniform stream: u1
+        from the first m = ceil(n / 2) draws, u2 from the next m."""
+        n = _count(size)
         m = (n + 1) // 2
-        # shift into (0, 1] so the log is finite
-        u1 = ((self._raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (self._raw(m) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return (mean + std * z).reshape(size)
+        u = self._unit(2 * m)
+        u[:m] += 1.0  # shift u1 into (0, 1] so the log is finite
+        u *= _INV_2_53
+        r = np.log(u[:m])
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = u[m:]
+        theta *= 2.0 * np.pi
+        z = np.empty(2 * m)
+        np.multiply(r, np.cos(theta, out=z[:m]), out=z[:m])
+        np.multiply(r, np.sin(theta, out=z[m:]), out=z[m:])
+        z = z[:n]
+        z *= std
+        z += mean
+        return z.reshape(size)
 
     def integers(self, high, size=None):
         """Integers uniform on [0, high)."""
@@ -78,9 +111,10 @@ class SplitMix64:
         for i = n-1 down to 1, its n - 1 draws taken as one block."""
         perm = list(range(n))
         if n > 1:
-            u = (self._raw(n - 1) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-            js = (u * np.arange(n, 1, -1, dtype=np.float64)).astype(np.int64).tolist()
-            for i, j in zip(range(n - 1, 0, -1), js):
+            u = self._unit(n - 1)
+            u *= _INV_2_53
+            u *= np.arange(n, 1, -1, dtype=np.float64)
+            for i, j in zip(range(n - 1, 0, -1), u.astype(np.int64).tolist()):
                 perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
 

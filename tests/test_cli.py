@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -651,12 +652,16 @@ def test_numeric_blowup_exits_3_with_one_line(tmp_path, capsys):
     assert err == ["numeric failure: non-finite parameters at step 1, epoch 0"], err
 
 
+def _cli_env():
+    """The environment that imports `nestlab` from this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _cli(*argv, **kwargs):
     """`python -m nestlab.cli *argv` on this checkout's sources; `kwargs`
     go to `subprocess.run`."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "nestlab.cli", *argv], capture_output=True, text=True, env=env, **kwargs)
+    return subprocess.run([sys.executable, "-m", "nestlab.cli", *argv], capture_output=True, text=True, env=_cli_env(), **kwargs)
 
 
 def _limit_address_space():
@@ -693,6 +698,46 @@ def test_a_memory_error_without_a_message_is_named(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "build_world", build_world)
     assert main(["gen-data", write_config(tmp_path), "-o", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == ["config error: MemoryError"]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not hasattr(os, "wait4"), reason="glibc's malloc thresholds"
+)
+def test_a_fresh_run_does_not_fault_its_batch_temporaries_in_again(tmp_path):
+    # the S6-1 world, 5 base epochs over 9 classes: with glibc's starting
+    # thresholds each batch's temporaries went back to the kernel and were
+    # faulted in again, ~51-56 k minor faults; pinned, ~8 k, half of them
+    # numpy's import
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sequence": {"base_count": 9}, "train": {"base_epochs": 5, "inc_epochs": 1}, "pretune": {"epochs": 1}}))
+    argv = [sys.executable, "-m", "nestlab.cli", "run", str(path), "-o", str(tmp_path / "o")]
+    proc = subprocess.Popen(argv, env=_cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped, so Popen does not wait again
+    assert proc.returncode == 0
+    assert usage.ru_minflt < 20_000, usage.ru_minflt
+
+
+def test_main_pins_both_malloc_thresholds(tmp_path, monkeypatch):
+    libc = mock.Mock()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert main(["gen-data", write_config(tmp_path), "-o", str(tmp_path / "o")]) == 0
+    # setting either one turns glibc's adjustment off, so both are set
+    assert libc.mallopt.call_args_list == [mock.call(-3, 32 << 20), mock.call(-1, 64 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def _no_process_handle(name):
+    raise TypeError("cannot load the process itself")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _no_process_handle, lambda name: object()])
+def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(["gen-data", write_config(tmp_path), "-o", str(tmp_path / "o")]) == 0
 
 
 def test_numeric_blowup_prints_one_line_from_the_command_line(tmp_path):

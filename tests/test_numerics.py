@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestlab.errors import NumericError, ShapeError
-from nestlab.numerics import _FEW_ROWS, _PW_BLOCK, SplitMix64, class_major, finite_diff_grad, rowsum, softmax
+from nestlab.numerics import _FEW_ROWS, _GAMMA, _INV_2_53, _MASK64, _MIX1, _MIX2, _PW_BLOCK, SplitMix64, class_major, finite_diff_grad, rowsum, softmax
 
 from fd_reference import per_point, scalar_finite_diff_grad
 
@@ -84,6 +84,78 @@ def test_permutation_matches_scalar_draw_loop():
             perm, expected = fast.permutation(n), _permutation_loop(ref, n)
             assert perm.dtype == expected.dtype and perm.tolist() == expected.tolist(), (seed, n)
             assert fast.next_u64() == ref.next_u64(), (seed, n)
+
+
+class _TwoBlockSplitMix64(SplitMix64):
+    """Test-only copy of the vector draws as they were before each call
+    took one block mixed in place: allocating uint64 ops, and `normal`'s
+    u1 and u2 from two sequential blocks."""
+
+    def _raw(self, n):
+        idx = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+    def uniform(self, size=None):
+        if size is None:
+            return super().uniform()
+        n = int(np.prod(size))
+        out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return out.reshape(size)
+
+    def normal(self, size, mean=0.0, std=1.0):
+        n = int(np.prod(size))
+        m = (n + 1) // 2
+        u1 = ((self._raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+        u2 = (self._raw(m) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        return (mean + std * z).reshape(size)
+
+    def permutation(self, n):
+        perm = list(range(n))
+        if n > 1:
+            u = (self._raw(n - 1) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            js = (u * np.arange(n, 1, -1, dtype=np.float64)).astype(np.int64).tolist()
+            for i, j in zip(range(n - 1, 0, -1), js):
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.int64)
+
+
+def _draw_script():
+    """Vector draws of every shape kind, each followed by scalar draws, so
+    a block that takes one draw too many or too few shifts what follows."""
+    sizes = ((), 0, 1, 2, 7, 16, 33, (0,), (4, 0), (1,), (2, 3), (16, 5), (2, 3, 4), (5, 1, 7))
+    locs = ((3.0, 0.5), (-1.5, 1.0 / np.sqrt(7)), (0.0, 4.0), (2.5, 1.0))
+    for size in sizes:
+        yield lambda g, size=size: g.uniform(size)
+        yield lambda g, size=size: g.normal(size)
+        for mean, std in locs:
+            yield lambda g, size=size, mean=mean, std=std: g.normal(size, mean=mean, std=std)
+            yield lambda g: g.uniform()
+        yield lambda g, size=size: g.integers(9, size=size)
+        yield lambda g: g.integers(5)
+    for n in (0, 1, 2, 3, 17, 200):
+        yield lambda g, n=n: g.permutation(n)
+        yield lambda g: g.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 2**63 + 5, 2**64 - 1])
+def test_in_place_draws_equal_the_two_block_draws_bit_for_bit(seed):
+    ours, ref = SplitMix64(seed), _TwoBlockSplitMix64(seed)
+    for i, draw in enumerate(_draw_script()):
+        got, want = draw(ours), draw(ref)
+        assert type(got) is type(want), i
+        if isinstance(want, np.ndarray):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), i
+            assert got.tobytes() == want.tobytes(), i
+        else:
+            assert got == want, i
+        assert ours._state == ref._state, i
 
 
 def test_softmax_uniform_cases():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nestlab import nest, verify
+from nestlab.cli import main
 from nestlab.losses import unbiased_ce, unbiased_kd
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64, finite_diff_grad, softmax
@@ -99,6 +100,26 @@ def test_mp_closure_equals_concatenating_the_head_every_evaluation(seed):
 def test_gradient_check_reports_the_reference_run():
     # the detail string of the check when every evaluation rebuilt its model
     assert verify.check_gradients(instances=5) == ("gradient_correctness", True, "max relative error 4.04e-09")
+
+
+# `nestlab verify`'s result lines before its draws were mixed in place;
+# every check draws its inputs from SplitMix64, so a changed stream shows
+# here first
+_VERIFY_LINES = [
+    "[PASS] decomposition_exactness: max deviation 7.22e-16",
+    "[PASS] matrix_init_oracle: max deviation 2.22e-16",
+    "[PASS] gradient_correctness: max relative error 8.96e-09",
+    "[PASS] frozen_parameter_contract: old model bytes unchanged",
+    "[PASS] weight_align: max mean-norm gap 8.88e-16",
+    "[PASS] cost_formula: formula matches allocated scalars",
+]
+
+
+def test_verify_prints_the_reference_result_lines(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == _VERIFY_LINES
+    assert len(lines) == 7 and lines[-1].startswith("verify finished in ")
 
 
 def test_gradient_check_makes_one_loss_call_per_perturbation_stack(monkeypatch):
