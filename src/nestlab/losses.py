@@ -6,12 +6,18 @@ current step's classes.  The unbiased variants fold probability mass
 across that split to model background shift.  `_unbiased_ce_core` is the
 one cross-entropy formula: plain `ce`, for base training, is the unbiased
 cross entropy with background as the only old column.
+
+The kernels work class-major: they copy their logits and targets to
+Fortran order at every row count, so each class is one contiguous vector
+for the softmax, the background fold and the column updates, and
+`rowsum` gives the bits of the C copy's sum.  Their gradients come back
+C-ordered, the layout of the callers' matmuls and column sums.
 """
 
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .numerics import class_major, rowsum, softmax
+from .numerics import rowsum, softmax
 
 _LOG_FLOOR = 1e-300
 
@@ -31,7 +37,7 @@ def _rows(logits):
         if not rows_shape:
             raise ShapeError(f"logits of shape {logits.shape} are not (..., n, C)")
         logits = logits.reshape(-1, logits.shape[-1])
-    return class_major(logits), rows_shape
+    return np.asfortranarray(logits), rows_shape
 
 
 def _per_row(what, a, rows_shape, tail=()):
@@ -83,7 +89,7 @@ def _checked_targets(old_probs, c, rows_shape):
     n_old = old_probs.shape[-1]
     if n_old < 1 or n_old > c:
         raise ShapeError(f"old model has {n_old} classes, current has {c}")
-    return class_major(_per_row("old_probs", old_probs, rows_shape, (n_old,)))
+    return np.asfortranarray(_per_row("old_probs", old_probs, rows_shape, (n_old,)))
 
 
 def _unbiased_ce_core(q, labels, n_old, rows_shape, old_cols):

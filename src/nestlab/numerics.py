@@ -2,8 +2,10 @@
 
 Everything downstream runs on float64 numpy arrays.  This module owns the
 portable PRNG (SplitMix64, identical streams on every platform), an exact
-per-row sum over the class axis, the numerically stable softmax built on
-it and a central finite-difference gradient oracle.
+per-row sum over the class axis whose path is chosen by the column count
+alone, the numerically stable softmax built on it and a central
+finite-difference gradient oracle.  The layout of a table is the
+caller's choice.
 """
 
 import math
@@ -119,29 +121,27 @@ class SplitMix64:
         return np.array(perm, dtype=np.int64)
 
 
-# Below this many rows numpy's own row sum is the faster call, so
-# `class_major` keeps C order there.
-_FEW_ROWS = 64
 # numpy's pairwise summation sums rows up to this length in one block.
 _PW_BLOCK = 128
 
 
 def rowsum(a):
-    """Per-row sum of a 2-D array, bit for bit np.sum(a, axis=1).
+    """Per-row sum of a 2-D array, bit for bit np.sum(a, axis=1) of its C
+    copy in any layout up to 128 columns, and of C-ordered rows beyond.
 
-    numpy sums a C-ordered row of 8 to 128 columns pairwise, with one
-    inner-loop call per row, but a Fortran array's columns in sequence.
-    From `_FEW_ROWS` rows on, such rows are added here as whole-column
-    operations in the C order: eight running partial sums combined in a
-    fixed tree, then the leftover columns, all added to +0.0 (so a row of
-    -0.0 sums to +0.0, as in numpy).  A class-major table thus sums as its
-    C copy does, in less time than numpy takes on that copy.  Every other
-    shape goes to numpy, which adds fewer than 8 columns in sequence from
-    +0.0 in either layout.  NaN signs and payloads, which numpy leaves to
-    the compiler, are not part of the contract.
+    The path is chosen by the column count alone.  numpy sums a C-ordered
+    row of 8 to 128 columns pairwise, but a Fortran array's columns in
+    sequence, so such rows are added here, at any row count and in any
+    layout, as whole-column operations in the C order: eight running
+    partial sums combined in a fixed tree, then the leftover columns, all
+    added to +0.0 (so a row of -0.0 sums to +0.0, as in numpy).  A
+    class-major table thus sums as its C copy does.  Every other width
+    goes to numpy, which adds fewer than 8 columns in sequence from +0.0
+    in either layout.  NaN signs and payloads, which numpy leaves to the
+    compiler, are not part of the contract.
     """
-    n, c = a.shape
-    if n < _FEW_ROWS or not 8 <= c <= _PW_BLOCK:
+    c = a.shape[1]
+    if not 8 <= c <= _PW_BLOCK:
         return np.add.reduce(a, axis=1)
     k = c - c % 8
     r = [a[:, j] for j in range(8)]
@@ -152,21 +152,6 @@ def rowsum(a):
         out += a[:, j]
     out += 0.0
     return out
-
-
-def class_major(x):
-    """2-D float64 logits in the layout the loss kernels work in.
-
-    From `_FEW_ROWS` rows on, Fortran order: each class is then one
-    contiguous n-vector, which `softmax` keeps and `rowsum` sweeps column
-    by column at 8 to 128 columns.  Below, C order: there `rowsum` hands
-    off to numpy's row reduction, which sums a Fortran array of 8 or
-    more columns in a different order.  Either way a kernel's result
-    depends only on the values, not on the caller's layout.
-    """
-    if len(x) >= _FEW_ROWS:
-        return np.asfortranarray(x, dtype=np.float64)
-    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def softmax(x, out=None):

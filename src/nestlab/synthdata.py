@@ -172,7 +172,7 @@ def _make_prototypes(spec, rng):
     protos[0] = _unit(rng.normal(d))
     mixture = set(spec.mixture_classes) if spec.prototype_rule == "mixture" else set()
     for c in range(1, spec.num_classes + 1):
-        if c in mixture and c >= 2:
+        if c in mixture:
             weights = rng.uniform(c - 1)
             weights = weights / weights.sum()
             base = weights @ protos[1:c]

@@ -5,7 +5,7 @@ kernels must reproduce them bit for bit."""
 
 import numpy as np
 
-from nestlab.numerics import class_major, rowsum, softmax
+from nestlab.numerics import rowsum, softmax
 
 
 def _safe_log(x):
@@ -17,7 +17,7 @@ def _rows(logits):
     rows_shape = logits.shape[:-1]
     if len(rows_shape) != 1:
         logits = logits.reshape(-1, logits.shape[-1])
-    return class_major(logits), rows_shape
+    return np.asfortranarray(logits), rows_shape
 
 
 def _per_row(a, rows_shape, tail=()):
@@ -59,7 +59,7 @@ def unbiased_kd(logits, old_probs):
     logits, rows_shape = _rows(logits)
     old_probs = np.asarray(old_probs, dtype=np.float64)
     n_old = old_probs.shape[-1]
-    old_probs = class_major(_per_row(old_probs, rows_shape, (n_old,)))
+    old_probs = np.asfortranarray(_per_row(old_probs, rows_shape, (n_old,)))
     q = softmax(logits)
     s_new = q[:, 0] + rowsum(q[:, n_old:])
     t0 = old_probs[:, 0]

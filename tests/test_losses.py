@@ -251,8 +251,9 @@ def _layouts(z):
     return {"C": z, "F": np.asfortranarray(z), "sliced": wide[:, 2 : 2 + z.shape[1]]}
 
 
-# 63/64/65 rows straddle numerics._FEW_ROWS, where the kernels switch from
-# C order to class-major (Fortran) order
+# 63/64/65 rows straddle the row count where the kernels once switched
+# from C order to class-major (Fortran) order; they now work class-major
+# at every row count
 @pytest.mark.parametrize("n", [16, 63, 64, 65, 2048])
 @pytest.mark.parametrize("labels", ["all_background", "no_background", "mixed"])
 @pytest.mark.parametrize("n_old,c", [(1, 3), (3, 5), (7, 8), (10, 11), (9, 20)])
@@ -347,9 +348,9 @@ def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
 
 
 # Leading batch axes: every slice of a batched call is the 2-D call on that
-# slice alone, byte for byte.  1 and 16 rows per slice stay below
-# numerics._FEW_ROWS in the 2-D call, 63/64/65 straddle it, and a batch
-# of several slices crosses it even where its slices do not.
+# slice alone, byte for byte.  1 and 16 rows per slice stay below the 64
+# rows where the kernels once switched layout, 63/64/65 straddle it, and a
+# batch of several slices crosses it even where its slices do not.
 
 
 def _batched_instance(rng, k, n, c=6, n_old=3, special=None):

@@ -277,8 +277,9 @@ def _tset_bytes(tset):
     return b"".join(a.tobytes() for a in arrays if a is not None)
 
 
-# 4x4 images in batches of 2 give 32-row batches (C-ordered loss kernels),
-# 8x8 images in batches of 3 give 192-row batches (class-major kernels)
+# 4x4 images in batches of 2 give 32-row batches, 8x8 images in batches
+# of 3 give 192-row batches: either side of 64 rows, where the loss
+# kernels once switched from C order to class-major order
 @pytest.mark.parametrize("hw, batch_size", [(4, 2), (8, 3)])
 @pytest.mark.parametrize("use_bias", [False, True])
 @pytest.mark.parametrize("variant", ["both", "importance_only", "projection_only"])

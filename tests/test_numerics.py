@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestlab.errors import NumericError, ShapeError
-from nestlab.numerics import _FEW_ROWS, _GAMMA, _INV_2_53, _MASK64, _MIX1, _MIX2, _PW_BLOCK, SplitMix64, class_major, finite_diff_grad, rowsum, softmax
+from nestlab.numerics import _GAMMA, _INV_2_53, _MASK64, _MIX1, _MIX2, _PW_BLOCK, SplitMix64, finite_diff_grad, rowsum, softmax
 
 from fd_reference import per_point, scalar_finite_diff_grad
 
@@ -319,25 +319,18 @@ def test_rowsum_is_numpy_sum_bit_for_bit(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_row_arrays(rows=tuple(r for r in _ROWS if r >= _FEW_ROWS), widths=_WIDTHS[:-1] + (_PW_BLOCK,)))
+@given(_row_arrays(widths=_WIDTHS[:-1] + (_PW_BLOCK,)))
 def test_rowsum_of_class_major_input_is_numpy_sum_of_a_c_copy(a):
-    # at 8 to _PW_BLOCK columns the column sweep reads each class as one
-    # contiguous vector and adds in the same order as for C input; numpy's
-    # own row sum of a Fortran array, used below _FEW_ROWS rows or past
-    # _PW_BLOCK columns, does not, and below 8 columns it adds in that
-    # order by itself
+    # at 8 to _PW_BLOCK columns, at every row count, the column sweep adds
+    # in the C order whatever the layout; numpy's own row sum of a Fortran
+    # array does not, and below 8 columns it adds in that order by itself
+    n, c = a.shape
+    wide = np.zeros((n, c + 3))
+    wide[:, 2 : 2 + c] = a
     with np.errstate(invalid="ignore", over="ignore"):
-        _same_bits(rowsum(np.asfortranarray(a)), np.sum(np.ascontiguousarray(a), axis=1))
-
-
-@pytest.mark.parametrize("n", [1, _FEW_ROWS - 1, _FEW_ROWS, 300])
-def test_class_major_layout_switches_at_few_rows(n):
-    wide = SplitMix64(n).normal((n, 12))
-    for a in (wide, wide[:, 2:9], np.asfortranarray(wide[:, 2:9]), wide[:, 2:9].tolist()):
-        out = class_major(a)
-        assert out.dtype == np.float64
-        assert out.flags.f_contiguous if n >= _FEW_ROWS else out.flags.c_contiguous
-        np.testing.assert_array_equal(out, np.asarray(a))
+        want = np.sum(np.ascontiguousarray(a), axis=1)
+        for layout in (np.ascontiguousarray(a), np.asfortranarray(a), wide[:, 2 : 2 + c]):
+            _same_bits(rowsum(layout), want)
 
 
 def test_rowsum_of_negative_zeros_is_positive_zero():
@@ -359,9 +352,8 @@ def test_rowsum_leaves_input_untouched():
 
 def _sweep_max(a):
     """Test-only copy of the row max softmax took before it took numpy's:
-    numpy's below _FEW_ROWS rows, else a running np.maximum over the
-    columns."""
-    if len(a) < _FEW_ROWS:
+    numpy's below 64 rows, else a running np.maximum over the columns."""
+    if len(a) < 64:
         return np.maximum.reduce(a, axis=1)
     out = a[:, 0].copy()
     for j in range(1, a.shape[1]):
@@ -382,12 +374,12 @@ def _softmax_before_in_place(x, axis=-1):
 
 def _softmax_inputs():
     rng = SplitMix64(91)
-    for n in (1, 2, _FEW_ROWS - 1, _FEW_ROWS, _FEW_ROWS + 1, 300):
+    for n in (1, 2, 63, 64, 65, 300):
         for c in (1, 2, 3, 5, 7, 8, 11, 17, _PW_BLOCK, _PW_BLOCK + 3):
             x = rng.normal((n, c), std=4.0)
             x[::5, 0] = 700.0  # rows whose exp overflows without the shift
             yield f"{n}x{c}", x
-    for n in (_FEW_ROWS - 1, 300):  # a zero max of either sign, a NaN, -inf
+    for n in (63, 300):  # a zero max of either sign, a NaN, -inf
         for c in (3, 9):
             x = rng.normal((n, c))
             x[1::4] = -0.0
@@ -402,7 +394,7 @@ def _softmax_inputs():
 
 @pytest.mark.parametrize("name, x", list(_softmax_inputs()), ids=lambda v: v if isinstance(v, str) else "")
 def test_in_place_softmax_equals_the_old_expression_bit_for_bit(name, x):
-    for layout in (np.ascontiguousarray(x), np.asfortranarray(x), class_major(x) if x.ndim == 2 else x[..., ::-1]):
+    for layout in (np.ascontiguousarray(x), np.asfortranarray(x), x[..., ::-1]):
         layout.setflags(write=False)  # the input is never written
         before = layout.tobytes()
         for axis in range(-x.ndim, x.ndim):  # softmax over `axis`: the last axis of a view

@@ -190,8 +190,9 @@ def _two_stage_concatenating_every_batch(table, old_model, cols, biases, cfg, rn
     return cols, biases
 
 
-# 4x4 images in batches of 2 give 32-row batches (C-ordered loss kernels),
-# 8x8 images in batches of 3 give 192-row batches (class-major kernels)
+# 4x4 images in batches of 2 give 32-row batches, 8x8 images in batches
+# of 3 give 192-row batches: either side of 64 rows, where the loss
+# kernels once switched from C order to class-major order
 @pytest.mark.parametrize("hw, batch_size", [(4, 2), (8, 3)])
 @pytest.mark.parametrize("use_bias", [False, True])
 def test_two_stage_equals_concatenating_the_head_every_batch(use_bias, hw, batch_size):
