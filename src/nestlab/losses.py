@@ -10,14 +10,15 @@ cross entropy with background as the only old column.
 The kernels work class-major: they copy their logits and targets to
 Fortran order at every row count, so each class is one contiguous vector
 for the softmax, the background fold and the column updates, and
-`rowsum` gives the bits of the C copy's sum.  Their gradients come back
-C-ordered, the layout of the callers' matmuls and column sums.
+numpy adds a row's classes left to right (a one-row table is C-ordered
+too, and numpy sums it pairwise).  Their gradients come back C-ordered,
+the layout of the callers' matmuls and column sums.
 """
 
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .numerics import rowsum, softmax
+from .numerics import softmax
 
 _LOG_FLOOR = 1e-300
 
@@ -96,7 +97,7 @@ def _unbiased_ce_core(q, labels, n_old, rows_shape, old_cols):
     """The unbiased cross entropy of each slice from the softmax `q`, and,
     in place in `q`, the gradient of the per-row losses: in the first
     `old_cols` columns and the new ones; the other old columns keep `q`."""
-    fold = rowsum(q[:, :n_old])
+    fold = np.add.reduce(q[:, :n_old], axis=1)
     rows = np.arange(len(q))
     is_bg = labels == 0
     modeled = np.where(is_bg, fold, q[rows, labels])
@@ -121,11 +122,11 @@ def _unbiased_kd_core(q, old_probs, rows_shape):
     toward `old_probs`, and the gradient of the per-row losses; `q` is
     written."""
     n_old = old_probs.shape[1]
-    s_new = q[:, 0] + rowsum(q[:, n_old:])
+    s_new = q[:, 0] + np.add.reduce(q[:, n_old:], axis=1)
     t0 = old_probs[:, 0]
     per_pixel = t0 * _safe_log(s_new)
     if n_old > 1:
-        per_pixel = per_pixel + rowsum(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]))
+        per_pixel = per_pixel + np.add.reduce(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]), axis=1)
     loss = -_slice_mean(per_pixel, rows_shape)
 
     # folded-background term t0*q_k*(1 - [k in fold]/s_new), one column

@@ -3,7 +3,6 @@
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import rowsum
 
 # Rows per block of a pass over a pixel table: 512 KiB of float64 at
 # width 16, so a block's temporaries stay in L2 and no table-sized
@@ -53,7 +52,7 @@ def _norms(rows, out):
     """Per-row Euclidean norms into `out` (a new vector if None), bit for bit
     np.linalg.norm(rows, axis=1): the square root of numpy's row sum of
     squares."""
-    return np.sqrt(rowsum(rows * rows), out=out)
+    return np.sqrt(np.add.reduce(rows * rows, axis=1), out=out)
 
 
 def row_norms(a):

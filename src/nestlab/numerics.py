@@ -1,11 +1,11 @@
 """Deterministic dense numerics.
 
 Everything downstream runs on float64 numpy arrays.  This module owns the
-portable PRNG (SplitMix64, identical streams on every platform), an exact
-per-row sum over the class axis whose path is chosen by the column count
-alone, the numerically stable softmax built on it and a central
-finite-difference gradient oracle.  The layout of a table is the
-caller's choice.
+portable PRNG (SplitMix64, identical streams on every platform), the
+numerically stable softmax and a central finite-difference gradient
+oracle.  The layout of a table is the caller's choice: softmax takes
+numpy's row sum, left to right on a class-major table and pairwise on a
+C-ordered row.
 """
 
 import math
@@ -121,39 +121,6 @@ class SplitMix64:
         return np.array(perm, dtype=np.int64)
 
 
-# numpy's pairwise summation sums rows up to this length in one block.
-_PW_BLOCK = 128
-
-
-def rowsum(a):
-    """Per-row sum of a 2-D array, bit for bit np.sum(a, axis=1) of its C
-    copy in any layout up to 128 columns, and of C-ordered rows beyond.
-
-    The path is chosen by the column count alone.  numpy sums a C-ordered
-    row of 8 to 128 columns pairwise, but a Fortran array's columns in
-    sequence, so such rows are added here, at any row count and in any
-    layout, as whole-column operations in the C order: eight running
-    partial sums combined in a fixed tree, then the leftover columns, all
-    added to +0.0 (so a row of -0.0 sums to +0.0, as in numpy).  A
-    class-major table thus sums as its C copy does.  Every other width
-    goes to numpy, which adds fewer than 8 columns in sequence from +0.0
-    in either layout.  NaN signs and payloads, which numpy leaves to the
-    compiler, are not part of the contract.
-    """
-    c = a.shape[1]
-    if not 8 <= c <= _PW_BLOCK:
-        return np.add.reduce(a, axis=1)
-    k = c - c % 8
-    r = [a[:, j] for j in range(8)]
-    for i in range(8, k, 8):
-        r = [r[j] + a[:, i + j] for j in range(8)]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(k, c):
-        out += a[:, j]
-    out += 0.0
-    return out
-
-
 def softmax(x, out=None):
     """Stable softmax over the last axis; rows sum to 1.
 
@@ -179,7 +146,7 @@ def softmax(x, out=None):
             raise ShapeError("softmax out has no 2-D view of its rows")
         np.subtract(flat, m, out=e)
     np.exp(e, out=e)
-    e /= rowsum(e)[:, None]
+    e /= np.add.reduce(e, axis=1)[:, None]
     return out if out is not None else e.reshape(x.shape)
 
 

