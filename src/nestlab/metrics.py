@@ -48,22 +48,11 @@ def miou_range(ious, class_ids):
     return float(vals[present].mean())
 
 
-def _norms(rows, out):
-    """Per-row Euclidean norms into `out` (a new vector if None), bit for bit
-    np.linalg.norm(rows, axis=1): the square root of numpy's row sum of
-    squares."""
-    return np.sqrt(np.add.reduce(rows * rows, axis=1), out=out)
-
-
 def row_norms(a):
-    """Per-row Euclidean norms of a (rows, d) table, bit for bit
-    np.linalg.norm(a, axis=1), filled `_ROW_BLOCK` rows at a time into
-    one preallocated vector, so no table-sized temporary is allocated."""
-    out = np.empty(len(a))
-    for start in range(0, len(a), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        _norms(a[rows], out[rows])
-    return out
+    """Per-row Euclidean norms of a (rows, d) table: the square root of
+    each row's sum of squares, in one `einsum` pass that allocates only
+    its output, so no table-sized temporary is made."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def cosine_stats(a_rows, b, b_norms):
@@ -84,7 +73,7 @@ def cosine_stats(a_rows, b, b_norms):
     for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         blk = a_rows(rows)
-        denom = _norms(blk, None)
+        denom = row_norms(blk)
         denom *= b_norms[rows]
         dots = np.einsum("ij,ij->i", blk, b[rows])
         sims[rows] = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)

@@ -10,9 +10,11 @@ one-element stack through the same `generate_new_weight` and chain rule
 similarity scores computed by the frozen old model, then tuned on the
 unbiased cross entropy while everything else stays frozen, through
 `tune_new_columns`: the frozen-feature step, shared with the `two_stage`
-baseline, that the one SGD loop `synthdata.sgd_epochs` runs.  The bias
-mode follows the old head: new classes get biases exactly when it has
-them.
+baseline, that the one SGD loop `synthdata.sgd_epochs` runs.  The loss
+reads the old columns that tuning never moves only through their summed
+softmax mass, so `tune_new_columns` folds them, once per step, into one
+log-sum-exp column per pixel.  The bias mode follows the old head: new
+classes get biases exactly when it has them.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .losses import unbiased_ce
+from .metrics import _ROW_BLOCK
 from .model import grow_head
 from .numerics import softmax
 from .synthdata import sgd_epochs
@@ -194,16 +197,57 @@ def apply_component_variant(tset, variant):
     return tset
 
 
+def _logits_by_class(head, cols, feats):
+    """The logits of `head`'s columns `cols` (an index array), their biases
+    added, over the `(rows, d)` features, class-major: one row per column,
+    the layout of the loss kernels' tables."""
+    z = head.weights.take(cols, axis=1).T @ feats.T
+    if head.biases is not None:
+        z += head.biases.take(cols)[:, None]
+    return z
+
+
+def _log_sum_exp(feats, head, cols):
+    """Each row's log-sum-exp over the logits of `head`'s columns `cols`,
+    `_ROW_BLOCK` rows at a time: `a + log(sum(exp(z - a)))`, with `a` the
+    row's max logit."""
+    out = np.empty(len(feats))
+    for start in range(0, len(feats), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        z = _logits_by_class(head, cols, feats[rows])
+        a = np.maximum.reduce(z, axis=0)
+        z -= a
+        np.exp(z, out=z)
+        out[rows] = a + np.log(np.add.reduce(z, axis=0))
+    return out
+
+
 def tune_new_columns(table, head_fn, n_old, cfg, rng, params, grads, tune_bg=False):
     """Pre-tuning's and two_stage's `sgd_epochs` of `params` on the
     unbiased cross entropy of each batch's head `head_fn()`, whose first
     `n_old` columns are the old classes', over the table's frozen features.
     `grads(x, dz)` gives their gradients from the batch's features and the
-    dloss/dlogits of column 0 if `tune_bg`, then of the new columns."""
+    dloss/dlogits of column 0 if `tune_bg`, then of the new columns.
+
+    Old columns 1..n_old-1, and column 0 unless `tune_bg`, never move, and
+    there is always at least one of them (a base step learns a class).
+    The loss reads them only through their summed softmax mass, which is
+    the mass of one column holding their log-sum-exp; so that column is
+    computed once, before the loop, from the first head, and each batch's
+    loss runs on the tuned columns and it alone."""
+    old_cols = int(tune_bg)
+    head = head_fn()
+    feats = table.f.reshape(-1, table.f.shape[-1])
+    lse = _log_sum_exp(feats, head, np.arange(old_cols, n_old)).reshape(table.y.shape)
+    tuned = np.r_[:old_cols, n_old : head.num_classes]
+    shift = n_old - old_cols - 1  # the n_old - old_cols frozen columns become one
 
     def batch_grads(batch):
-        x = table.f[batch].reshape(-1, table.f.shape[-1])
-        loss, dz = unbiased_ce(head_fn().logits(x), table.y[batch].reshape(-1), n_old, old_cols=int(tune_bg))
+        x = table.f[batch].reshape(-1, feats.shape[1])
+        z = _logits_by_class(head_fn(), tuned, x)
+        z = np.concatenate((z[:old_cols], lse[batch].reshape(1, -1), z[old_cols:]))
+        y = table.y[batch].reshape(-1)
+        loss, dz = unbiased_ce(z.T, np.where(y > 0, y - shift, 0), old_cols + 1, old_cols=old_cols)
         return loss, grads(x, dz)
 
     for _ in sgd_epochs(len(table.f), cfg.epochs, cfg.batch_size, rng, params, batch_grads, lambda _: cfg.lr, "tuning "):
@@ -233,9 +277,7 @@ def pretune(table, old_model, tset, cfg, rng):
         d_new = transform_grads(g[:, 1:], tset.importance, tset.projection, w_old)
         out = [d if train else None for d, train in zip(d_bg + d_new, trained)]
         if tune_biases:
-            # one contiguous row per column: each sum in the order of a
-            # single column's, which `dz.sum(axis=0)` does not keep
-            out.append(np.ascontiguousarray(dz[:, 1:].T).sum(axis=1))
+            out.append(dz[:, 1:].sum(axis=0))
         return out
 
     tune_new_columns(table, lambda: assemble_pretune_head(old_model.head, tset), n_old, cfg, rng, params, grads, tune_bg=True)

@@ -155,8 +155,8 @@ class StepTable:
 
     @cached_property
     def f_norms(self):
-        """Per-pixel norms of `f`, flattened; computed on first use, a row
-        block at a time, so no `f`-sized temporary is allocated."""
+        """Per-pixel norms of `f`, flattened; computed on first use, in one
+        pass that allocates only the norms."""
         norms = row_norms(self.f.reshape(-1, self.f.shape[-1]))
         _freeze(norms)
         return norms

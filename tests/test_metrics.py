@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nestlab.errors import ConfigError, ShapeError
-from nestlab.metrics import _ROW_BLOCK, ConfusionMatrix, _norms, cosine_stats, iou_per_class, miou_range
+from nestlab.metrics import _ROW_BLOCK, ConfusionMatrix, cosine_stats, iou_per_class, miou_range, row_norms
 from nestlab.model import Backbone, Head, SegModel
 from nestlab.numerics import SplitMix64
 from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_table, step_view
@@ -64,7 +64,7 @@ def test_miou_all_equal():
 
 def _stats(a, b):
     """cosine_stats of two (pixels, d) tables, `a` given by rows."""
-    return cosine_stats(a.__getitem__, b, np.linalg.norm(b, axis=1))
+    return cosine_stats(a.__getitem__, b, _einsum_norms(b))
 
 
 def test_cosine_stats_identical():
@@ -117,18 +117,26 @@ def test_row_norms_are_linalg_norm_bit_for_bit(n, d):
     a[1::9, 0] = 1e200
     a[2::9] = 1e-170
     with np.errstate(over="ignore", under="ignore"):
-        ours = _norms(a, np.empty(n))
-        assert ours.tobytes() == np.linalg.norm(a, axis=1).tobytes()
+        ours = row_norms(a)
+        assert ours.tobytes() == _einsum_norms(a).tobytes()
+        # numpy's norm sums the squares in another order: the same to rounding
+        np.testing.assert_allclose(ours, np.linalg.norm(a, axis=1), rtol=1e-15, atol=0)
     if n > 1:
         assert np.isinf(ours[1]) and ours[2] == 0.0
+
+
+def _einsum_norms(a):
+    """Reference: each row's norm as the square root of one `einsum`
+    sum of squares, the formula of `row_norms`."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def _whole_table_cosine_stats(a, b, b_norms=None):
     """Reference: cosine_stats as one pass over every row at once."""
     fa = a.reshape(-1, a.shape[-1])
     fb = b.reshape(-1, b.shape[-1])
-    na = np.linalg.norm(fa, axis=1)
-    nb = np.linalg.norm(fb, axis=1) if b_norms is None else b_norms
+    na = _einsum_norms(fa)
+    nb = _einsum_norms(fb) if b_norms is None else b_norms
     denom = na * nb
     dots = np.einsum("ij,ij->i", fa, fb)
     sims = np.where(denom > 0, dots / np.maximum(denom, 1e-300), 0.0)
@@ -146,7 +154,7 @@ def test_cosine_stats_blocked_equals_whole_table(n):
     a, b = rng.normal((n, 6)), rng.normal((n, 6))
     a[::5] = 0.0  # zero-norm pixels
     b[::7] = 0.0
-    norms = np.linalg.norm(b, axis=1)
+    norms = _einsum_norms(b)
     assert _stats(a, b) == _whole_table_cosine_stats(a, b)
     # the first table computed block by block
     blocks = []

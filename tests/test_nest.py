@@ -233,21 +233,30 @@ def _per_class_head(old_head, tset):
     return head
 
 
-def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng):
+def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng, lse_column=True):
     """Reference: the pre-tuning loop that assembled a fresh head for
     every batch and stepped each new class's transform, and the background
-    pair, by its own hand-written chain rule."""
+    pair, by its own hand-written chain rule.  Its loss reads the frozen
+    old columns through one log-sum-exp column, computed once before the
+    loop, or, without `lse_column`, through the whole head."""
     w_old = old_model.head.weights
     d, n_old = w_old.shape
     w0 = w_old[:, 0]
     use_bias = old_model.head.biases is not None
+    feats = table.f.reshape(-1, d)
+    lse = toys.log_sum_exp(feats, old_model.head, list(range(1, n_old))).reshape(table.y.shape)
+    new = 1 if lse_column else n_old  # the first new column of dz
     for _ in range(cfg.epochs):
         order = rng.permutation(len(table.f))
         for start in range(0, len(table.f), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             x = table.f[batch].reshape(-1, d)
             y = table.y[batch].reshape(-1)
-            _, dz = unbiased_ce(_per_class_head(old_model.head, tset).logits(x), y, n_old)
+            head = _per_class_head(old_model.head, tset)
+            if lse_column:
+                _, dz = toys.pseudo_column_ce(head, x, y, n_old, 1, lse[batch].reshape(-1))
+            else:
+                _, dz = unbiased_ce(head.logits(x), y, n_old)
             g = x.T @ dz
             g0 = g[:, 0]
             d_m0 = (g0 * w0 * tset.bg_projection.item())[None, :, None]
@@ -257,8 +266,9 @@ def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng):
             if tset.train_projection:
                 tset.bg_projection = tset.bg_projection - cfg.lr * d_p0
             importance, projection = tset.importance.copy(), tset.projection.copy()
+            bias_grads = dz[:, new:].sum(axis=0)
             for i in range(len(importance)):
-                gc = g[:, n_old + i]
+                gc = g[:, new + i]
                 m, p = tset.importance[i], tset.projection[i]
                 d_m = gc[:, None] * w_old * p.ravel()[None, :]
                 d_p = ((m * w_old).T @ gc)[:, None]
@@ -267,9 +277,105 @@ def _pretune_reassembling_every_batch(table, old_model, tset, cfg, rng):
                 if tset.train_projection:
                     projection[i] = p - cfg.lr * d_p
                 if use_bias and tset.biases is not None:
-                    tset.biases[i] = tset.biases[i] - cfg.lr * float(dz[:, n_old + i].sum())
+                    tset.biases[i] = tset.biases[i] - cfg.lr * bias_grads[i]
             tset.importance, tset.projection = importance, projection
     return tset
+
+
+def _random_labels(rng, rows, n_old, n_new):
+    """Background or new-class head columns, background about half."""
+    ids = rng.integers(2 * n_new, size=rows)
+    return np.where(ids < n_new, 0, n_old + ids - n_new)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("old_cols", [0, 1])
+@pytest.mark.parametrize("n_old", range(2, 12))
+def test_one_log_sum_exp_column_gives_the_whole_heads_loss_and_gradient(n_old, old_cols, use_bias):
+    # the frozen columns enter the loss only through their softmax mass,
+    # which is the mass of one column holding their log-sum-exp
+    rng = SplitMix64(300 + 2 * n_old + old_cols)
+    d = 4
+    for n_new in (1, 2, 3):
+        c = n_old + n_new
+        head = Head(rng.normal((d, c)), rng.normal(c) if use_bias else None)
+        for rows in (1, 7, 2048):
+            x = rng.normal((rows, d))
+            y = _random_labels(rng, rows, n_old, n_new)
+            lse = nest._log_sum_exp(x, head, np.arange(old_cols, n_old))
+            loss, dz = toys.pseudo_column_ce(head, x, y, n_old, old_cols, lse)
+            want_loss, want_dz = unbiased_ce(head.logits(x), y, n_old, old_cols=old_cols)
+            assert dz.shape == want_dz.shape == (rows, old_cols + n_new)
+            np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
+            # a background entry q_0 - q_0/fold cancels where fold is near 1,
+            # so its rounding is measured against 1/rows, the largest entry
+            # a mean's gradient can have
+            np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=1e-12 / rows)
+
+
+@pytest.mark.parametrize("frozen", [700.0, -700.0])
+def test_log_sum_exp_column_of_extreme_frozen_logits_is_finite(frozen):
+    # frozen logits near exp's range on either side: the row max keeps the
+    # log-sum-exp finite, and the loss is the whole head's
+    rng = SplitMix64(310)
+    rows, n_old, n_new = 64, 5, 2
+    x = np.abs(rng.normal((rows, 1))) + 0.5
+    w = np.concatenate([[0.3], frozen + np.arange(n_old - 1) / 2, [0.2, -0.1]])[None, :]
+    head = Head(w / x.mean(), None)
+    y = _random_labels(rng, rows, n_old, n_new)
+    for old_cols in (0, 1):
+        lse = nest._log_sum_exp(x, head, np.arange(old_cols, n_old))
+        assert np.isfinite(lse).all()
+        loss, dz = toys.pseudo_column_ce(head, x, y, n_old, old_cols, lse)
+        want_loss, want_dz = unbiased_ce(head.logits(x), y, n_old, old_cols=old_cols)
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=1e-12 / rows)  # as above
+
+
+def test_tuning_whose_background_fold_underflows_raises():
+    # the new columns' logits lie ~1000 above the old ones': a background
+    # pixel's folded probability underflows to 0, and the gradient of the
+    # tuned background column with it
+    rng = SplitMix64(311)
+    old = toys.old_model(rng)
+    table = toys.table(toys.step(rng), old)
+    head = grow_head(old.head, np.full((old.head.dim, 2), 1e3))
+    params = [head.weights[:, :1], head.weights[:, 3:]]
+
+    def grads(x, dz):
+        g = x.T @ dz
+        return [g[:, :1], g[:, 1:]]
+
+    cfg = nest.PretuneConfig(epochs=2, lr=0.1, batch_size=len(table.f))  # one batch per epoch
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=r"^non-finite parameters at tuning epoch 0$"):
+            nest.tune_new_columns(table, lambda: head, 3, cfg, SplitMix64(1), params, grads, tune_bg=True)
+
+
+@pytest.mark.parametrize("strategy", ["nest:similarity:both", "two_stage"])
+def test_tuning_loss_never_sees_a_frozen_column(strategy, monkeypatch):
+    # S6-1 at step 4: 10 old columns and one new class; each batch's loss
+    # runs on the tuned columns and the one log-sum-exp column alone
+    from nestlab.strategies import initialize_head, parse_strategy
+    from nestlab.synthdata import TaskSequence, WorldSpec, build_world, step_view
+
+    world, seq = build_world(WorldSpec()), TaskSequence()
+    rng = SplitMix64(312)
+    old = SegModel(Backbone.single_relu(16, 16, rng), Head(rng.normal((16, 10)), np.zeros(10))).snapshot()
+    table = step_view(seq, world, 4, old.backbone)
+    n_new = len(table.classes)
+    calls = []
+
+    def recording(logits, labels, n_old, old_cols=None):
+        calls.append((logits.shape, n_old, old_cols))
+        return unbiased_ce(logits, labels, n_old, old_cols)
+
+    monkeypatch.setattr(nest, "unbiased_ce", recording)
+    cfg = nest.PretuneConfig(epochs=1)
+    initialize_head(parse_strategy(strategy), old, table, cfg, SplitMix64(1))
+    old_cols = int(strategy.startswith("nest"))
+    assert n_new == 1 and len(calls) == -(-len(table.f) // cfg.batch_size)
+    assert all(shape[-1] == old_cols + 1 + n_new and n == old_cols + 1 and k == old_cols for shape, n, k in calls)
 
 
 def _tset_bytes(tset):
@@ -302,6 +408,11 @@ def test_pretune_equals_reassembling_the_head_every_batch(variant, use_bias, hw,
     assert _tset_bytes(ours) != _tset_bytes(fresh())  # the transforms moved
     assert _tset_bytes(ours) == _tset_bytes(ref)
     assert ours_rng.next_u64() == ref_rng.next_u64()
+    # the loss on the whole head is the same loss, rounded otherwise
+    full = _pretune_reassembling_every_batch(table, old, fresh(), cfg, SplitMix64(7), lse_column=False)
+    for name in ("bg_importance", "bg_projection", "importance", "projection", "biases"):
+        if getattr(full, name) is not None:
+            np.testing.assert_allclose(getattr(ours, name), getattr(full, name), rtol=1e-9, atol=0, err_msg=name)
     # the returned head is the tuned transforms' head, byte for byte
     assembled = _per_class_head(old.head, ref)
     assert assembled.weights.tobytes() == nest.assemble_pretune_head(old.head, ref).weights.tobytes()

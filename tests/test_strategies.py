@@ -166,27 +166,36 @@ def test_initialized_head_keeps_the_old_columns(strategy, use_bias, use_pretuned
         assert head.biases is None
 
 
-def _two_stage_concatenating_every_batch(table, old_model, cols, biases, cfg, rng):
+def _two_stage_concatenating_every_batch(table, old_model, cols, biases, cfg, rng, lse_column=True):
     """Reference: the two-stage loop that concatenated the head, and the
-    biases, for every batch."""
+    biases, for every batch.  Its loss reads the old columns through one
+    log-sum-exp column, computed once before the loop, or, without
+    `lse_column`, through the whole head."""
     from nestlab.losses import unbiased_ce
+    from nestlab.model import Head
 
     w_old = old_model.head.weights
     d, n_old = w_old.shape
     n_images = len(table.f)
+    lse = toys.log_sum_exp(table.f.reshape(-1, d), old_model.head, list(range(n_old))).reshape(table.y.shape)
     for _ in range(cfg.epochs):
         order = rng.permutation(n_images)
         for start in range(0, n_images, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             x = table.f[batch].reshape(-1, d)
             y = table.y[batch].reshape(-1)
-            z = x @ np.concatenate([w_old, cols], axis=1)
+            head = Head(
+                np.concatenate([w_old, cols], axis=1),
+                None if biases is None else np.concatenate([old_model.head.biases, biases]),
+            )
+            if lse_column:
+                _, dz = toys.pseudo_column_ce(head, x, y, n_old, 0, lse[batch].reshape(-1))
+            else:
+                _, dz = unbiased_ce(head.logits(x), y, n_old)
+                dz = dz[:, n_old:]
+            cols = cols - cfg.lr * (x.T @ dz)
             if biases is not None:
-                z = z + np.concatenate([old_model.head.biases, biases])
-            _, dz = unbiased_ce(z, y, n_old)
-            cols = cols - cfg.lr * (x.T @ dz[:, n_old:])
-            if biases is not None:
-                biases = biases - cfg.lr * dz[:, n_old:].sum(axis=0)
+                biases = biases - cfg.lr * dz.sum(axis=0)
     return cols, biases
 
 
@@ -217,6 +226,13 @@ def test_two_stage_equals_concatenating_the_head_every_batch(use_bias, hw, batch
     else:
         assert biases is None and ref_biases is None
     assert ours_rng.next_u64() == ref_rng.next_u64()
+    # the loss on the whole head is the same loss, rounded otherwise
+    full_cols, full_biases = _two_stage_concatenating_every_batch(
+        table, old, start_cols, start_biases, cfg, SplitMix64(7), lse_column=False
+    )
+    np.testing.assert_allclose(cols, full_cols, rtol=1e-9, atol=0)
+    if use_bias:
+        np.testing.assert_allclose(biases, full_biases, rtol=1e-9, atol=0)
 
 
 def _two_stage_step_errors(use_bias, lr=0.5):

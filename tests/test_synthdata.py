@@ -193,7 +193,7 @@ def test_table_feature_norms_computed_once_on_first_use():
     assert "f_norms" not in vars(table)
     norms = table.f_norms
     assert table.f_norms is norms
-    assert norms.tobytes() == np.linalg.norm(table.f.reshape(-1, 5), axis=1).tobytes()
+    assert norms.tobytes() == row_norms(table.f.reshape(-1, 5)).tobytes()
     with pytest.raises(ValueError):
         norms[0] = 1.0
 
@@ -466,16 +466,23 @@ def test_feature_norms_make_no_table_sized_temporary():
     assert table.f.shape[0] * table.f.shape[1] > 2 * _ROW_BLOCK
     norms, _, peak = _traced(lambda: table.f_norms)
     assert peak < table.f.nbytes / 4
-    assert norms.tobytes() == np.linalg.norm(table.f.reshape(-1, 16), axis=1).tobytes()
+    assert norms.tobytes() == row_norms(table.f.reshape(-1, 16)).tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 4095, 4096, 4097, 51200])
 def test_blocked_row_norms_equal_linalg_norm_bit_for_bit(rows):
+    # the einsum formula's bits, whole or a `_ROW_BLOCK` block at a time
+    # as `cosine_stats` asks; numpy's norm sums the squares in another
+    # order, so it agrees to rounding
     a = SplitMix64(rows).normal((rows, 16))
     a[::7] = np.maximum(a[::7], 0.0)  # ReLU-like rows with exact zeros
     a[3::11] = 0.0
     a.setflags(write=False)
-    assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+    norms = row_norms(a)
+    assert norms.tobytes() == np.sqrt(np.einsum("ij,ij->i", a, a)).tobytes()
+    blocks = [row_norms(a[start : start + _ROW_BLOCK]) for start in range(0, rows, _ROW_BLOCK)]
+    assert np.concatenate(blocks).tobytes() == norms.tobytes()
+    np.testing.assert_allclose(norms, np.linalg.norm(a, axis=1), rtol=1e-15, atol=0)
 
 
 _WORLD_ARRAYS = ("prototypes", "train_x", "train_y", "test_x", "test_y")
